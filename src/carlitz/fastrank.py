@@ -17,7 +17,11 @@ coefficients of the characteristic polynomial of M(t) - I, computed by
 Hessenberg reduction over a small lookup-table field (Cohen's recurrence).
 Points are scanned in a fixed order with two early exits: multiplicity 0
 settles order 0 immediately, and reaching a known lower bound settles the
-order exactly.
+order exactly.  Extension-field points come first and prime-field points
+last: a scan sends the engine only polynomials the batch screen could not
+certify, i.e. with det(I - M(t)) = 0 at every prime-field t, so those points
+can never give the multiplicity-0 exit.  The minimum does not depend on the
+order.
 
 The engine supports prime q (digit-encoded subfield elements embed as
 themselves); non-prime q callers use the symbolic path instead.  A numpy
@@ -120,6 +124,8 @@ class RankEngine:
                         break
         else:
             pts = list(range(need))
+        # prime-field points last: screened rows vanish there (module doc)
+        pts = [x for x in pts if x >= p] + [x for x in pts if x < p]
         # weights w_l(t) = (-1)^l C(n,l) t^(n-l), embedded prime coefficients
         self.point_weights = []
         for x in pts:

@@ -11,6 +11,15 @@ fixed-size chunks merged in chunk order, so the result is identical for any
 worker count.  Long scans can checkpoint per-chunk tallies to a JSONL file
 and resume.
 
+Scans need prime q: coefficient rows and the shift-stable expansion are
+computed mod q as integers, and the rank engine works over GF(q) = Z/q.
+
+The squarefree filter runs once per chunk as one numpy kernel
+(``_squarefree_mask``): Bernstein-Yang divsteps computing deg gcd(P, P') for
+every row in lockstep.  In shift-stable mode it tests F, where
+P = F(θ^q - θ): then P' = -F'(θ^q - θ), so gcd(P, P') = 1 exactly when
+gcd(F, F') = 1, at degree m/q instead of m.
+
 Ranks come from the point-evaluation engine (exact; see fastrank).  Two
 accelerations apply per chunk:
 
@@ -34,7 +43,7 @@ import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, asdict
 
-from .ff import field_make, PrimeField
+from .ff import field_make, is_prime, PrimeField
 from .fastrank import RankEngine, BatchScreen, reduced_block_size
 from .motive import TwistedPower, analytic_rank
 from .poly import Poly, poly_to_str
@@ -77,6 +86,8 @@ class ScanSpec:
     report_ranks: tuple | None = None
 
     def __post_init__(self):
+        if not is_prime(self.q):
+            raise ValueError("scans need prime q")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.m < 1:
@@ -98,7 +109,8 @@ class ScanSpec:
 
     def fingerprint(self) -> str:
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
-                f"{self.mode}c{self.chunk_size}")
+                f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
+                f"r{self.audit_rate}ac{self.audit_cap}ak{self.audit_k_cap}")
 
 
 @dataclass
@@ -215,44 +227,56 @@ def _engines_for(q, n, m, mode, on_coset, use_screen):
             k = reduced_block_size(q, n, m)
         else:
             k = None
-        try:
-            eng = RankEngine(q, n, m, shift_stable=shift, k=k)
-            kk = eng.k
-            screen = BatchScreen(q, n, m, kk) if use_screen else None
-        except ValueError:
-            eng = None  # non-prime q: symbolic fallback
-            screen = None
+        eng = RankEngine(q, n, m, shift_stable=shift, k=k)
+        screen = BatchScreen(q, n, m, eng.k) if use_screen else None
         got = (eng, screen)
         _ENGINES[key] = got
     return got
 
 
+def _squarefree_mask(rows, p):
+    """Row-wise gcd(P, P') == 1 for an (N, m+1) array of coefficient rows.
+
+    Bernstein-Yang divsteps over GF(p), run in lockstep on every row: with
+    f = θ^m P(1/θ), g = θ^(m-1) P'(1/θ) and δ = 1, each of exactly 2m-1 steps
+    swaps f and g where δ > 0 and g_0 != 0, then sets
+    g <- (f_0 g - g_0 f)/θ and δ <- 1-δ (swapped) or 1+δ (not swapped).
+    At the end deg gcd(P, P') = δ/2, so P is squarefree iff δ = 0.  Rows never
+    branch and every shift is the same for all of them.  Scaling f or g by a
+    unit leaves the δ sequence alone, so g need not be negated after a swap.
+    Step j (counting down) reads only the first j coefficients, which lets
+    the arrays shrink over the second half.
+    """
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64)
+    count, width = rows.shape
+    m = width - 1
+    if m == 0:
+        return np.ones(count, dtype=bool)  # nonzero constants
+    # coefficient index first, so f[j] is the θ^j coefficient of every row
+    f = np.ascontiguousarray(rows.T[::-1] % p)
+    g = np.zeros_like(f)
+    g[:m] = rows.T[:0:-1] * np.arange(m, 0, -1)[:, None] % p
+    delta = np.ones(count, dtype=np.int64)
+    for left in range(2 * m - 1, 0, -1):
+        w = min(m + 1, left)
+        f = f[:w]
+        g = g[:w]
+        swap = (delta > 0) & (g[0] != 0)
+        h = f[0] * g
+        h -= g[0] * f
+        h %= p
+        f = np.where(swap, g, f)
+        delta = np.where(swap, 1 - delta, 1 + delta)
+        g[:w - 1] = h[1:]
+        g[w - 1:] = 0
+    return delta == 0
+
+
 def _squarefree_ints(coeffs, p) -> bool:
-    # gcd(P, P') on plain int lists; deg-0 constants are squarefree
-    a = list(coeffs)
-    if len(a) == 1:
-        return True
-    b = [i * a[i] % p for i in range(1, len(a))]
-    while b and b[-1] == 0:
-        b.pop()
-    if not b:
-        return False  # vanishing derivative with deg > 0: a p-th power
-    while True:
-        db = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for i in range(len(a) - 1, db - 1, -1):
-            c = a[i]
-            if c:
-                f = c * inv % p
-                for j in range(db + 1):
-                    a[i - db + j] = (a[i - db + j] - f * b[j]) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        if len(a) == 1 and a[0] == 0:
-            return db == 0
-        a, b = b, a
-        if len(b) == 1:
-            return True
+    """Squarefree test of one little-endian coefficient list."""
+    return bool(_squarefree_mask([coeffs], p)[0])
 
 
 def _expand_rows(q, m_st, m):
@@ -300,36 +324,28 @@ def _scan_chunk(args):
     for i in range(mfree):
         digits[:, i] = v % q
         v //= q
+    free = np.concatenate(
+        [digits, np.full((count, 1), lead, dtype=np.int64)], axis=1)
+    # shift-stable: the rows are F, and P = F(θ^q - θ) is squarefree iff F is
+    sf_mask = _squarefree_mask(free, q)
     if shift:
         rows_mat = np.asarray(_expand_rows(q, mfree, m), dtype=np.int64)
-        free = np.concatenate(
-            [digits, np.full((count, 1), lead, dtype=np.int64)], axis=1)
         coeff_rows = free @ rows_mat % q
     else:
-        coeff_rows = np.concatenate(
-            [digits, np.full((count, 1), lead, dtype=np.int64)], axis=1)
-
-    sf_mask = np.zeros(count, dtype=bool)
+        coeff_rows = free
     lists = coeff_rows.tolist()
-    for i, row in enumerate(lists):
-        sf_mask[i] = _squarefree_ints(row, q)
 
     ranks = np.zeros(count, dtype=np.int64)  # 0 = no tally
     sub_idx = np.nonzero(sf_mask)[0]
-    if eng is not None:
-        base_rank = 1 if on_coset else 0
-        todo = sub_idx
-        if screen is not None and todo.size:
-            certified = screen.order_zero_mask(coeff_rows[todo])
-            ranks[todo[certified]] = base_rank
-            todo = todo[~certified]
-        for i in todo:
-            order = eng.vanishing_order(tuple(lists[i]), 0)
-            ranks[i] = base_rank + order
-    else:
-        ctx = field_make(q)
-        for i in sub_idx:
-            ranks[i] = analytic_rank(TwistedPower(Poly(ctx, lists[i]), n))
+    base_rank = 1 if on_coset else 0
+    todo = sub_idx
+    if screen is not None and todo.size:
+        certified = screen.order_zero_mask(coeff_rows[todo])
+        ranks[todo[certified]] = base_rank
+        todo = todo[~certified]
+    for i in todo:
+        order = eng.vanishing_order(tuple(lists[i]), 0)
+        ranks[i] = base_rank + order
 
     hist: dict = {}
     witnesses: dict = {}
@@ -345,7 +361,7 @@ def _scan_chunk(args):
     audit_failures = []
     ctx = field_make(q)
     k_min = max(1, -((m + n) // -(q - 1)))
-    if audit_rate > 0 and k_min <= audit_k_cap and eng is not None:
+    if audit_rate > 0 and k_min <= audit_k_cap:
         thresh = int(audit_rate * 2**32)
         for i in range(count):
             if audits >= audit_cap:
@@ -390,6 +406,36 @@ def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
     table.audit_failures.extend(payload["audit_failures"])
 
 
+def _read_checkpoint(path: str, fingerprint: str) -> dict:
+    """Completed chunk payloads from the JSONL checkpoint of a scan.
+
+    Records are written whole, one per line, and flushed, so a crash can
+    leave only the final line torn.  A final line that is unterminated or
+    does not parse is cut from the file, so its chunk runs again and the next
+    record starts on a fresh line.  A bad line anywhere else raises, and so
+    does a header of another scan.
+    """
+    records = []
+    with open(path, "r+b") as fh:
+        lines = fh.read().splitlines(keepends=True)
+        offset = 0
+        for i, line in enumerate(lines):
+            try:
+                if not line.endswith(b"\n"):
+                    raise ValueError("unterminated record")
+                records.append(json.loads(line))
+            except ValueError:
+                if i < len(lines) - 1:
+                    raise
+                break
+            offset += len(line)
+        meta = records[0] if records else {}
+        if meta.get("fingerprint") != fingerprint:
+            raise ValueError("checkpoint belongs to a different scan")
+        fh.truncate(offset)
+    return {rec["chunk"]: rec["payload"] for rec in records[1:]}
+
+
 def run_scan(spec: ScanSpec, checkpoint: str | None = None,
              resume: bool = False) -> RankTable:
     """Execute a scan; deterministic for any worker count."""
@@ -407,14 +453,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     ck_handle = None
     if checkpoint:
         if resume and os.path.exists(checkpoint):
-            with open(checkpoint, "r", encoding="utf-8") as fh:
-                first = fh.readline()
-                meta = json.loads(first) if first else {}
-                if meta.get("fingerprint") != spec.fingerprint():
-                    raise ValueError("checkpoint belongs to a different scan")
-                for line in fh:
-                    rec = json.loads(line)
-                    done[rec["chunk"]] = rec["payload"]
+            done = _read_checkpoint(checkpoint, spec.fingerprint())
             ck_handle = open(checkpoint, "a", encoding="utf-8")
         else:
             ck_handle = open(checkpoint, "w", encoding="utf-8")

@@ -127,6 +127,13 @@ def test_scan_resume(capsys, tmp_path):
     assert json.loads(out1.splitlines()[-1]) == json.loads(out2.splitlines()[-1])
 
 
+def test_scan_rejects_non_prime_q(capsys):
+    code, _, err = run_cli(capsys, "scan", "--q", "4", "--n", "1", "--m", "3",
+                           "--lead", "1")
+    assert code == 2
+    assert "scans need prime q" in err
+
+
 def test_coset_command(capsys):
     code, out, _ = run_cli(capsys, "coset", "--q", "3", "--n", "1",
                            "--m-max", "3")

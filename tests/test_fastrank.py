@@ -18,6 +18,30 @@ def test_engine_matches_symbolic_rank(rng):
             assert eng.vanishing_order(tuple(coeffs)) == analytic_rank(t)
 
 
+def test_engine_extension_points_match_symbolic(rng):
+    # cells whose points lie in GF(p^s), s > 1; on-coset leads force rank >= 1
+    # so the prime-field points alone cannot settle the order
+    for q, n, m in [(3, 1, 5), (3, 1, 7), (3, 1, 9), (3, 2, 4), (3, 2, 6),
+                    (2, 1, 3), (5, 2, 7)]:
+        ctx = field_make(q)
+        eng = RankEngine(q, n, m)
+        assert eng.tables.q > q
+        for _ in range(25):
+            lead = rng.choice([(-1) ** n % q, rng.randrange(1, q)])
+            coeffs = [rng.randrange(q) for _ in range(m)] + [lead]
+            t = TwistedPower(Poly(ctx, coeffs), n)
+            assert eng.vanishing_order(tuple(coeffs)) == analytic_rank(t)
+
+
+def test_points_put_prime_field_last():
+    for p, n, m, shift in [(3, 1, 11, False), (3, 2, 10, False),
+                           (3, 1, 27, True), (5, 2, 9, False)]:
+        pts = RankEngine(p, n, m, shift_stable=shift).points
+        tail = [x for x in pts if x < p]
+        assert tail and pts[-len(tail):] == tail
+        assert len(tail) < len(pts)
+
+
 def test_engine_rejects_non_prime_q():
     with pytest.raises(ValueError):
         RankEngine(4, 1, 3)

@@ -1,12 +1,14 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from carlitz import field_make, Poly, is_squarefree
 from carlitz.motive import TwistedPower, analytic_rank
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
-                          equation_count, _squarefree_ints)
+                          equation_count, _squarefree_ints, _squarefree_mask)
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -17,6 +19,9 @@ def test_spec_validation():
         ScanSpec(q=3, n=1, m=5, lead=1, mode="shift-stable")  # 3 does not divide 5
     with pytest.raises(ValueError):
         ScanSpec(q=3, n=0, m=5, lead=1)
+    for q in (4, 9):
+        with pytest.raises(ValueError, match="scans need prime q"):
+            ScanSpec(q=q, n=1, m=3, lead=1)
 
 
 def test_cap_enforced():
@@ -112,6 +117,34 @@ def test_checkpoint_resume(tmp_path):
         run_scan(other, checkpoint=ck, resume=True)
 
 
+def test_checkpoint_resume_after_torn_final_line(tmp_path):
+    ck = tmp_path / "scan.ckpt"
+    spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
+    full = run_scan(spec, checkpoint=str(ck))
+    data = ck.read_bytes()
+    ck.write_bytes(data[:-40])  # a crash in the middle of the last write
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == full.to_json_obj()
+    lines = ck.read_text().splitlines()
+    assert sorted(json.loads(line)["chunk"] for line in lines[1:]) == \
+        list(range(len(lines) - 1))
+    # only the final line may be torn: a bad line elsewhere is corruption
+    lines[2] = lines[2][:-40]
+    ck.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+def test_resume_refuses_other_witness_cap(tmp_path):
+    ck = str(tmp_path / "scan.ckpt")
+    run_scan(ScanSpec(q=3, n=1, m=5, lead=2, workers=1, chunk_size=50),
+             checkpoint=ck)
+    other = ScanSpec(q=3, n=1, m=5, lead=2, workers=1, chunk_size=50,
+                     witness_cap=2)
+    with pytest.raises(ValueError, match="different scan"):
+        run_scan(other, checkpoint=ck, resume=True)
+
+
 def test_shift_stable_expand_examples(f3):
     assert shift_stable_expand([0, 1], 3) == Poly(f3, [0, 2, 0, 1])
     assert shift_stable_expand([2, 0, 1], 3) == Poly(f3, [2, 0, 1, 0, 1, 0, 1])
@@ -128,6 +161,32 @@ def test_squarefree_int_helper_matches_poly(rng):
         m = rng.randrange(0, 9)
         coeffs = [rng.randrange(3) for _ in range(m)] + [rng.randrange(1, 3)]
         assert _squarefree_ints(coeffs, 3) == is_squarefree(Poly(f3, coeffs))
+
+
+def _all_rows(p, m):
+    # every coefficient row of degree exactly m, little-endian
+    rows = [list(free[::-1]) + [lead] for lead in range(1, p)
+            for free in itertools.product(range(p), repeat=m)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m + 1)
+
+
+@pytest.mark.parametrize("p,m_max", [(2, 12), (3, 8), (5, 5), (7, 4)])
+def test_squarefree_mask_matches_oracle(p, m_max):
+    ctx = field_make(p)
+    for m in range(m_max + 1):
+        rows = _all_rows(p, m)
+        got = _squarefree_mask(rows, p)
+        want = [is_squarefree(Poly(ctx, row)) for row in rows.tolist()]
+        assert got.tolist() == want, (p, m)
+
+
+def test_shift_stable_squarefree_follows_f():
+    # P = F(θ^3 - θ) is squarefree exactly when F is
+    for m_st in range(7):
+        rows = _all_rows(3, m_st)
+        got = _squarefree_mask(rows, 3)
+        for row, sf in zip(rows.tolist(), got.tolist()):
+            assert is_squarefree(shift_stable_expand(row, 3)) == sf
 
 
 def test_tally_mod_q_structure():
