@@ -14,8 +14,9 @@ rank >= r, plus observed maxima and any witnesses for the deepest cells.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from carlitz.scan import ScanSpec, run_scan, default_workers  # noqa: E402
 

@@ -14,8 +14,9 @@ identity and is reported separately without affecting the exit code unless
 import argparse
 import random
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from carlitz import field_make, Poly  # noqa: E402
 from carlitz.motive import TwistedPower, l_function  # noqa: E402

@@ -22,7 +22,7 @@ from .symmetry import (Mu, Nu, Iota, Tau, Sigma, TwistMul, act_on_poly,
                        check_l_identity, verify_conjugacy,
                        smallest_iota_degree)
 from .scan import (ScanSpec, run_scan, coset_audit, dim_report,
-                   default_workers, ScanCapError)
+                   ScanCapError)
 
 
 class UsageError(Exception):
@@ -224,7 +224,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_coset(args) -> int:
-    report = coset_audit(args.q, args.n, args.m_max, workers=args.workers)
+    report = coset_audit(args.q, args.n, args.m_max)
     print(json.dumps(report))
     return 1 if report["violations"] else 0
 
@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, default=3)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--workers", type=int, default=0)
     p.set_defaults(fn=cmd_coset)
 
     p = sub.add_parser("dims", help="parameter/equation count report")

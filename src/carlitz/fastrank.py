@@ -24,8 +24,8 @@ can never give the multiplicity-0 exit.  The minimum does not depend on the
 order.
 
 The engine supports prime q (digit-encoded subfield elements embed as
-themselves); non-prime q callers use the symbolic path instead.  A numpy
-batch screen handles the bulk case "order is 0" at the prime-field points.
+themselves).  A numpy batch screen handles the bulk case "order is 0" at the
+prime-field points.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .ff import PrimeField, binom_mod_p, field_make
 __all__ = ["RankEngine", "BatchScreen", "reduced_block_size"]
 
 _FIELD_CAP = 256  # flat q^s * q^s tables
+_TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
 
 
 def reduced_block_size(q: int, n: int, m: int) -> int:
@@ -53,29 +54,18 @@ def reduced_block_size(q: int, n: int, m: int) -> int:
 
 
 class _Tables:
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "field")
+    __slots__ = ("q", "mul", "add", "sub", "neg", "inv")
 
     def __init__(self, p: int, s: int):
         if p**s > _FIELD_CAP:
             raise ValueError(f"point field GF({p}^{s}) above table cap")
         f = field_make(p, s)
-        self.field = f
-        self.q = p**s
-        if s == 1:
-            q = p
-            self.mul = [a * b % q for a in range(q) for b in range(q)]
-            self.add = [(a + b) % q for a in range(q) for b in range(q)]
-            self.sub = [(a - b) % q for a in range(q) for b in range(q)]
-            self.neg = [-a % q for a in range(q)]
-            self.inv = [0] + [pow(a, -1, q) for a in range(1, q)]
-        else:
-            q = self.q
-            self.mul = f.mul_table()
-            self.add = f.add_table()
-            self.neg = f.neg_table()
-            self.inv = f.inv_table()
-            self.sub = [self.add[a * q + self.neg[b]]
-                        for a in range(q) for b in range(q)]
+        q = self.q = p**s
+        self.mul = [f.mul(a, b) for a in range(q) for b in range(q)]
+        self.add = [f.add(a, b) for a in range(q) for b in range(q)]
+        self.sub = [f.sub(a, b) for a in range(q) for b in range(q)]
+        self.neg = [f.neg(a) for a in range(q)]
+        self.inv = [0] + [f.inv(a) for a in range(1, q)]
 
 
 class RankEngine:
@@ -105,7 +95,9 @@ class RankEngine:
             s = 1
             while p**s < need:
                 s += 1
-        t = _Tables(p, s)
+        t = _TABLES.get((p, s))
+        if t is None:
+            t = _TABLES[(p, s)] = _Tables(p, s)
         self.tables = t
         q = t.q
         mul, sub = t.mul, t.sub
@@ -286,16 +278,22 @@ class BatchScreen:
         n_rows = block.shape[0]
         if self.k == 0:
             return np.zeros(n_rows, dtype=bool)
-        padded = np.concatenate(
-            [block.astype(np.int64), np.zeros((n_rows, 1), dtype=np.int64)],
-            axis=1)
+        # coefficient-major, with the zero-padding slot m+1 as the last row
+        cols = np.zeros((self.m + 2, n_rows), dtype=np.int64)
+        cols[:-1] = block.T
         undecided = np.arange(n_rows)
         certified = np.zeros(n_rows, dtype=bool)
         for t in range(self.p):
             if undecided.size == 0:
                 break
-            sub = padded[undecided]
-            mats = (sub[:, self.idx] * self.weights[t]).sum(axis=3) % self.p
+            sub = cols[:, undecided]
+            # one weight term at a time, built with the row axis last: the
+            # elimination runs fastest on that layout
+            mats = np.zeros((self.k, self.k, undecided.size), dtype=np.int64)
+            for l, w in enumerate(self.weights[t].tolist()):
+                if w:
+                    mats += sub[self.idx[:, :, l]] * w
+            mats = mats.transpose(2, 0, 1)
             mats[:, np.arange(self.k), np.arange(self.k)] -= 1
             mats %= self.p
             nz = self._det_nonzero(mats)
@@ -324,6 +322,6 @@ class BatchScreen:
             pinv = self.inv_table[pv]
             if c + 1 < k:
                 f = (a[:, c + 1:, c] * pinv[:, None]) % p
-                a[:, c + 1:, c:] = (a[:, c + 1:, c:]
-                                    - f[:, :, None] * a[:, c:c + 1, c:]) % p
+                a[:, c + 1:, c:] -= f[:, :, None] * a[:, c:c + 1, c:]
+                a[:, c + 1:, c:] %= p
         return ok

@@ -333,7 +333,7 @@ class ExtField:
     def rand(self, rng):
         return rng.randrange(self.order)
 
-    # lookup tables, built lazily for small fields; fastrank reads these too
+    # lookup tables, built lazily for small fields; add/neg/mul/inv use them
     def mul_table(self):
         if self._mul_tab is None and self.order <= _TABLE_LIMIT:
             q = self.order

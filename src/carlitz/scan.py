@@ -34,19 +34,25 @@ accelerations apply per chunk:
 A deterministic 1-in-1000 subsample (index hash, capped per chunk, skipped
 when the stable matrix size makes symbolic determinants expensive) is
 audited against the full division-free determinant plus synthetic division.
+
+The exhaustive coset audit (``coset_audit``) runs on the same chunk pipeline,
+the odometer and the screen-then-engine dispatch, but always with the
+full-size matrix and never the reduced block: the reduced block assumes the
+forced (1-U) factor that the audit exists to check.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, asdict
 
-from .ff import field_make, is_prime, PrimeField
+from .ff import field_make, is_prime
 from .fastrank import RankEngine, BatchScreen, reduced_block_size
 from .motive import TwistedPower, analytic_rank
-from .poly import Poly, poly_to_str
+from .poly import Poly
 
 __all__ = [
     "ScanSpec", "RankTable", "ScanCapError", "run_scan",
@@ -54,6 +60,9 @@ __all__ = [
 ]
 
 _AUDIT_MIX = 2654435761  # Knuth multiplicative hash
+# coset-audit rows per block: the screen holds a few k x k int64 matrices per
+# row, and the audit shares its process with other work, so keep blocks small
+_AUDIT_BLOCK = 512
 
 
 class ScanCapError(RuntimeError):
@@ -98,6 +107,12 @@ class ScanSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "shift-stable" and self.m % self.q != 0:
             raise ValueError("shift-stable scans need q | m")
+        if self.chunk_size < 1:
+            raise ValueError("chunk size must be >= 1")
+        if self.workers < 0:
+            raise ValueError("worker count must be >= 0")
+        if self.witness_cap < 0:
+            raise ValueError("witness cap must be >= 0")
 
     @property
     def free_coeffs(self) -> int:
@@ -222,12 +237,8 @@ def _engines_for(q, n, m, mode, on_coset, use_screen):
     key = (q, n, m, mode, on_coset, use_screen)
     got = _ENGINES.get(key)
     if got is None:
-        shift = mode == "shift-stable"
-        if on_coset:
-            k = reduced_block_size(q, n, m)
-        else:
-            k = None
-        eng = RankEngine(q, n, m, shift_stable=shift, k=k)
+        k = reduced_block_size(q, n, m) if on_coset else None
+        eng = RankEngine(q, n, m, shift_stable=mode == "shift-stable", k=k)
         screen = BatchScreen(q, n, m, eng.k) if use_screen else None
         got = (eng, screen)
         _ENGINES[key] = got
@@ -285,25 +296,49 @@ def _expand_rows(q, m_st, m):
     base = Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1])
     rows = []
     cur = Poly.one(ctx)
-    for i in range(m_st + 1):
-        row = [0] * (m + 1)
-        for j, c in enumerate(cur.coeffs):
-            row[j] = int(c)
-        rows.append(row)
+    for _ in range(m_st + 1):
+        row = [int(c) for c in cur.coeffs]
+        rows.append(row + [0] * (m + 1 - len(row)))
         cur = cur * base
     return rows
 
 
 def shift_stable_expand(c, q: int) -> Poly:
     """P = sum_i c[i] (θ^q - θ)^i from a little-endian coefficient sequence."""
-    ctx = field_make(q)
-    base = Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1])
-    out = Poly.zero(ctx)    # fixed by every θ -> θ + d by construction
-    for i, ci in enumerate(c):
-        v = ctx.from_int(int(ci))
-        if v != ctx.zero:
-            out = out + (base**i).scalar_mul(v)
-    return out
+    m = q * (len(c) - 1)
+    rows = _expand_rows(q, len(c) - 1, m)
+    # fixed by every θ -> θ + d by construction
+    return Poly(field_make(q),
+                [sum(int(ci) * row[j] for ci, row in zip(c, rows)) % q
+                 for j in range(m + 1)])
+
+
+def _odometer(q, mfree, lead, start, end):
+    """Rows for odometer indices start..end-1: free coefficients, then lead."""
+    import numpy as np
+
+    idxs = np.arange(start, end, dtype=np.int64)[:, None]
+    rows = np.empty((end - start, mfree + 1), dtype=np.int64)
+    rows[:, :mfree] = idxs // q ** np.arange(mfree, dtype=np.int64) % q
+    rows[:, mfree] = lead
+    return rows
+
+
+def _vanishing_orders(eng, screen, rows):
+    """Order at U = 1 of each row: the screen first, the engine on the rest."""
+    import numpy as np
+
+    orders = np.zeros(len(rows), dtype=np.int64)
+    todo = np.arange(len(rows))
+    if screen is not None and todo.size:
+        todo = todo[~screen.order_zero_mask(rows)]
+    for i, coeffs in zip(todo.tolist(), rows[todo].tolist()):
+        orders[i] = eng.vanishing_order(tuple(coeffs), 0)
+    return orders
+
+
+def _row_str(row):
+    return ",".join(map(str, row))
 
 
 def _scan_chunk(args):
@@ -314,75 +349,45 @@ def _scan_chunk(args):
     shift = mode == "shift-stable"
     on_coset = (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
     eng, screen = _engines_for(q, n, m, mode, on_coset, use_screen)
-    mfree = m // q if shift else m
-    count = end - start
-
-    # coefficient rows, enumeration order = odometer index
-    idxs = np.arange(start, end, dtype=np.int64)
-    digits = np.empty((count, mfree), dtype=np.int64)
-    v = idxs.copy()
-    for i in range(mfree):
-        digits[:, i] = v % q
-        v //= q
-    free = np.concatenate(
-        [digits, np.full((count, 1), lead, dtype=np.int64)], axis=1)
+    free = _odometer(q, m // q if shift else m, lead, start, end)
     # shift-stable: the rows are F, and P = F(θ^q - θ) is squarefree iff F is
     sf_mask = _squarefree_mask(free, q)
+    sf_rows = free[sf_mask]
     if shift:
-        rows_mat = np.asarray(_expand_rows(q, mfree, m), dtype=np.int64)
-        coeff_rows = free @ rows_mat % q
-    else:
-        coeff_rows = free
-    lists = coeff_rows.tolist()
-
-    ranks = np.zeros(count, dtype=np.int64)  # 0 = no tally
-    sub_idx = np.nonzero(sf_mask)[0]
-    base_rank = 1 if on_coset else 0
-    todo = sub_idx
-    if screen is not None and todo.size:
-        certified = screen.order_zero_mask(coeff_rows[todo])
-        ranks[todo[certified]] = base_rank
-        todo = todo[~certified]
-    for i in todo:
-        order = eng.vanishing_order(tuple(lists[i]), 0)
-        ranks[i] = base_rank + order
+        rows_mat = np.asarray(_expand_rows(q, m // q, m), dtype=np.int64)
+        sf_rows = sf_rows @ rows_mat % q
+    sf_ranks = (1 if on_coset else 0) + _vanishing_orders(eng, screen, sf_rows)
 
     hist: dict = {}
     witnesses: dict = {}
-    for i in sub_idx:
-        r = int(ranks[i])
-        if r >= 1:
-            hist[r] = hist.get(r, 0) + 1
-            w = witnesses.setdefault(r, [])
-            if len(w) < witness_cap:
-                w.append(",".join(str(int(x)) for x in lists[i]))
+    found, counts = np.unique(sf_ranks[sf_ranks >= 1], return_counts=True)
+    for r, c in zip(found.tolist(), counts.tolist()):
+        hist[r] = c
+        first = np.nonzero(sf_ranks == r)[0][:witness_cap]
+        witnesses[r] = [_row_str(row) for row in sf_rows[first].tolist()]
 
-    audits = 0
     audit_failures = []
-    ctx = field_make(q)
+    picks = np.zeros(0, dtype=np.int64)
     k_min = max(1, -((m + n) // -(q - 1)))
     if audit_rate > 0 and k_min <= audit_k_cap:
-        thresh = int(audit_rate * 2**32)
-        for i in range(count):
-            if audits >= audit_cap:
-                break
-            if (int(idxs[i]) * _AUDIT_MIX) % 2**32 >= thresh:
-                continue
-            if not sf_mask[i]:
-                continue
-            audits += 1
-            slow = analytic_rank(TwistedPower(Poly(ctx, lists[i]), n))
-            if slow != int(ranks[i]):
-                audit_failures.append(
-                    {"poly": ",".join(str(int(x)) for x in lists[i]),
-                     "fast": int(ranks[i]), "symbolic": slow})
+        # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
+        # which keeps the low 32 bits exact
+        idxs = np.arange(start, end, dtype=np.uint64)[sf_mask]
+        hashed = idxs * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
+        picks = np.nonzero(hashed < int(audit_rate * 2**32))[0][:audit_cap]
+    ctx = field_make(q)
+    for row, fast in zip(sf_rows[picks].tolist(), sf_ranks[picks].tolist()):
+        slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
+        if slow != fast:
+            audit_failures.append(
+                {"poly": _row_str(row), "fast": fast, "symbolic": slow})
 
     return {
         "hist": hist,
         "witnesses": witnesses,
-        "scanned": count,
+        "scanned": end - start,
         "squarefree": int(sf_mask.sum()),
-        "audits": audits,
+        "audits": len(picks),
         "audit_failures": audit_failures,
     }
 
@@ -406,14 +411,15 @@ def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
     table.audit_failures.extend(payload["audit_failures"])
 
 
-def _read_checkpoint(path: str, fingerprint: str) -> dict:
+def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
     """Completed chunk payloads from the JSONL checkpoint of a scan.
 
     Records are written whole, one per line, and flushed, so a crash can
     leave only the final line torn.  A final line that is unterminated or
     does not parse is cut from the file, so its chunk runs again and the next
     record starts on a fresh line.  A bad line anywhere else raises, and so
-    does a header of another scan.
+    does a header of another scan.  None means the file holds no complete
+    record, not even the header (a crash before its first flush).
     """
     records = []
     with open(path, "r+b") as fh:
@@ -429,11 +435,17 @@ def _read_checkpoint(path: str, fingerprint: str) -> dict:
                     raise
                 break
             offset += len(line)
-        meta = records[0] if records else {}
-        if meta.get("fingerprint") != fingerprint:
+        if not records:
+            return None
+        if records[0].get("fingerprint") != fingerprint:
             raise ValueError("checkpoint belongs to a different scan")
         fh.truncate(offset)
     return {rec["chunk"]: rec["payload"] for rec in records[1:]}
+
+
+def _write_record(fh, record):
+    fh.write(json.dumps(record) + "\n")
+    fh.flush()
 
 
 def run_scan(spec: ScanSpec, checkpoint: str | None = None,
@@ -443,108 +455,81 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     if total > spec.cap and not spec.force:
         raise ScanCapError(
             f"enumeration size {total} exceeds cap {spec.cap}; set force")
-    chunks = []
-    s = 0
-    while s < total:
-        e = min(s + spec.chunk_size, total)
-        chunks.append((s, e))
-        s = e
-    done: dict = {}
-    ck_handle = None
-    if checkpoint:
-        if resume and os.path.exists(checkpoint):
-            done = _read_checkpoint(checkpoint, spec.fingerprint())
-            ck_handle = open(checkpoint, "a", encoding="utf-8")
-        else:
-            ck_handle = open(checkpoint, "w", encoding="utf-8")
-            ck_handle.write(json.dumps(
-                {"fingerprint": spec.fingerprint(),
-                 "spec": asdict(spec)}) + "\n")
-            ck_handle.flush()
-
-    todo = [i for i in range(len(chunks)) if i not in done]
+    chunks = [(s, min(s + spec.chunk_size, total))
+              for s in range(0, total, spec.chunk_size)]
+    done = None
+    if checkpoint and resume and os.path.exists(checkpoint):
+        done = _read_checkpoint(checkpoint, spec.fingerprint())
+    results = dict(done or {})
+    todo = [i for i in range(len(chunks)) if i not in results]
     args = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
              chunks[i][0], chunks[i][1], spec.use_batch_screen,
              spec.audit_rate, spec.audit_cap, spec.audit_k_cap,
              spec.witness_cap) for i in todo]
     workers = spec.workers or default_workers()
-    results: dict = {}
-    try:
+    with contextlib.ExitStack() as stack:
+        ck = None
+        if checkpoint:
+            ck = stack.enter_context(open(
+                checkpoint, "w" if done is None else "a", encoding="utf-8"))
+            if done is None:
+                _write_record(ck, {"fingerprint": spec.fingerprint(),
+                                   "spec": asdict(spec)})
         if workers > 1 and len(args) > 1:
-            with mp.get_context("fork").Pool(workers) as pool:
-                for chunk_i, payload in zip(todo, pool.imap(_scan_chunk, args)):
-                    results[chunk_i] = payload
-                    if ck_handle:
-                        ck_handle.write(json.dumps(
-                            {"chunk": chunk_i, "payload": payload}) + "\n")
-                        ck_handle.flush()
+            pool = stack.enter_context(mp.get_context("fork").Pool(workers))
+            payloads = pool.imap(_scan_chunk, args)
         else:
-            for chunk_i, a in zip(todo, args):
-                payload = _scan_chunk(a)
-                results[chunk_i] = payload
-                if ck_handle:
-                    ck_handle.write(json.dumps(
-                        {"chunk": chunk_i, "payload": payload}) + "\n")
-                    ck_handle.flush()
-    finally:
-        if ck_handle:
-            ck_handle.close()
+            payloads = map(_scan_chunk, args)
+        for chunk_i, payload in zip(todo, payloads):
+            results[chunk_i] = payload
+            if ck:
+                _write_record(ck, {"chunk": chunk_i, "payload": payload})
 
     table = RankTable(q=spec.q, n=spec.n, mode=spec.mode,
                       report_ranks=spec.report_ranks)
     for i in range(len(chunks)):
-        payload = done.get(i) or results[i]
-        _merge_chunk(table, spec, payload)
+        _merge_chunk(table, spec, results[i])
     return table
 
 
 # -- distinguished-coset audit ------------------------------------------------
 
-def coset_audit(q: int, n: int, m_max: int, workers: int = 0) -> dict:
+def coset_audit(q: int, n: int, m_max: int) -> dict:
     """Exhaustively check rank >= 1 on the coset m ≡ -n (q-1), a_m = (-1)^n.
 
     Also reports how often rank >= 1 occurs off the coset, and the coset's
-    description as the (leading coefficient, m mod q-1) pair.
+    description as the (leading coefficient, m mod q-1) pair.  Every P of
+    degree <= m_max counts, squarefree or not.  Ranks come from the scan's
+    full-size engines: the reduced block assumes the forced (1-U) factor,
+    which is what this audit checks.
     """
-    ctx = field_make(q)
+    if not is_prime(q):
+        raise ValueError("coset audit needs prime q")
     lead_target = (-1) ** n % q
-    m_target = (-n) % (q - 1) if q > 2 else 0
-    prime_q = isinstance(ctx, PrimeField)
+    m_target = (-n) % (q - 1)
     violations = []
     on_total = on_ge1 = off_total = off_ge1 = 0
-    checked = 0
     for m in range(0, m_max + 1):
-        engine = RankEngine(q, n, m) if prime_q else None
+        eng, screen = _engines_for(q, n, m, "squarefree", False, True)
         for lead in range(1, q):
-            free = q**m
-            for idx in range(free):
-                coeffs = []
-                v = idx
-                for _ in range(m):
-                    coeffs.append(v % q)
-                    v //= q
-                coeffs.append(lead)
-                checked += 1
-                if engine is not None:
-                    r = engine.vanishing_order(tuple(coeffs), 0)
-                else:
-                    r = analytic_rank(TwistedPower(Poly(ctx, coeffs), n))
-                on = (q == 2) or (m % (q - 1) == m_target and lead == lead_target)
+            on = m % (q - 1) == m_target and lead == lead_target
+            for start in range(0, q**m, _AUDIT_BLOCK):
+                rows = _odometer(q, m, lead, start,
+                                 min(start + _AUDIT_BLOCK, q**m))
+                ge1 = _vanishing_orders(eng, screen, rows) >= 1
+                hits = int(ge1.sum())
                 if on:
-                    on_total += 1
-                    if r >= 1:
-                        on_ge1 += 1
-                    else:
-                        violations.append(",".join(map(str, coeffs)))
+                    on_total += len(rows)
+                    on_ge1 += hits
+                    violations += map(_row_str, rows[~ge1].tolist())
                 else:
-                    off_total += 1
-                    if r >= 1:
-                        off_ge1 += 1
+                    off_total += len(rows)
+                    off_ge1 += hits
     return {
         "q": q, "n": n, "m_max": m_max,
         "coset": {"lead": lead_target, "m_mod_q_minus_1": m_target},
         "subgroup_index": (q - 1) ** 2,
-        "checked": checked,
+        "checked": on_total + off_total,
         "on_coset": on_total,
         "on_coset_rank_ge1": on_ge1,
         "violations": violations,

@@ -142,6 +142,22 @@ def test_coset_command(capsys):
     assert rep["violations"] == []
 
 
+def test_coset_rejects_non_prime_q(capsys):
+    code, _, err = run_cli(capsys, "coset", "--q", "4", "--n", "1",
+                           "--m-max", "2")
+    assert code == 2
+    assert "coset audit needs prime q" in err
+
+
+def test_scan_rejects_bad_sizes(capsys):
+    base = ["scan", "--q", "3", "--n", "1", "--m", "3", "--lead", "1"]
+    for extra in (["--chunk-size", "0"], ["--workers", "-1"],
+                  ["--witnesses", "-1"]):
+        code, _, err = run_cli(capsys, *base, *extra)
+        assert code == 2, extra
+        assert "error:" in err
+
+
 def test_dims_command(capsys):
     code, out, _ = run_cli(capsys, "dims", "--q", "3", "--r", "3")
     assert code == 0

@@ -22,6 +22,10 @@ def test_spec_validation():
     for q in (4, 9):
         with pytest.raises(ValueError, match="scans need prime q"):
             ScanSpec(q=q, n=1, m=3, lead=1)
+    for bad in (dict(chunk_size=0), dict(chunk_size=-3), dict(workers=-1),
+                dict(witness_cap=-1)):
+        with pytest.raises(ValueError):
+            ScanSpec(q=3, n=1, m=5, lead=1, **bad)
 
 
 def test_cap_enforced():
@@ -206,6 +210,8 @@ def test_coset_audit_basics():
     assert rep["on_coset"] == rep["on_coset_rank_ge1"]
     rep2 = coset_audit(2, 1, 4)
     assert rep2["off_coset"] == 0 and rep2["violations"] == []
+    with pytest.raises(ValueError, match="coset audit needs prime q"):
+        coset_audit(4, 1, 2)
 
 
 def test_dim_report_values():
@@ -231,4 +237,69 @@ def test_audit_failure_reporting_structure():
                     audit_cap=5)
     table = run_scan(spec)
     assert table.audits > 0
+    assert table.audit_failures == []
+
+
+@pytest.mark.parametrize("content", [b"", b'{"fingerprint": "q3n1m6'])
+def test_resume_from_checkpoint_without_complete_record(tmp_path, content):
+    # a crash before the header is flushed leaves an empty or torn file
+    spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
+    full = run_scan(spec).to_json_obj()
+    ck = tmp_path / "scan.ckpt"
+    ck.write_bytes(content)
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == full
+    lines = ck.read_text().splitlines()
+    assert json.loads(lines[0])["fingerprint"] == spec.fingerprint()
+    assert len(lines) == 1 + (3**6 + 99) // 100
+
+
+def _brute_coset_audit(q, n, m_max):
+    # every P of degree <= m_max through the symbolic determinant route
+    ctx = field_make(q)
+    lead_target, m_target = (-1) ** n % q, (-n) % (q - 1)
+    on = on_ge1 = off = off_ge1 = 0
+    violations = []
+    for m in range(m_max + 1):
+        for lead in range(1, q):
+            for free in itertools.product(range(q), repeat=m):
+                coeffs = list(free[::-1]) + [lead]
+                r = analytic_rank(TwistedPower(Poly(ctx, coeffs), n))
+                if m % (q - 1) == m_target and lead == lead_target:
+                    on += 1
+                    on_ge1 += r >= 1
+                    if r == 0:
+                        violations.append(",".join(map(str, coeffs)))
+                else:
+                    off += 1
+                    off_ge1 += r >= 1
+    return {"checked": on + off, "on_coset": on, "on_coset_rank_ge1": on_ge1,
+            "violations": violations, "off_coset": off,
+            "off_coset_rank_ge1": off_ge1}
+
+
+@pytest.mark.parametrize("q,n,m_max", [(3, 1, 4), (3, 2, 4), (2, 1, 6),
+                                       (2, 2, 5), (5, 1, 2), (5, 2, 2)])
+def test_coset_audit_matches_symbolic_ranks(q, n, m_max):
+    rep = coset_audit(q, n, m_max)
+    want = _brute_coset_audit(q, n, m_max)
+    assert {key: rep[key] for key in want} == want
+
+
+def test_audit_picks_follow_index_hash():
+    # per chunk: the first audit_cap squarefree indices whose Knuth hash
+    # falls below audit_rate * 2^32
+    spec = ScanSpec(q=3, n=1, m=7, lead=2, workers=1, chunk_size=300,
+                    audit_rate=0.05, audit_cap=7)
+    thresh = int(spec.audit_rate * 2**32)
+    want = 0
+    for start in range(0, spec.total, spec.chunk_size):
+        picked = [i for i in range(start, min(start + spec.chunk_size,
+                                              spec.total))
+                  if i * 2654435761 % 2**32 < thresh
+                  and _squarefree_ints([i // 3**j % 3 for j in range(7)] + [2],
+                                       3)]
+        want += min(len(picked), spec.audit_cap)
+    table = run_scan(spec)
+    assert table.audits == want > 0
     assert table.audit_failures == []
