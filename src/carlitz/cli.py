@@ -61,10 +61,12 @@ def cmd_lfun(args) -> int:
 def cmd_rank(args) -> int:
     tp = _twisted(args)
     if args.at is not None:
-        gamma = tp.ctx.from_int(args.at)
-        if gamma == tp.ctx.zero:
-            raise UsageError("order at U = 0 is constant (L(0)=1); use nonzero")
-        print(lfun_order_at(l_function(tp), gamma))
+        # a field element, digit-encoded like a --poly coefficient; the order
+        # at U = 0 is constant (L(0) = 1)
+        if not 0 < args.at < tp.ctx.order:
+            raise UsageError("--at must be a nonzero field element in "
+                             f"[1, {tp.ctx.order})")
+        print(lfun_order_at(l_function(tp), args.at))
     else:
         print(analytic_rank(tp))
     return 0
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="print the analytic rank")
     common(p)
     p.add_argument("--at", type=int, default=None,
-                   help="order of vanishing at U = <value> instead of U = 1")
+                   help="order of vanishing at U = <value> instead of U = 1 "
+                        "(a nonzero field element, encoded as in --poly)")
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("orbit", help="apply a generator family to P")

@@ -20,8 +20,9 @@ every row in lockstep.  In shift-stable mode it tests F, where
 P = F(θ^q - θ): then P' = -F'(θ^q - θ), so gcd(P, P') = 1 exactly when
 gcd(F, F') = 1, at degree m/q instead of m.
 
-Ranks come from the point-evaluation engine (exact; see fastrank).  Two
-accelerations apply per chunk:
+Ranks come from the point-evaluation engine (exact; see fastrank), one
+batched call per chunk on the rows the screen leaves.  Two accelerations
+apply per chunk:
 
 - a numpy batch screen certifies the bulk "order 0" outcome at the
   prime-field points (off the distinguished coset: rank 0; on it: the forced
@@ -36,9 +37,9 @@ when the stable matrix size makes symbolic determinants expensive) is
 audited against the full division-free determinant plus synthetic division.
 
 The exhaustive coset audit (``coset_audit``) runs on the same chunk pipeline,
-the odometer and the screen-then-engine dispatch, but always with the
-full-size matrix and never the reduced block: the reduced block assumes the
-forced (1-U) factor that the audit exists to check.
+the odometer and the screen-then-engine dispatch (one batched engine call per
+block), but always with the full-size matrix and never the reduced block: the
+reduced block assumes the forced (1-U) factor that the audit exists to check.
 """
 
 from __future__ import annotations
@@ -72,7 +73,14 @@ class ScanCapError(RuntimeError):
 def default_workers() -> int:
     env = os.environ.get("CLRANK_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0  # rejected below, like any value < 1
+        if workers < 1:
+            raise ValueError(
+                f"CLRANK_WORKERS must be an integer >= 1, got {env!r}")
+        return workers
     return max(1, os.cpu_count() or 1)
 
 
@@ -325,15 +333,14 @@ def _odometer(q, mfree, lead, start, end):
 
 
 def _vanishing_orders(eng, screen, rows):
-    """Order at U = 1 of each row: the screen first, the engine on the rest."""
+    """Order at U = 1 of each row: the screen first, one engine batch after."""
     import numpy as np
 
-    orders = np.zeros(len(rows), dtype=np.int64)
     todo = np.arange(len(rows))
-    if screen is not None and todo.size:
+    if screen is not None:
         todo = todo[~screen.order_zero_mask(rows)]
-    for i, coeffs in zip(todo.tolist(), rows[todo].tolist()):
-        orders[i] = eng.vanishing_order(tuple(coeffs), 0)
+    orders = np.zeros(len(rows), dtype=np.int64)
+    orders[todo] = eng.vanishing_orders(rows[todo])
     return orders
 
 
@@ -505,6 +512,10 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     """
     if not is_prime(q):
         raise ValueError("coset audit needs prime q")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     lead_target = (-1) ** n % q
     m_target = (-n) % (q - 1)
     violations = []
@@ -560,6 +571,8 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     out = {"q": q, "r": r, "mode": mode, "single_max_r": 2 * q - 3}
     if mode == "single":
         if m is not None:

@@ -142,6 +142,33 @@ def test_coset_command(capsys):
     assert rep["violations"] == []
 
 
+def test_coset_rejects_bad_sizes(capsys):
+    for extra, msg in ((["--n", "0", "--m-max", "2"], "n must be >= 1"),
+                       (["--n", "1", "--m-max", "-1"], "m_max must be >= 0")):
+        code, _, err = run_cli(capsys, "coset", "--q", "3", *extra)
+        assert code == 2, extra
+        assert msg in err
+
+
+def test_rank_at_takes_field_elements(capsys):
+    # --at is a field element, digit-encoded like a --poly coefficient
+    for at in ("3", "5", "-1"):
+        code, _, err = run_cli(capsys, "rank", "--q", "3", "--poly", "0,1,0,1",
+                               "--at", at)
+        assert code == 2 and "nonzero field element" in err
+    # over GF(9): cP vanishes at U = 1/c; 4 is not in GF(3) and 1/5 = 4
+    p = "3,8,2,5,7,1,0,2"
+    scaled = "8,2,7,3,6,5,0,7"  # 5P
+    for poly, at, want in ((p, "1", "1"), (p, "4", "0"), (scaled, "4", "1"),
+                           (scaled, "1", "0")):
+        code, out, _ = run_cli(capsys, "rank", "--q", "9", "--poly", poly,
+                               "--at", at)
+        assert code == 0 and out.strip() == want, (poly, at)
+    code, _, err = run_cli(capsys, "rank", "--q", "9", "--poly", p,
+                           "--at", "9")
+    assert code == 2 and "nonzero field element" in err
+
+
 def test_coset_rejects_non_prime_q(capsys):
     code, _, err = run_cli(capsys, "coset", "--q", "4", "--n", "1",
                            "--m-max", "2")
@@ -162,6 +189,15 @@ def test_dims_command(capsys):
     code, out, _ = run_cli(capsys, "dims", "--q", "3", "--r", "3")
     assert code == 0
     assert json.loads(out)["max_feasible_r"] == 3
+    code, _, err = run_cli(capsys, "dims", "--q", "3", "--r", "0")
+    assert code == 2 and "r must be >= 1" in err
+
+
+def test_scan_rejects_bad_clrank_workers(capsys, monkeypatch):
+    monkeypatch.setenv("CLRANK_WORKERS", "x")
+    code, _, err = run_cli(capsys, "scan", "--q", "3", "--n", "1", "--m", "3",
+                           "--lead", "1")
+    assert code == 2 and "CLRANK_WORKERS" in err
 
 
 def test_lfun_output_reparses_to_equal_value(capsys):

@@ -72,6 +72,7 @@ def test_reduced_block_size_validation():
 def test_zero_size_engine():
     eng = RankEngine(3, 1, 1, k=0)
     assert eng.vanishing_order((0, 2)) == 0
+    assert eng.vanishing_orders(np.array([[0, 2], [1, 1]])).tolist() == [0, 0]
 
 
 def test_shift_stable_points_suffice(rng):
@@ -128,3 +129,94 @@ def test_batch_screen_reduced_block(rng):
     assert mask.any()
     for i in np.nonzero(mask)[0]:
         assert eng.vanishing_order(tuple(int(v) for v in rows[i])) == 0
+
+
+# (p, n, m, kind): kind "full" is the default engine, "stable" the
+# shift-stable one (rows are F(θ^p - θ)), "reduced" the leading block on the
+# distinguished coset; point fields GF(p^s) for s = 1, 2, 3 and k = 0, 1, 2
+_BATCH_CELLS = [
+    (2, 1, 0, "full"), (2, 1, 1, "full"), (2, 1, 3, "full"),
+    (2, 2, 0, "full"), (2, 2, 2, "full"), (2, 3, 0, "full"),
+    (2, 1, 4, "stable"), (2, 2, 2, "stable"),
+    (2, 1, 0, "reduced"), (2, 1, 2, "reduced"), (2, 3, 0, "reduced"),
+    (3, 1, 1, "full"), (3, 1, 3, "full"), (3, 1, 5, "full"),
+    (3, 1, 16, "full"), (3, 2, 0, "full"), (3, 2, 4, "full"),
+    (3, 2, 8, "full"), (3, 3, 0, "full"), (3, 3, 3, "full"),
+    (3, 1, 9, "stable"), (3, 1, 18, "stable"), (3, 2, 6, "stable"),
+    (3, 3, 3, "stable"),
+    (3, 1, 1, "reduced"), (3, 1, 5, "reduced"), (3, 1, 7, "reduced"),
+    (3, 2, 4, "reduced"), (3, 3, 1, "reduced"),
+    (5, 1, 2, "full"), (5, 1, 5, "full"), (5, 1, 16, "full"),
+    (5, 2, 4, "full"), (5, 2, 8, "full"), (5, 3, 1, "full"),
+    (5, 3, 6, "full"), (5, 3, 30, "full"),
+    (5, 1, 10, "stable"), (5, 2, 10, "stable"), (5, 3, 30, "stable"),
+    (5, 1, 3, "reduced"), (5, 1, 11, "reduced"), (5, 2, 14, "reduced"),
+    (5, 3, 5, "reduced"),
+]
+
+
+def _batch_cell(p, n, m, kind, rng, count=30):
+    from carlitz.scan import shift_stable_expand
+    coset_lead = (-1) ** n % p
+    if kind == "stable":
+        eng = RankEngine(p, n, m, shift_stable=True)
+        rows = []
+        for _ in range(count):
+            c = ([rng.randrange(p) for _ in range(m // p)]
+                 + [rng.randrange(1, p)])
+            rows.append([int(x) for x in shift_stable_expand(c, p).coeffs])
+        return eng, np.array(rows)
+    if kind == "reduced":
+        eng = RankEngine(p, n, m, k=reduced_block_size(p, n, m))
+        leads = [coset_lead]
+    else:
+        eng = RankEngine(p, n, m)
+        leads = [coset_lead] + list(range(1, p))
+    rows = [[rng.randrange(p) for _ in range(m)] + [rng.choice(leads)]
+            for _ in range(count)]
+    return eng, np.array(rows).reshape(count, m + 1)
+
+
+def test_batch_cells_cover_fields_and_small_k(rng):
+    fields, ks = set(), set()
+    for p, n, m, kind in _BATCH_CELLS:
+        eng, _ = _batch_cell(p, n, m, kind, rng, count=0)
+        ks.add(eng.k)
+        if eng.k:
+            fields.add((p, eng.tables.q))
+    assert {(p, p**s) for p in (2, 3, 5) for s in (1, 2, 3)} <= fields
+    assert {0, 1, 2} <= ks
+
+
+@pytest.mark.parametrize("p,n,m,kind", _BATCH_CELLS)
+def test_batched_orders_match_scalar(p, n, m, kind, rng):
+    eng, rows = _batch_cell(p, n, m, kind, rng)
+    for ws in eng.point_weights:
+        # per point, where the minimum over points cannot mask an error
+        want = [eng._mult_at(r, ws) for r in rows.tolist()]
+        assert eng._mults_at(rows, ws).tolist() == want
+    for lower_bound in (0, 1):
+        want = [eng.vanishing_order(tuple(r), lower_bound)
+                for r in rows.tolist()]
+        assert eng.vanishing_orders(rows, lower_bound).tolist() == want
+    if eng.k <= 5:
+        # and against the symbolic determinant on a sample
+        shift = 1 if kind == "reduced" else 0
+        ctx = field_make(p)
+        got = eng.vanishing_orders(rows[:6])
+        for row, order in zip(rows[:6].tolist(), got.tolist()):
+            assert shift + order == analytic_rank(
+                TwistedPower(Poly(ctx, row), n))
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2),
+                                 (5, 3)])
+def test_batched_identity_matrix_has_multiplicity_k(p, n, rng):
+    # degree p-1-n with the coset lead: k = 1 and M(t) = I at every point
+    m = p - 1 - n
+    eng = RankEngine(p, n, m)
+    assert eng.k == 1
+    rows = np.array([[rng.randrange(p) for _ in range(m)] + [(-1) ** n % p]
+                     for _ in range(8)]).reshape(8, m + 1)
+    assert eng.vanishing_orders(rows).tolist() == [1] * 8
+    assert eng.vanishing_orders(rows[:0]).tolist() == []

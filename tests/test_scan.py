@@ -8,6 +8,7 @@ from carlitz import field_make, Poly, is_squarefree
 from carlitz.motive import TwistedPower, analytic_rank
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
+                          default_workers,
                           equation_count, _squarefree_ints, _squarefree_mask)
 from carlitz.symmetry import Mu, act_on_poly
 
@@ -212,6 +213,10 @@ def test_coset_audit_basics():
     assert rep2["off_coset"] == 0 and rep2["violations"] == []
     with pytest.raises(ValueError, match="coset audit needs prime q"):
         coset_audit(4, 1, 2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        coset_audit(3, 0, 2)
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        coset_audit(3, 1, -1)
 
 
 def test_dim_report_values():
@@ -230,6 +235,23 @@ def test_dim_report_values():
     # m odd: expected dimension of the rank>=2 locus matches (m-1)/2 shape
     s = dim_report(3, 2, "single", m=5)
     assert s["expected_dimension"] == (5 - 1) // 2
+
+
+def test_dim_report_rejects_r_below_one():
+    for mode in ("single", "infinite-family", "shift-stable"):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            dim_report(3, 0, mode, m=15)
+
+
+def test_default_workers_reads_clrank_workers(monkeypatch):
+    monkeypatch.setenv("CLRANK_WORKERS", "3")
+    assert default_workers() == 3
+    for bad in ("x", "0", "-2", "1.5"):
+        monkeypatch.setenv("CLRANK_WORKERS", bad)
+        with pytest.raises(ValueError, match="CLRANK_WORKERS"):
+            default_workers()
+    monkeypatch.delenv("CLRANK_WORKERS")
+    assert default_workers() >= 1
 
 
 def test_audit_failure_reporting_structure():
