@@ -22,7 +22,7 @@ from .symmetry import (Mu, Nu, Iota, Tau, Sigma, TwistMul, act_on_poly,
                        check_l_identity, verify_conjugacy,
                        smallest_iota_degree)
 from .scan import (ScanSpec, run_scan, coset_audit, dim_report,
-                   ScanCapError)
+                   audit_skip_reason, ScanCapError)
 
 
 class UsageError(Exception):
@@ -182,6 +182,8 @@ def _verify_conj(args, rng, gens=None):
 
 
 def cmd_verify(args) -> int:
+    if args.cases < 1:
+        raise UsageError("--cases must be >= 1")
     rng = random.Random(args.seed)
     suites = []
     which = args.suite
@@ -199,6 +201,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.resume and not args.checkpoint:
+        raise UsageError("--resume needs --checkpoint")
     spec = ScanSpec(
         q=args.q, n=args.n, m=args.m, lead=args.lead,
         mode="shift-stable" if args.shift_stable else "squarefree",
@@ -208,6 +212,9 @@ def cmd_scan(args) -> int:
         table = run_scan(spec, checkpoint=args.checkpoint, resume=args.resume)
     except ScanCapError as exc:
         raise UsageError(str(exc)) from None
+    skipped = audit_skip_reason(spec.q, spec.n, spec.m, spec.audit_k_cap)
+    if skipped:
+        print(f"audit skipped: {skipped}", file=sys.stderr)
     payload = json.dumps(table.to_json_obj(), indent=None)
     if args.out:
         if args.csv:

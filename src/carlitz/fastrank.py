@@ -17,27 +17,34 @@ coefficients of the characteristic polynomial of M(t) - I, computed by
 Hessenberg reduction over a small lookup-table field (Cohen's recurrence).
 Points are scanned in a fixed order with two early exits: multiplicity 0
 settles order 0 immediately, and reaching a known lower bound settles the
-order exactly.  Extension-field points come first and prime-field points
-last: a scan sends the engine only polynomials the batch screen could not
-certify, i.e. with det(I - M(t)) = 0 at every prime-field t, so those points
-can never give the multiplicity-0 exit.  The minimum does not depend on the
-order.
+order exactly.  The minimum does not depend on the order, so the order is
+chosen to reach the multiplicity-0 exit early: det(M(t) - I) is a
+polynomial over GF(q) in T (in S = T^q - T for shift-stable rows), and it
+vanishes at a point of GF(q) far more often than at a point outside it.
+Extension-field points therefore come first and prime-field points last;
+for shift-stable engines the points whose Artin-Schreier value t^q - t lies
+in GF(q) go last as well.
 
-Two forms run the same points in the same order with the same algorithm.
-``vanishing_order`` takes one coefficient sequence and runs in pure Python;
-it serves single twists and is the oracle for the batched form.
-``vanishing_orders`` takes an (N, m+1) array and keeps every row in lockstep
-with numpy: per point it builds M(t) - I for the rows still live, reduces
-them all to Hessenberg form with a pivot per row (a row without a pivot
-swaps with itself), runs Cohen's recurrence across the batch and reads each
-multiplicity off the first nonzero charpoly coefficient.  Field arithmetic
-goes through uint16 copies of the same GF(p^s) lookup tables.  The early
-exits become a mask: a row leaves the batch once its running minimum
-reaches the lower bound.
+Two forms run the same points in the same order.  ``vanishing_order`` takes
+one coefficient sequence and runs in pure Python; it serves single twists
+and is the oracle for the batched form.  ``vanishing_orders`` takes an
+(N, m+1) array and keeps every row in lockstep with numpy.  Per point it
+builds M(t) - I for the rows still live.  At the first point it runs
+batched Gaussian elimination on a copy, with a pivot per row: a nonzero
+determinant is exactly multiplicity 0, which settles most rows at a
+fraction of the cost of the full kernel (the det-first exit).  The rows
+with determinant 0 go on: they are reduced to Hessenberg form with a pivot
+per row (a row without a pivot swaps with itself), Cohen's recurrence runs
+across the batch, and each multiplicity is read off the first nonzero
+charpoly coefficient.  At later points every live row has already shown
+multiplicity >= 1; most of them have order >= 1, so det(M(t) - I) vanishes
+at every t and the elimination would be wasted there: those points run the
+charpoly kernel alone.  Field arithmetic goes through uint16 copies of the
+same GF(p^s) lookup tables.  The early exits become a mask: a row leaves
+the batch once its running minimum reaches the lower bound.
 
 The engine supports prime q (digit-encoded subfield elements embed as
-themselves).  A numpy batch screen handles the bulk case "order is 0" at the
-prime-field points.
+themselves).
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ def _index_map(p: int, n: int, m: int, k: int):
 
 
 class _Tables:
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "_arrays")
+    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "_ops")
 
     def __init__(self, p: int, s: int):
         if p**s > _FIELD_CAP:
@@ -90,19 +97,33 @@ class _Tables:
         self.sub = [f.sub(a, b) for a in range(q) for b in range(q)]
         self.neg = [f.neg(a) for a in range(q)]
         self.inv = [0] + [f.inv(a) for a in range(1, q)]
-        self._arrays = None
+        self._ops = None
 
-    def arrays(self):
-        """Flat uint16 numpy copies of mul, add, sub and inv, built once.
+    def ops(self):
+        """Elementwise numpy mul, add and sub, and the inv table, built once.
 
-        q <= 256, so an element and the flat index a*q + b both fit uint16;
-        a take on uint16 runs about 3x faster than on intp.
+        They act on uint16 arrays through flat uint16 copies of the tables:
+        q <= 256, so an element and the flat index a*q + b both fit uint16,
+        and a take on uint16 runs about 3x faster than on intp.
         """
-        if self._arrays is None:
+        if self._ops is None:
             import numpy as np
-            self._arrays = tuple(np.asarray(t, dtype=np.uint16) for t in
-                                 (self.mul, self.add, self.sub, self.inv))
-        return self._arrays
+            q = self.q
+            t_mul, t_add, t_sub, t_inv = (
+                np.asarray(t, dtype=np.uint16)
+                for t in (self.mul, self.add, self.sub, self.inv))
+
+            def mul(a, b):
+                return t_mul.take(a * q + b)
+
+            def add(a, b):
+                return t_add.take(a * q + b)
+
+            def sub(a, b):
+                return t_sub.take(a * q + b)
+
+            self._ops = (mul, add, sub, t_inv)
+        return self._ops
 
 
 class RankEngine:
@@ -141,7 +162,7 @@ class RankEngine:
         mul, sub = t.mul, t.sub
         if shift_stable:
             # one point per Artin-Schreier value t^p - t
-            pts, seen = [], set()
+            found, seen = [], set()  # (AS value, point)
             for x in range(q):
                 xp = x
                 for _ in range(p - 1):
@@ -149,27 +170,33 @@ class RankEngine:
                 asv = sub[xp * q + x]
                 if asv not in seen:
                     seen.add(asv)
-                    pts.append(x)
-                    if len(pts) == need:
+                    found.append((asv, x))
+                    if len(found) == need:
                         break
+            # AS values in GF(p) last, and prime-field points (AS value 0)
+            # last of all: det vanishes there most often (module doc)
+            found.sort(key=lambda ax: (ax[0] < p, ax[1] < p))
+            pts = [x for _, x in found]
         else:
-            pts = list(range(need))
-        # prime-field points last: screened rows vanish there (module doc)
-        pts = [x for x in pts if x >= p] + [x for x in pts if x < p]
-        # weights w_l(t) = (-1)^l C(n,l) t^(n-l), embedded prime coefficients
-        self.point_weights = []
-        for x in pts:
-            ws = []
-            for l in range(n + 1):
-                c = binom_mod_p(n, l, p)
-                if l % 2 == 1:
-                    c = -c % p
-                tp = 1
-                for _ in range(n - l):
-                    tp = mul[tp * q + x]
-                ws.append(mul[c * q + tp])
-            self.point_weights.append(ws)
+            # prime-field points last (module doc)
+            pts = sorted(range(need), key=lambda x: x < p)
+        self.point_weights = [self._weights(x) for x in pts]
         self.points = pts
+
+    def _weights(self, x):
+        # w_l(x) = (-1)^l C(n,l) x^(n-l), embedded prime coefficients
+        q, mul = self.tables.q, self.tables.mul
+        n, p = self.n, self.p
+        ws = []
+        for l in range(n + 1):
+            c = binom_mod_p(n, l, p)
+            if l % 2 == 1:
+                c = -c % p
+            tp = 1
+            for _ in range(n - l):
+                tp = mul[tp * q + x]
+            ws.append(mul[c * q + tp])
+        return ws
 
     def vanishing_order(self, coeffs, lower_bound: int = 0) -> int:
         """Order at U = 1 given P's coefficient sequence (length m+1 ints).
@@ -192,9 +219,9 @@ class RankEngine:
     def vanishing_orders(self, rows, lower_bound: int = 0):
         """``vanishing_order`` of every row of an (N, m+1) integer array.
 
-        All rows walk the points in lockstep, one batched Hessenberg and
-        charpoly pass per point; a row leaves once its running minimum
-        reaches ``lower_bound``.
+        All rows walk the points in lockstep, one batched pass per point; a
+        row leaves once its running minimum reaches ``lower_bound``.  The
+        det-first exit runs at the first point only (module doc).
         """
         import numpy as np
         rows = np.asarray(rows)
@@ -202,42 +229,73 @@ class RankEngine:
         if self.k == 0:
             return best
         live = np.arange(len(rows))
-        for ws in self.point_weights:
+        for i, ws in enumerate(self.point_weights):
             if live.size == 0:
                 break
-            mult = self._mults_at(rows[live], ws)
+            if i == 0:
+                mult = self._mults_at(rows[live], ws)
+            else:
+                mult = self._charpoly_mults(self._matrices(rows[live], ws))
             best[live] = np.minimum(best[live], mult)
             live = live[best[live] > lower_bound]
         return best
 
     def _mults_at(self, rows, ws):
-        # _mult_at for every row of an (N, m+1) array; matrices are stored
-        # with the row axis last
+        # _mult_at for every row of an (N, m+1) array: the det-first exit,
+        # then Hessenberg and charpoly for the rows with det(M(t) - I) = 0
         import numpy as np
-        t_mul, t_add, t_sub, t_inv = self.tables.arrays()
-        q = self.tables.q
+        h = self._matrices(rows, ws)
+        mult = np.zeros(len(rows), dtype=np.int64)
+        left = np.nonzero(~self._det_nonzero(h.copy()))[0]
+        if left.size:
+            mult[left] = self._charpoly_mults(h[:, :, left])
+        return mult
+
+    def _matrices(self, rows, ws):
+        # M(t) - I for every row of an (N, m+1) array, as a (k, k, N) uint16
+        # array: row axis last, where the eliminations run fastest
+        import numpy as np
+        mul, add, sub, _ = self.tables.ops()
         if self._idx is None:
             self._idx = _index_map(self.p, self.n, self.m, self.k)
         # coefficient-major, with the zero-padding slot m+1 as the last row
         cols = np.zeros((self.m + 2, len(rows)), dtype=np.uint16)
-        cols[:-1] = rows.T
-
-        def mul(a, b):
-            return t_mul.take(a * q + b)
-
-        def add(a, b):
-            return t_add.take(a * q + b)
-
-        def sub(a, b):
-            return t_sub.take(a * q + b)
-
-        k, count = self.k, cols.shape[1]
-        h = np.zeros((k, k, count), dtype=np.uint16)
+        cols[:-1] = np.asarray(rows).T
+        k = self.k
+        h = np.zeros((k, k, len(rows)), dtype=np.uint16)
         for l, w in enumerate(ws):
             if w:
                 h = add(h, mul(w, cols[self._idx[:, :, l]]))
         diag = np.arange(k)
         h[diag, diag] = sub(h[diag, diag], 1)  # M - I
+        return h
+
+    def _det_nonzero(self, a):
+        # det != 0 for each matrix of a (k, k, N) array, by Gaussian
+        # elimination with a pivot per row (a row with no pivot in column c
+        # swaps row c with itself); overwrites a
+        import numpy as np
+        mul, _, sub, inv = self.tables.ops()
+        k, count = self.k, a.shape[2]
+        at = np.arange(count)
+        ok = np.ones(count, dtype=bool)
+        for c in range(k):
+            piv = c + (a[c:, c] != 0).argmax(axis=0)
+            top = a[c, c:].copy()
+            a[c, c:] = a[piv, c:, at].T
+            a[piv, c:, at] = top.T
+            ok &= a[c, c] != 0
+            f = mul(a[c + 1:, c], inv.take(a[c, c]))
+            a[c + 1:, c + 1:] = sub(a[c + 1:, c + 1:],
+                                    mul(f[:, None], a[c, c + 1:]))
+        return ok
+
+    def _charpoly_mults(self, h):
+        # multiplicity of eigenvalue 0 of each matrix of a (k, k, N) array;
+        # overwrites h
+        import numpy as np
+        mul, add, sub, inv = self.tables.ops()
+        k, count = self.k, h.shape[2]
         # Hessenberg reduction by similarity, pivot per row (a row with no
         # pivot swaps row and column c+1 with themselves)
         at = np.arange(count)
@@ -251,7 +309,7 @@ class RankEngine:
             h[:, piv, at] = left
             # rows r -= f_r row c+1, then column c+1 += f_r column r; the
             # eliminations for different r commute
-            f = mul(h[c + 2:, c], t_inv.take(h[c + 1, c]))
+            f = mul(h[c + 2:, c], inv.take(h[c + 1, c]))
             h[c + 2:, c:] = sub(h[c + 2:, c:], mul(f[:, None], h[c + 1, c:]))
             for r in range(c + 2, k):
                 h[:, c + 1] = add(h[:, c + 1], mul(f[r - c - 2], h[:, r]))
@@ -356,82 +414,30 @@ class RankEngine:
 
 
 class BatchScreen:
-    """Vectorized certificate that the vanishing order is 0.
+    """Certificate that the vanishing order is 0, at the prime-field points.
 
-    Evaluates det(I - M(t)) at the prime-field points t = 0..p-1 with batched
-    Gaussian elimination; a nonzero determinant at any point proves order 0.
-    Polynomials the screen cannot certify are escalated to ``RankEngine``.
+    A nonzero det(M(t) - I) at any t = 0..p-1 proves order 0; this runs the
+    engine's elimination kernel there.  Scans no longer call it: the engine's
+    det-first exit does the same job at every point.  It stays only because
+    the benchmark's tracer patches its methods, and goes with the benchmark
+    change of ROADMAP item 1.
     """
 
     def __init__(self, p: int, n: int, m: int, k: int):
-        import numpy as np
-        self.np = np
-        self.p = p
-        self.n = n
-        self.m = m
-        self.k = k
-        if k == 0:
-            return
-        self.idx = _index_map(p, n, m, k)
-        ws = []
-        for t in range(p):
-            row = [(pow(t, n - l, p) * binom_mod_p(n, l, p) * (-1) ** l) % p
-                   for l in range(n + 1)]
-            ws.append(row)
-        self.weights = np.asarray(ws, dtype=np.int64)
-        self.inv_table = np.asarray([1] + [pow(v, -1, p) for v in range(1, p)],
-                                    dtype=np.int64)
+        self.engine = RankEngine(p, n, m, k=k)
+        self.weights = [self.engine._weights(t) for t in range(p)] if k else []
 
     def order_zero_mask(self, block):
         """block: (N, m+1) integer array of coefficient rows -> bool mask."""
-        np = self.np
-        n_rows = block.shape[0]
-        if self.k == 0:
-            return np.zeros(n_rows, dtype=bool)
-        # coefficient-major, with the zero-padding slot m+1 as the last row
-        cols = np.zeros((self.m + 2, n_rows), dtype=np.int64)
-        cols[:-1] = block.T
-        undecided = np.arange(n_rows)
-        certified = np.zeros(n_rows, dtype=bool)
-        for t in range(self.p):
+        import numpy as np
+        eng = self.engine
+        rows = np.asarray(block)
+        certified = np.zeros(len(rows), dtype=bool)
+        undecided = np.arange(len(rows))
+        for ws in self.weights:
             if undecided.size == 0:
                 break
-            sub = cols[:, undecided]
-            # one weight term at a time, built with the row axis last: the
-            # elimination runs fastest on that layout
-            mats = np.zeros((self.k, self.k, undecided.size), dtype=np.int64)
-            for l, w in enumerate(self.weights[t].tolist()):
-                if w:
-                    mats += sub[self.idx[:, :, l]] * w
-            mats = mats.transpose(2, 0, 1)
-            mats[:, np.arange(self.k), np.arange(self.k)] -= 1
-            mats %= self.p
-            nz = self._det_nonzero(mats)
+            nz = eng._det_nonzero(eng._matrices(rows[undecided], ws))
             certified[undecided[nz]] = True
             undecided = undecided[~nz]
         return certified
-
-    def _det_nonzero(self, mats):
-        np = self.np
-        p, k = self.p, self.k
-        a = mats
-        ok = np.ones(a.shape[0], dtype=bool)
-        rows = np.arange(a.shape[0])
-        for c in range(k):
-            col = a[:, c:, c]
-            nzm = col != 0
-            has = nzm.any(axis=1)
-            ok &= has
-            rel = np.argmax(nzm, axis=1)
-            pr = c + rel
-            piv_rows = a[rows, pr, :].copy()
-            c_rows = a[:, c, :].copy()
-            a[rows, pr, :] = c_rows
-            a[:, c, :] = piv_rows
-            pv = a[:, c, c] % p
-            pinv = self.inv_table[pv]
-            if c + 1 < k:
-                f = (a[:, c + 1:, c] * pinv[:, None]) % p
-                a[:, c + 1:, c:] -= f[:, :, None] * a[:, c:c + 1, c:]
-                a[:, c + 1:, c:] %= p
-        return ok

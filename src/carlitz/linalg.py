@@ -13,14 +13,14 @@ small-instance brute-force oracle for tests.
 
 from __future__ import annotations
 
-__all__ = ["det_identity_minus_mu", "charpoly_vector", "det_cofactor"]
+__all__ = ["det_identity_minus_mu", "det_cofactor"]
 
 
-def charpoly_vector(m, zero, one):
-    """Berkowitz coefficient vector v of det(xI - M), v[i] = coeff of x^(k-i).
+def det_identity_minus_mu(m, zero, one):
+    """U-coefficient list (little-endian) of det(I - M U); leading entry 1.
 
-    v[0] = 1.  Read little-endian, v is also the U-coefficient list of
-    det(I - M U).
+    This is the Berkowitz coefficient vector v of det(xI - M), with
+    v[i] the coefficient of x^(k-i) and v[0] = 1.
     """
     k = len(m)
     if k == 0:
@@ -50,11 +50,6 @@ def charpoly_vector(m, zero, one):
             new.append(acc)
         vec = new
     return vec
-
-
-def det_identity_minus_mu(m, zero, one):
-    """U-coefficient list (little-endian) of det(I - M U); leading entry 1."""
-    return charpoly_vector(m, zero, one)
 
 
 def det_cofactor(m, zero, one):

@@ -21,25 +21,24 @@ P = F(θ^q - θ): then P' = -F'(θ^q - θ), so gcd(P, P') = 1 exactly when
 gcd(F, F') = 1, at degree m/q instead of m.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk on the rows the screen leaves.  Two accelerations
-apply per chunk:
+batched call per chunk on the squarefree rows.  At its first point, the
+engine's det-first exit settles the bulk "order 0" outcome with one
+elimination, and only the rows with det(M(t) - I) = 0 pay for the full
+charpoly; for shift-stable rows the engine visits first the points whose
+Artin-Schreier value lies outside GF(q), where that exit is most likely.  On the
+distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
+1 + the vanishing order of the leading principal block's determinant, which
+restores the early exit that the forced (1-U) factor would otherwise deny.
 
-- a numpy batch screen certifies the bulk "order 0" outcome at the
-  prime-field points (off the distinguished coset: rank 0; on it: the forced
-  (1-U) factor is removed first, so a certificate means rank exactly 1);
-- on the distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is
-  computed as 1 + the vanishing order of the leading principal block's
-  determinant, which restores an early exit that the forced factor would
-  otherwise deny.
-
-A deterministic 1-in-1000 subsample (index hash, capped per chunk, skipped
-when the stable matrix size makes symbolic determinants expensive) is
+A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
 audited against the full division-free determinant plus synthetic division.
+The audit is skipped when the stable matrix size makes symbolic
+determinants expensive (``audit_skip_reason``); ``carlitz scan`` says so.
 
 The exhaustive coset audit (``coset_audit``) runs on the same chunk pipeline,
-the odometer and the screen-then-engine dispatch (one batched engine call per
-block), but always with the full-size matrix and never the reduced block: the
-reduced block assumes the forced (1-U) factor that the audit exists to check.
+the odometer and one batched engine call per block, but always with the
+full-size matrix and never the reduced block: the reduced block assumes the
+forced (1-U) factor that the audit exists to check.
 """
 
 from __future__ import annotations
@@ -49,19 +48,21 @@ import json
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, asdict
+from typing import ClassVar
 
 from .ff import field_make, is_prime
-from .fastrank import RankEngine, BatchScreen, reduced_block_size
+from .fastrank import RankEngine, reduced_block_size
 from .motive import TwistedPower, analytic_rank
 from .poly import Poly
 
 __all__ = [
     "ScanSpec", "RankTable", "ScanCapError", "run_scan",
     "shift_stable_expand", "coset_audit", "dim_report", "default_workers",
+    "audit_skip_reason",
 ]
 
 _AUDIT_MIX = 2654435761  # Knuth multiplicative hash
-# coset-audit rows per block: the screen holds a few k x k int64 matrices per
+# coset-audit rows per block: the engine holds a few k x k uint16 matrices per
 # row, and the audit shares its process with other work, so keep blocks small
 _AUDIT_BLOCK = 512
 
@@ -95,7 +96,10 @@ class ScanSpec:
     chunk_size: int = 8192
     cap: int = 3**16
     force: bool = False
-    use_batch_screen: bool = True
+    # Scans have no separate screen any more (the engine's det-first exit
+    # replaced it); the constant stays while the benchmark reads it, and goes
+    # with the benchmark change of ROADMAP item 1.
+    use_batch_screen: ClassVar[bool] = False
     audit_rate: float = 1e-3
     audit_cap: int = 16
     audit_k_cap: int = 12
@@ -241,16 +245,28 @@ class RankTable:
 _ENGINES: dict = {}
 
 
-def _engines_for(q, n, m, mode, on_coset, use_screen):
-    key = (q, n, m, mode, on_coset, use_screen)
-    got = _ENGINES.get(key)
-    if got is None:
+def _engines_for(q, n, m, mode, on_coset, _screen=None):
+    # The sixth argument is ignored: it was the screen switch, and stays
+    # while the benchmark passes it (goes with ROADMAP item 1).
+    key = (q, n, m, mode, on_coset)
+    eng = _ENGINES.get(key)
+    if eng is None:
         k = reduced_block_size(q, n, m) if on_coset else None
         eng = RankEngine(q, n, m, shift_stable=mode == "shift-stable", k=k)
-        screen = BatchScreen(q, n, m, eng.k) if use_screen else None
-        got = (eng, screen)
-        _ENGINES[key] = got
-    return got
+        _ENGINES[key] = eng
+    return eng
+
+
+def audit_skip_reason(q: int, n: int, m: int, audit_k_cap: int) -> str | None:
+    """Why a scan of degree m runs no symbolic audit, or None if it runs one.
+
+    The audit's division-free determinant grows fast with the stable matrix
+    size k_min, so cells with k_min above ``audit_k_cap`` are not audited.
+    """
+    k_min = max(1, -((m + n) // -(q - 1)))
+    if k_min > audit_k_cap:
+        return f"k_min {k_min} > audit_k_cap {audit_k_cap}"
+    return None
 
 
 def _squarefree_mask(rows, p):
@@ -332,30 +348,18 @@ def _odometer(q, mfree, lead, start, end):
     return rows
 
 
-def _vanishing_orders(eng, screen, rows):
-    """Order at U = 1 of each row: the screen first, one engine batch after."""
-    import numpy as np
-
-    todo = np.arange(len(rows))
-    if screen is not None:
-        todo = todo[~screen.order_zero_mask(rows)]
-    orders = np.zeros(len(rows), dtype=np.int64)
-    orders[todo] = eng.vanishing_orders(rows[todo])
-    return orders
-
-
 def _row_str(row):
     return ",".join(map(str, row))
 
 
 def _scan_chunk(args):
-    (q, n, m, lead, mode, start, end, use_screen,
+    (q, n, m, lead, mode, start, end,
      audit_rate, audit_cap, audit_k_cap, witness_cap) = args
     import numpy as np
 
     shift = mode == "shift-stable"
     on_coset = (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
-    eng, screen = _engines_for(q, n, m, mode, on_coset, use_screen)
+    eng = _engines_for(q, n, m, mode, on_coset)
     free = _odometer(q, m // q if shift else m, lead, start, end)
     # shift-stable: the rows are F, and P = F(θ^q - θ) is squarefree iff F is
     sf_mask = _squarefree_mask(free, q)
@@ -363,7 +367,7 @@ def _scan_chunk(args):
     if shift:
         rows_mat = np.asarray(_expand_rows(q, m // q, m), dtype=np.int64)
         sf_rows = sf_rows @ rows_mat % q
-    sf_ranks = (1 if on_coset else 0) + _vanishing_orders(eng, screen, sf_rows)
+    sf_ranks = (1 if on_coset else 0) + eng.vanishing_orders(sf_rows)
 
     hist: dict = {}
     witnesses: dict = {}
@@ -375,8 +379,7 @@ def _scan_chunk(args):
 
     audit_failures = []
     picks = np.zeros(0, dtype=np.int64)
-    k_min = max(1, -((m + n) // -(q - 1)))
-    if audit_rate > 0 and k_min <= audit_k_cap:
+    if audit_rate > 0 and audit_skip_reason(q, n, m, audit_k_cap) is None:
         # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
         # which keeps the low 32 bits exact
         idxs = np.arange(start, end, dtype=np.uint64)[sf_mask]
@@ -470,9 +473,8 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     results = dict(done or {})
     todo = [i for i in range(len(chunks)) if i not in results]
     args = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
-             chunks[i][0], chunks[i][1], spec.use_batch_screen,
-             spec.audit_rate, spec.audit_cap, spec.audit_k_cap,
-             spec.witness_cap) for i in todo]
+             chunks[i][0], chunks[i][1], spec.audit_rate, spec.audit_cap,
+             spec.audit_k_cap, spec.witness_cap) for i in todo]
     workers = spec.workers or default_workers()
     with contextlib.ExitStack() as stack:
         ck = None
@@ -521,13 +523,13 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     violations = []
     on_total = on_ge1 = off_total = off_ge1 = 0
     for m in range(0, m_max + 1):
-        eng, screen = _engines_for(q, n, m, "squarefree", False, True)
+        eng = _engines_for(q, n, m, "squarefree", False)
         for lead in range(1, q):
             on = m % (q - 1) == m_target and lead == lead_target
             for start in range(0, q**m, _AUDIT_BLOCK):
                 rows = _odometer(q, m, lead, start,
                                  min(start + _AUDIT_BLOCK, q**m))
-                ge1 = _vanishing_orders(eng, screen, rows) >= 1
+                ge1 = eng.vanishing_orders(rows) >= 1
                 hits = int(ge1.sum())
                 if on:
                     on_total += len(rows)

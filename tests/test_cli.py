@@ -94,6 +94,14 @@ def test_verify_conj_restricted_to_mu(capsys):
     assert "conj: 4 passed, 0 failed" in out
 
 
+def test_verify_rejects_no_cases(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--q", "3", "--cases", cases)
+        assert code == 2, cases
+        assert "--cases must be >= 1" in err
+        assert "passed" not in out
+
+
 def test_scan_csv_output(capsys, tmp_path):
     out_file = tmp_path / "t.csv"
     code, out, _ = run_cli(capsys, "scan", "--q", "3", "--n", "1", "--m", "3",
@@ -125,6 +133,27 @@ def test_scan_resume(capsys, tmp_path):
     code, out2, _ = run_cli(capsys, *args, "--resume")
     assert code == 0
     assert json.loads(out1.splitlines()[-1]) == json.loads(out2.splitlines()[-1])
+
+
+def test_scan_resume_needs_checkpoint(capsys):
+    code, out, err = run_cli(capsys, "scan", "--q", "3", "--m", "3",
+                             "--lead", "1", "--resume")
+    assert code == 2
+    assert "--resume needs --checkpoint" in err
+    assert out == ""
+
+
+def test_scan_reports_skipped_audit(capsys):
+    # q=2, n=1, m=12: k_min = 13 is past audit_k_cap = 12
+    code, out, err = run_cli(capsys, "scan", "--q", "2", "--m", "12",
+                             "--lead", "1", "--workers", "1")
+    assert code == 0
+    assert err.splitlines() == ["audit skipped: k_min 13 > audit_k_cap 12"]
+    assert json.loads(out)["audits"] == 0
+    code, out, err = run_cli(capsys, "scan", "--q", "2", "--m", "11",
+                             "--lead", "1", "--workers", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["audits"] > 0
 
 
 def test_scan_rejects_non_prime_q(capsys):

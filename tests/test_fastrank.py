@@ -33,13 +33,31 @@ def test_engine_extension_points_match_symbolic(rng):
             assert eng.vanishing_order(tuple(coeffs)) == analytic_rank(t)
 
 
+def _as_value(eng, x):
+    # Artin-Schreier value x^p - x in the engine's point field
+    t = eng.tables
+    xp = x
+    for _ in range(eng.p - 1):
+        xp = t.mul[xp * t.q + x]
+    return t.sub[xp * t.q + x]
+
+
 def test_points_put_prime_field_last():
     for p, n, m, shift in [(3, 1, 11, False), (3, 2, 10, False),
-                           (3, 1, 27, True), (5, 2, 9, False)]:
-        pts = RankEngine(p, n, m, shift_stable=shift).points
+                           (3, 1, 27, True), (3, 1, 36, True),
+                           (5, 1, 35, True), (5, 2, 9, False)]:
+        eng = RankEngine(p, n, m, shift_stable=shift)
+        pts = eng.points
         tail = [x for x in pts if x < p]
         assert tail and pts[-len(tail):] == tail
         assert len(tail) < len(pts)
+        if shift:
+            # points whose AS value lies in GF(p) come after all others
+            in_fp = [_as_value(eng, x) < p for x in pts]
+            assert in_fp == sorted(in_fp)
+    # GF(27) at m=27: 3 and 6 are outside GF(3) but their AS values are not
+    eng = RankEngine(3, 1, 27, shift_stable=True)
+    assert eng.points[-3:] == [3, 6, 0]
 
 
 def test_engine_rejects_non_prime_q():
@@ -100,6 +118,7 @@ def test_lower_bound_early_exit_is_exact(rng):
 
 
 def test_batch_screen_sound_and_consistent(rng):
+    # the engine's elimination kernel at t = 0..p-1: certified => order 0
     q, n, m = 3, 1, 6
     k = TwistedPower(Poly(field_make(3), [0] * m + [1]), n).k_min
     screen = BatchScreen(q, n, m, k)
@@ -195,6 +214,13 @@ def test_batched_orders_match_scalar(p, n, m, kind, rng):
         # per point, where the minimum over points cannot mask an error
         want = [eng._mult_at(r, ws) for r in rows.tolist()]
         assert eng._mults_at(rows, ws).tolist() == want
+        if eng.k:
+            # the det-first exit fires exactly where the multiplicity is 0,
+            # and the charpoly kernel alone is exact on every row
+            mask = eng._det_nonzero(eng._matrices(rows, ws))
+            assert mask.tolist() == [w == 0 for w in want]
+            assert eng._charpoly_mults(eng._matrices(rows, ws)).tolist() \
+                == want
     for lower_bound in (0, 1):
         want = [eng.vanishing_order(tuple(r), lower_bound)
                 for r in rows.tolist()]

@@ -59,12 +59,11 @@ def test_counts_match_direct_enumeration():
     assert table.hist[(m, lead)] == want
 
 
-def test_worker_and_screen_independence():
+def test_worker_and_chunk_independence():
     base = None
-    for workers, screen, chunk in [(1, True, 100), (4, True, 57),
-                                   (16, True, 23), (2, False, 100)]:
+    for workers, chunk in [(1, 100), (4, 57), (16, 23), (2, 100)]:
         spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=workers,
-                        chunk_size=chunk, use_batch_screen=screen)
+                        chunk_size=chunk)
         got = run_scan(spec).to_json_obj()
         got.pop("audits")
         if base is None:
