@@ -106,18 +106,31 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _verify_euler(ctx_card, cases, seed):
-    rng = random.Random(seed)
-    ctx2 = field_from_cardinality(2)
-    ctx3 = field_from_cardinality(3)
+def _random_twist(rng, ctx, m_hi):
+    # degree below m_hi, nonzero lead, n in {1, 2}
+    q = ctx.order
+    m = rng.randrange(0, m_hi)
+    coeffs = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
+    n = rng.randrange(1, 3)
+    return TwistedPower(Poly(ctx, coeffs), n)
+
+
+def _random_generators(rng, ctx):
+    # scalars range over GF(q): ExtField elements are the ints [0, q)
+    q = ctx.order
+    return {
+        "mu": Mu(rng.randrange(q)),
+        "nu": Nu(rng.randrange(1, q)),
+        "iota": Iota(None),
+        "tau": Tau(rng.randrange(1, q)),
+    }
+
+
+def _verify_euler(args, rng):
+    ctx = field_from_cardinality(args.q)
     passed = failed = 0
-    for trial in range(cases):
-        ctx = ctx3 if trial % 2 else ctx2
-        q = ctx.order
-        m = rng.randrange(0, 10)
-        coeffs = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
-        n = rng.randrange(1, 3)
-        tp = TwistedPower(Poly(ctx, coeffs), n)
+    for _ in range(args.cases):
+        tp = _random_twist(rng, ctx, 10)
         l = l_function(tp)
         ok = truncated_product(tp, 4) == l.truncate(4)
         if ok and tp.k_min <= 6:
@@ -132,17 +145,9 @@ def _verify_identities(args, rng, gens=None):
     q = ctx.order
     passed = failed = 0
     for _ in range(args.cases):
-        m = rng.randrange(0, 7)
-        coeffs = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
-        n = rng.randrange(1, 3)
-        tp = TwistedPower(Poly(ctx, coeffs), n)
-        pool = {
-            "mu": Mu(ctx.from_int(rng.randrange(q))),
-            "nu": Nu(ctx.from_int(rng.randrange(1, q))),
-            "iota": Iota(None),
-            "tau": Tau(ctx.from_int(rng.randrange(1, q))),
-            "twistmul": TwistMul(Poly(ctx, [rng.randrange(q), ctx.one])),
-        }
+        tp = _random_twist(rng, ctx, 7)
+        pool = _random_generators(rng, ctx)
+        pool["twistmul"] = TwistMul(Poly(ctx, [rng.randrange(q), ctx.one]))
         if tp.m + q * tp.n <= 10:
             pool["sigma"] = Sigma(1)
         for name, g in pool.items():
@@ -159,17 +164,9 @@ def _verify_conj(args, rng, gens=None):
     q = ctx.order
     passed = failed = 0
     for _ in range(args.cases):
-        m = rng.randrange(0, 6)
-        coeffs = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
-        n = rng.randrange(1, 3)
-        tp = TwistedPower(Poly(ctx, coeffs), n)
-        pool = {
-            "mu": Mu(ctx.from_int(rng.randrange(q))),
-            "nu": Nu(ctx.from_int(rng.randrange(1, q))),
-            "iota": Iota(None),
-            "tau": Tau(ctx.from_int(rng.randrange(1, q))),
-            "theta": TwistMul(Poly.x(ctx)),
-        }
+        tp = _random_twist(rng, ctx, 6)
+        pool = _random_generators(rng, ctx)
+        pool["theta"] = TwistMul(Poly.x(ctx))
         if tp.m + q * tp.n <= 9:
             pool["sigma"] = Sigma(1)
         for name, g in pool.items():
@@ -188,7 +185,7 @@ def cmd_verify(args) -> int:
     suites = []
     which = args.suite
     if which in ("all", "euler"):
-        suites.append(("euler", _verify_euler(args.q, args.cases, args.seed)))
+        suites.append(("euler", _verify_euler(args, random.Random(args.seed))))
     if which in ("all", "identity"):
         suites.append(("identity", _verify_identities(args, rng, args.gen)))
     if which in ("all", "conj"):

@@ -71,13 +71,6 @@ class LFun:
     def truncate(self, d: int) -> "LFun":
         return LFun(self.ctx, self.cs[: d + 1])
 
-    def eval_at_u(self, gamma) -> Poly:
-        """L(T, γ) for a base-field scalar γ, as an element of GF(q)[T]."""
-        acc = Poly.zero(self.ctx)
-        for c in reversed(self.cs):
-            acc = acc.scalar_mul(gamma) + c
-        return acc
-
     def scale_u(self, gamma) -> "LFun":
         """U -> γU."""
         ctx = self.ctx
@@ -86,56 +79,6 @@ class LFun:
         for c in self.cs:
             out.append(c.scalar_mul(g))
             g = ctx.mul(g, gamma)
-        return LFun(ctx, out)
-
-    def subst_t_shift(self, d) -> "LFun":
-        """T -> T - d."""
-        ctx = self.ctx
-        inner = Poly(ctx, (ctx.neg(d), ctx.one))
-        return LFun(ctx, [c.compose(inner) for c in self.cs])
-
-    def subst_t_scale_arg(self, s) -> "LFun":
-        """T -> s*T (direct argument scaling)."""
-        ctx = self.ctx
-        out = []
-        for c in self.cs:
-            pw = ctx.one
-            coeffs = []
-            for v in c.coeffs:
-                coeffs.append(ctx.mul(v, pw))
-                pw = ctx.mul(pw, s)
-            out.append(Poly(ctx, coeffs))
-        return LFun(ctx, out)
-
-    def subst_t_power(self, k: int) -> "LFun":
-        """T -> T^(q^k)."""
-        ctx = self.ctx
-        stride = ctx.order**k
-        out = []
-        for c in self.cs:
-            coeffs = [ctx.zero] * (stride * max(0, len(c.coeffs) - 1) + 1)
-            for i, v in enumerate(c.coeffs):
-                coeffs[i * stride] = v
-            out.append(Poly(ctx, coeffs))
-        return LFun(ctx, out)
-
-    def subst_t_invert(self, n: int) -> "LFun":
-        """T -> T^(-1) with the per-degree clearing factor (-T)^n.
-
-        The U^j coefficient becomes (-1)^(nj) T^(nj) C'_j(T^(-1)); this is a
-        polynomial exactly when deg_T C'_j <= n*j, which is checked.
-        """
-        ctx = self.ctx
-        out = []
-        for j, c in enumerate(self.cs):
-            bound = n * j
-            if c.degree > bound:
-                raise ValueError("T-degree bound deg C'_j <= n*j fails; "
-                                 "inversion is not polynomial")
-            r = c.reversed_to(bound)
-            if bound % 2 == 1:
-                r = -r  # (-1)^(nj); a no-op in characteristic 2
-            out.append(r)
         return LFun(ctx, out)
 
     def to_json_obj(self):
@@ -197,17 +140,23 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
     """
     out = l
     if t_map is not None:
+        ctx = l.ctx
         kind, arg = t_map
         if kind == "shift":
-            out = out.subst_t_shift(arg)
+            inner = Poly(ctx, (ctx.neg(arg), ctx.one))
+            cs = [c.compose(inner) for c in l.cs]
         elif kind == "scale":
-            out = out.subst_t_scale_arg(out.ctx.inv(arg))
+            s = ctx.inv(arg)
+            cs = [c.scale_var(s) for c in l.cs]
         elif kind == "power":
-            out = out.subst_t_power(arg)
+            stride = ctx.order**arg
+            cs = [c.stretch(stride) for c in l.cs]
         elif kind == "invert":
-            out = out.subst_t_invert(arg)
+            # U^j gets (-T)^(nj) C'_j(1/T): polynomial iff deg C'_j <= n*j
+            cs = [c.invert_var(arg * j) for j, c in enumerate(l.cs)]
         else:
             raise ValueError(f"unknown T-substitution {kind!r}")
+        out = LFun(ctx, cs)
     if u_scale is not None:
         if u_scale == l.ctx.zero:
             raise ValueError("U-scaling must be nonzero")

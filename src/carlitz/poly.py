@@ -202,15 +202,19 @@ class Poly:
         rem = list(self.coeffs)
         if len(rem) <= db:
             return Poly.zero(ctx), self
-        q = [ctx.zero] * max(0, len(rem) - db)
+        z = ctx.zero
+        q = [z] * max(0, len(rem) - db)
         sub, mul = ctx.sub, ctx.mul
+        b = other.coeffs
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
-            if c != ctx.zero:
+            if c != z:
                 f = mul(c, inv_lead)
-                q[i - db] = f
-                for j in range(db + 1):
-                    rem[i - db + j] = sub(rem[i - db + j], mul(f, other.coeffs[j]))
+                k = i - db
+                q[k] = f
+                for j in range(db):
+                    rem[k + j] = sub(rem[k + j], mul(f, b[j]))
+                rem[i] = z  # c - f * lead
         return Poly(ctx, q), Poly(ctx, rem)
 
     def __floordiv__(self, other):
@@ -247,6 +251,24 @@ class Poly:
             acc = acc * inner + Poly.constant(self.ctx, c)
         return acc
 
+    def scale_var(self, s) -> "Poly":
+        """P(sX)."""
+        ctx = self.ctx
+        mul = ctx.mul
+        out, pw = [], ctx.one
+        for c in self.coeffs:
+            out.append(mul(c, pw))
+            pw = mul(pw, s)
+        return Poly(ctx, out)
+
+    def stretch(self, k: int) -> "Poly":
+        """P(X^k)."""
+        if self.is_zero():
+            return self
+        out = [self.ctx.zero] * (k * (len(self.coeffs) - 1) + 1)
+        out[::k] = self.coeffs
+        return Poly(self.ctx, out)
+
     def reversed_to(self, d: int) -> "Poly":
         """X^d * P(1/X); requires deg P <= d."""
         if self.degree > d:
@@ -254,6 +276,11 @@ class Poly:
         z = self.ctx.zero
         padded = list(self.coeffs) + [z] * (d + 1 - len(self.coeffs))
         return Poly(self.ctx, padded[::-1])
+
+    def invert_var(self, d: int) -> "Poly":
+        """(-X)^d * P(1/X); requires deg P <= d."""
+        r = self.reversed_to(d)
+        return -r if d % 2 == 1 else r
 
     def __repr__(self):
         if self.is_zero():

@@ -166,31 +166,6 @@ class RankTable:
                 best = max(best, max(h, default=0))
         return best
 
-    def cell_witnesses(self, m: int, a: int, r: int) -> list:
-        out = []
-        for (mm, aa, rank), ws in sorted(self.witnesses.items()):
-            if mm == m and aa == a and rank >= r:
-                out.extend(ws)
-        return out
-
-    def merge(self, other: "RankTable") -> "RankTable":
-        if (self.q, self.n, self.mode) != (other.q, other.n, other.mode):
-            raise ValueError("incompatible tables")
-        for key, h in other.hist.items():
-            mine = self.hist.setdefault(key, {})
-            for r, c in h.items():
-                mine[r] = mine.get(r, 0) + c
-        for key, ws in other.witnesses.items():
-            mine = self.witnesses.setdefault(key, [])
-            mine.extend(ws)
-        for d_mine, d_other in ((self.scanned, other.scanned),
-                                (self.squarefree, other.squarefree)):
-            for key, v in d_other.items():
-                d_mine[key] = d_mine.get(key, 0) + v
-        self.audits += other.audits
-        self.audit_failures.extend(other.audit_failures)
-        return self
-
     def to_csv(self) -> str:
         lines = ["m,a,r,count"]
         for (m, a) in sorted(self.hist):

@@ -143,17 +143,12 @@ def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
     if isinstance(g, Nu):
         if g.c == ctx.zero:
             raise ValueError("Nu needs a nonzero scalar")
-        out, pw = [], ctx.one
-        for a in P.coeffs:
-            out.append(ctx.mul(a, pw))
-            pw = ctx.mul(pw, g.c)
-        return TwistedPower(Poly(ctx, out), tp.n)
+        return TwistedPower(P.scale_var(g.c), tp.n)
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
         if m < tp.m or (q > 2 and (m + tp.n) % (q - 1) != 0):
             raise ValueError(f"inadmissible reversal degree {m}")
-        window = list(P.coeffs) + [ctx.zero] * (m + 1 - len(P.coeffs))
-        return TwistedPower(Poly(ctx, window[::-1]), tp.n)
+        return TwistedPower(P.reversed_to(m), tp.n)
     if isinstance(g, Tau):
         if g.c == ctx.zero:
             raise ValueError("Tau needs a nonzero scalar")
@@ -265,42 +260,6 @@ def conjugator(ctx, kind: str, size: int, *, d=None, c=None) -> WindowMatrix:
     raise ValueError(f"unknown conjugator kind {kind!r}")
 
 
-def _infinite_window(tp: TwistedPower, nrows: int, ncols: int) -> WindowMatrix:
-    # 0-based window of the infinite matrix (1-based formula at (i+1, j+1))
-    rows = _matrix_rows_window(tp, nrows, ncols)
-    return WindowMatrix.from_rows(rows)
-
-
-def _matrix_rows_window(tp: TwistedPower, nrows: int, ncols: int):
-    from .motive import _entry_poly
-    return [[_entry_poly(tp, i + 1, j + 1) for j in range(ncols)]
-            for i in range(nrows)]
-
-
-def _entry_scale_t(e: Poly, s) -> Poly:
-    ctx = e.ctx
-    pw = ctx.one
-    out = []
-    for v in e.coeffs:
-        out.append(ctx.mul(v, pw))
-        pw = ctx.mul(pw, s)
-    return Poly(ctx, out)
-
-
-def _entry_invert_t(e: Poly, n: int) -> Poly:
-    # (-T)^n * e(1/T) for deg e <= n
-    r = e.reversed_to(n)
-    return -r if n % 2 == 1 else r
-
-
-def _entry_stretch_t(e: Poly, stride: int) -> Poly:
-    ctx = e.ctx
-    out = [ctx.zero] * (stride * max(0, len(e.coeffs) - 1) + 1)
-    for i, v in enumerate(e.coeffs):
-        out[i * stride] = v
-    return Poly(ctx, out)
-
-
 def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
     """Entry-wise check of the applicable matrix identity on a finite window.
 
@@ -319,22 +278,22 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         inner = Poly(ctx, (ctx.neg(g.d), ctx.one))  # T - d
         lhs = WindowMatrix.from_rows(
             [[e.compose(inner) for e in row]
-             for row in _matrix_rows_window(acted, K, K)])
+             for row in _matrix_rows(acted, K)])
         r = q * K + tp.m + tp.n
         w = conjugator(ctx, "w1", r, d=g.d)
         winv = conjugator(ctx, "w1", r, d=ctx.neg(g.d))
-        mid = _infinite_window(tp, r, r)
+        mid = WindowMatrix.from_rows(_matrix_rows(tp, r))
         rhs = w.mul(mid).mul(winv).corner(K)
         return lhs == rhs
     if isinstance(g, Nu):
         acted = act_on_poly(g, tp)
         cinv = ctx.inv(g.c)
         scale = ctx.pow_(cinv, tp.n)
-        m2 = _matrix_rows_window(acted, K, K)
-        m1 = _matrix_rows_window(tp, K, K)
+        m2 = _matrix_rows(acted, K)
+        m1 = _matrix_rows(tp, K)
         for i in range(K):
             for j in range(K):
-                lhs = _entry_scale_t(m2[i][j], cinv)
+                lhs = m2[i][j].scale_var(cinv)
                 f = ctx.mul(scale, ctx.pow_(g.c, i - j))
                 if lhs != m1[i][j].scalar_mul(f):
                     return False
@@ -347,19 +306,19 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         if k3 < 1:
             return True  # degenerate 0x0 statement
         acted = act_on_poly(Iota(m), tp)
-        m1 = _matrix_rows_window(tp, k3, k3)
-        m2 = _matrix_rows_window(acted, k3, k3)
+        m1 = _matrix_rows(tp, k3)
+        m2 = _matrix_rows(acted, k3)
         for i in range(k3):
             for j in range(k3):
                 lhs = m1[k3 - 1 - i][k3 - 1 - j]  # central symmetry by W3
-                if lhs != _entry_invert_t(m2[i][j], tp.n):
+                if lhs != m2[i][j].invert_var(tp.n):
                     return False
         return True
     if isinstance(g, Tau):
         acted = act_on_poly(g, tp)
         s = ctx.pow_(ctx.inv(g.c), tp.n)
-        m2 = _matrix_rows_window(acted, K, K)
-        m1 = _matrix_rows_window(tp, K, K)
+        m2 = _matrix_rows(acted, K)
+        m1 = _matrix_rows(tp, K)
         return all(m2[i][j] == m1[i][j].scalar_mul(s)
                    for i in range(K) for j in range(K))
     if isinstance(g, Sigma):
@@ -374,16 +333,16 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         for _ in range(n - 1):
             wn = wn.mul(w5)
             wni = wni.mul(w5i)
-        mid = _infinite_window(big, r, r)
+        mid = WindowMatrix.from_rows(_matrix_rows(big, r))
         conj = wn.mul(mid).mul(wni)
-        small = _matrix_rows_window(tp, K, K)
+        small = _matrix_rows(tp, K)
         for i in range(min(n, K)):
             for j in range(K):
                 if not conj.entry(i, j).is_zero():
                     return False
         for i in range(n, K):
             for j in range(n, K):
-                if conj.entry(i, j) != _entry_stretch_t(small[i - n][j - n], q):
+                if conj.entry(i, j) != small[i - n][j - n].stretch(q):
                     return False
         return True
     if isinstance(g, TwistMul):
@@ -391,8 +350,8 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
             raise ValueError("matrix-level block shape implemented for the "
                              "multiplier θ; use check_l_identity otherwise")
         acted = act_on_poly(g, tp)
-        m2 = _matrix_rows_window(acted, K, K)
-        m1 = _matrix_rows_window(tp, K, K)
+        m2 = _matrix_rows(acted, K)
+        m1 = _matrix_rows(tp, K)
         corner = Poly.monomial(ctx, tp.P.coeff(0), tp.n) \
             if tp.P.coeff(0) != ctx.zero else Poly.zero(ctx)
         if m2[0][0] != corner:

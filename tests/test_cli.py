@@ -86,6 +86,33 @@ def test_verify_euler_suite(capsys):
     assert "euler: 10 passed, 0 failed" in out
 
 
+def test_verify_euler_suite_uses_q(capsys, monkeypatch):
+    import carlitz.cli as cli
+    seen = []
+    real = cli.truncated_product
+
+    def spy(tp, bound):
+        seen.append(tp.ctx.order)
+        return real(tp, bound)
+
+    monkeypatch.setattr(cli, "truncated_product", spy)
+    code, out, _ = run_cli(capsys, "verify", "--q", "5", "--suite", "euler",
+                           "--cases", "2")
+    assert code == 0
+    assert "euler: 2 passed, 0 failed" in out
+    assert seen and set(seen) == {5}
+
+
+def test_verify_over_extension_fields(capsys):
+    # generator scalars range over all of GF(q), never the zero from_int
+    # would give for a multiple of p
+    for q in ("4", "9"):
+        code, out, _ = run_cli(capsys, "verify", "--q", q, "--suite",
+                               "identity", "--cases", "3", "--seed", "1")
+        assert code == 0, q
+        assert " 0 failed" in out
+
+
 def test_verify_conj_restricted_to_mu(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "conj",
                            "--cases", "4", "--seed", "5", "--gen", "mu",

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlitz import field_make, frobenius, binom_mod_p, ResidueCtx, Poly
+from carlitz import (field_make, frobenius, binom_mod_p, ExtField, ResidueCtx,
+                     Poly)
 from carlitz.ff import is_prime
 
 
@@ -19,6 +20,13 @@ def test_field_make_rejects_bad_input():
         field_make(4)  # not prime
     with pytest.raises(ValueError):
         field_make(3, 0)
+    with pytest.raises(ValueError, match="reducible"):
+        ExtField(3, 2, modulus=(0, 0, 1))  # x^2
+    with pytest.raises(ValueError, match="reducible"):
+        ExtField(3, 2, modulus=(2, 0, 1))  # x^2 - 1
+    with pytest.raises(ValueError, match="monic"):
+        ExtField(3, 2, modulus=(1, 0, 2))
+    assert ExtField(3, 2, modulus=(2, 1, 1)).modulus == (2, 1, 1)
 
 
 def test_f9_modulus_is_lex_smallest():
@@ -32,6 +40,36 @@ def test_f9_modulus_is_lex_smallest():
     first = next(co for co, irr in cands if irr)
     assert first == (1, 0)
     assert f9.modulus == (1, 0, 1)
+
+
+# Moduli of every GF(p^e) <= 256 with e >= 2: they fix the integer encoding
+# of field elements, so scan witnesses and JSON outputs depend on them.
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+}
+
+
+def test_pinned_field_moduli():
+    assert [pe for pe in PINNED_MODULI] == sorted(
+        (p, e) for p in range(2, 17) if is_prime(p)
+        for e in range(2, 9) if p**e <= 256)
+    for (p, e), mod in PINNED_MODULI.items():
+        assert field_make(p, e).modulus == mod, (p, e)
 
 
 def test_frobenius_prime_field_fixed():
@@ -119,20 +157,32 @@ def test_residue_ctx_basics(f3):
         assert rc.frobenius(x, rc.d) == x
 
 
-def test_residue_ctx_rejects_reducible(f3):
+def test_residue_ctx_rejects_reducible(f3, f9):
     with pytest.raises(ValueError):
         ResidueCtx(f3, (2, 0, 1))  # θ²-1 = (θ-1)(θ+1)
+    # θ²+1 is irreducible over GF(3) but splits over GF(9) = GF(3)[x]/(x²+1)
+    with pytest.raises(ValueError):
+        ResidueCtx(f9, (1, 0, 1))
+    with pytest.raises(ValueError):
+        ResidueCtx(f9, (2, 0, 1))  # θ²-1
 
 
 def test_residue_ctx_over_extension_field():
-    f4 = field_make(2, 2)
-    # find an irreducible quadratic over GF(4) and sanity-check the tower
+    # an irreducible quadratic over GF(4) and over GF(9): the tower,
+    # Frobenius of order d = 2, and inverses of every nonzero element
     from carlitz.poly import irreducibles_of_degree
-    prime = next(irreducibles_of_degree(f4, 2))
-    rc = ResidueCtx(f4, prime.coeffs)
-    assert rc.order == 16
-    th = rc.theta()
-    assert rc.frobenius(th, 2) == th  # x -> x^4 has order d = 2
+    for base in (field_make(2, 2), field_make(3, 2)):
+        prime = next(irreducibles_of_degree(base, 2))
+        rc = ResidueCtx(base, prime.coeffs)
+        assert rc.order == base.order**2
+        th = rc.theta()
+        assert rc.frobenius(th, 2) == th
+        assert rc.frobenius(th, 1) != th
+        for x in rc.elements():
+            if x != rc.zero:
+                assert rc.mul(x, rc.inv(x)) == rc.one
+        with pytest.raises(ZeroDivisionError):
+            rc.inv(rc.zero)
 
 
 def test_is_prime():

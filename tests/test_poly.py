@@ -161,3 +161,29 @@ def test_compose_and_reverse(f3):
     assert p.reversed_to(3) == Poly(f3, [0, 1, 2, 1])
     with pytest.raises(ValueError):
         p.reversed_to(1)
+
+
+@pytest.mark.parametrize("e", [1, 2])
+def test_variable_substitutions_match_compose(e, rng):
+    # P(sX), P(X^k) and (-X)^d P(1/X) against compose and pointwise values
+    ctx = field_make(3, e)
+    q = ctx.order
+    x = Poly.x(ctx)
+    for _ in range(20):
+        p = Poly(ctx, [rng.randrange(q) for _ in range(rng.randrange(0, 6))])
+        s = rng.randrange(q)
+        assert p.scale_var(s) == p.compose(x.scalar_mul(s))
+        for k in (1, 2, 3, q):
+            assert p.stretch(k) == p.compose(x ** k)
+        d = len(p.coeffs) + rng.randrange(0, 3)
+        r = p.invert_var(d)
+        for t in range(1, q):
+            want = ctx.mul(ctx.pow_(ctx.neg(t), d), p.evaluate(ctx.inv(t)))
+            assert r.evaluate(t) == want
+        assert r.invert_var(d) == p
+    p = Poly(ctx, [1, 2, 1])
+    assert p.stretch(3) == Poly(ctx, [1, 0, 0, 2, 0, 0, 1])
+    assert p.invert_var(3) == -p.reversed_to(3)
+    assert Poly.zero(ctx).stretch(4).is_zero()
+    with pytest.raises(ValueError):
+        p.invert_var(1)
