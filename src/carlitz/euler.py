@@ -12,12 +12,15 @@ primes of degree <= D must agree with det(I - M U) through degree D, and
 equal it exactly once D reaches the stable matrix size — that cross-check is
 the decisive end-to-end verification and lives in the test suite.
 
-Primes are enumerated lazily per degree and cached on the field context.
+Primes of each degree, and the residue context of each prime (with its
+reduction rows and Frobenius columns), are built once per process and shared
+by every twist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .ff import ResidueCtx
 from .lfun import LFun
@@ -36,35 +39,23 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def residue_ctx(prime: Poly) -> ResidueCtx:
-    """GF(q)[θ]/(𝔓) for a monic irreducible 𝔓 (verified)."""
-    if prime.is_zero() or prime.lead() != prime.ctx.one:
-        raise ValueError("prime must be monic")
+    """GF(q)[θ]/(𝔓) for a monic irreducible 𝔓 (verified), one per prime."""
     return ResidueCtx(prime.ctx, prime.coeffs)
 
 
-_PRIME_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def primes_of_degree(ctx, d: int):
-    """Monic irreducibles of degree d, cached write-once per (field, degree)."""
-    key = (ctx, d)
-    if key not in _PRIME_CACHE:
-        _PRIME_CACHE[key] = tuple(irreducibles_of_degree(ctx, d))
-    return _PRIME_CACHE[key]
-
-
-def _reduce_element(poly: Poly, rc: ResidueCtx):
-    rem = poly % Poly(poly.ctx, rc.mod)
-    base = poly.ctx
-    out = list(rem.coeffs) + [base.zero] * (rc.d - len(rem.coeffs))
-    return tuple(out)
+    """Monic irreducibles of degree d, in ``irreducibles_of_degree`` order."""
+    return tuple(irreducibles_of_degree(ctx, d))
 
 
 def reduce_tau(tp: TwistedPower, prime: Poly) -> Poly:
     """P̄ (T - θ̄)^n in (GF(q)[θ]/𝔓)[T]; T-degree n unless 𝔓 | P."""
     rc = residue_ctx(prime)
-    pbar = _reduce_element(tp.P, rc)
+    rem = (tp.P % prime).coeffs
+    pbar = rem + (rc.base.zero,) * (rc.d - len(rem))
     lin = Poly(rc, [rc.neg(rc.theta()), rc.one])  # T - θ̄
     out = lin**tp.n
     return out.scalar_mul(pbar)

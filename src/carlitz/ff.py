@@ -13,7 +13,8 @@ to share across threads and processes (elements are plain values):
   across runs and machines.
 - ``ResidueCtx(base, mod_coeffs)``: base[θ]/(𝔓) for a monic irreducible 𝔓
   over a field context.  Elements are tuples of base elements of length
-  deg 𝔓.  Irreducibility of 𝔓 is verified at construction.
+  deg 𝔓.  Irreducibility of 𝔓 is verified at construction with
+  ``poly.is_irreducible``, the test ExtField applies to a caller's modulus.
 
 Polynomial arithmetic over a field (irreducibility, gcd) lives in ``poly``;
 this module imports it inside the functions that need it, because ``poly``
@@ -271,7 +272,7 @@ class ExtField:
     def frobenius(self, a, k: int = 1):
         """x -> x^(p^k); k = e is the identity."""
         r = a
-        for _ in range(k % self.e if k >= self.e else k):
+        for _ in range(k % self.e):
             r = self.pow_(r, self.p)
         return r
 
@@ -358,11 +359,15 @@ class ResidueCtx:
 
     __slots__ = ("base", "mod", "d", "order", "char", "_red", "_frob_cols")
 
-    def __init__(self, base, mod_coeffs, check: bool = True):
+    def __init__(self, base, mod_coeffs):
         mod = tuple(mod_coeffs)
         d = len(mod) - 1
         if d < 1 or mod[-1] != base.one:
             raise ValueError("modulus must be monic of degree >= 1")
+        # poly imports this module, so its names are imported here
+        from .poly import Poly, is_irreducible
+        if not is_irreducible(Poly(base, mod)):
+            raise ValueError("residue modulus is reducible")
         self.base = base
         self.mod = mod
         self.d = d
@@ -378,8 +383,6 @@ class ResidueCtx:
             red.append(cur)
         self._red = tuple(red)
         self._frob_cols = None
-        if check and not self._is_irreducible():
-            raise ValueError("residue modulus is reducible")
 
     def _shift_by_theta(self, t, top):
         # t * θ reduced mod 𝔓, given top = θ^d mod 𝔓
@@ -478,22 +481,6 @@ class ResidueCtx:
                 cols.append(cur)
             self._frob_cols = tuple(cols)
         return self._frob_cols
-
-    def _is_irreducible(self):
-        # Rabin: θ^(q^d) = θ, and gcd(θ^(q^(d/t)) - θ, 𝔓) = 1 for every prime
-        # t | d.  Cheaper here than poly.is_irreducible (the Euler route's 389
-        # primes of degree <= 3 over GF(2..9): 15 ms against 39 ms), because
-        # it builds the Frobenius columns that the route then uses anyway.
-        from .poly import Poly, poly_gcd
-        d = self.d
-        th = self.theta()
-        if self.frobenius(th, d) != th:
-            return False
-        mod = Poly(self.base, self.mod)
-        return all(
-            poly_gcd(mod, Poly(self.base, self.sub(self.frobenius(th, d // t),
-                                                   th))).degree == 0
-            for t in range(2, d + 1) if d % t == 0 and is_prime(t))
 
     def from_int(self, i: int):
         b = self.base

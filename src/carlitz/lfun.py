@@ -23,13 +23,12 @@ class LFun:
 
     __slots__ = ("ctx", "cs")
 
-    def __init__(self, ctx, u_coeffs, check: bool = True):
+    def __init__(self, ctx, u_coeffs):
         cs = list(u_coeffs)
         while cs and cs[-1].is_zero():
             cs.pop()
-        if check:
-            if not cs or cs[0] != Poly.one(ctx):
-                raise ValueError("L-function must have constant term 1")
+        if not cs or cs[0] != Poly.one(ctx):
+            raise ValueError("L-function must have constant term 1")
         self.ctx = ctx
         self.cs = tuple(cs)
 
@@ -87,12 +86,20 @@ class LFun:
 
     @classmethod
     def from_json_obj(cls, ctx, obj) -> "LFun":
-        deg = max((int(e["u_deg"]) for e in obj), default=0)
-        cs = [Poly.zero(ctx)] * (deg + 1)
+        """Inverse of ``to_json_obj``; ValueError on malformed input."""
+        terms = {}
         for e in obj:
-            cs[int(e["u_deg"])] = Poly(ctx, [v % ctx.order if isinstance(v, int) else v
-                                             for v in e["coeffs_T"]])
-        return cls(ctx, cs)
+            j, coeffs = e["u_deg"], e["coeffs_T"]
+            if type(j) is not int or j < 0:
+                raise ValueError(f"u_deg must be an int >= 0, got {j!r}")
+            if j in terms:
+                raise ValueError(f"repeated u_deg {j}")
+            if not all(type(v) is int and 0 <= v < ctx.order for v in coeffs):
+                raise ValueError(f"coefficients of U^{j} must be ints in "
+                                 f"[0, {ctx.order}), got {coeffs!r}")
+            terms[j] = Poly(ctx, coeffs)
+        return cls(ctx, [terms.get(j, Poly.zero(ctx))
+                         for j in range(max(terms, default=0) + 1)])
 
     def __repr__(self):
         terms = []

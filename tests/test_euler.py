@@ -26,6 +26,14 @@ def test_reduce_tau_rejects_reducible(f3):
         reduce_tau(tp3([1]), Poly(f3, [0, 2]))  # not monic
 
 
+def test_residue_ctx_shared_per_prime(f3, f9):
+    # one context per prime, whichever Poly object names it
+    for ctx in (f3, f9):
+        for d in (1, 2, 3):
+            for prime in primes_of_degree(ctx, d)[:5]:
+                assert residue_ctx(prime) is residue_ctx(Poly(ctx, prime.coeffs))
+
+
 def test_twisted_power_identity_and_quadratic(f3):
     rc = residue_ctx(Poly(f3, [1, 0, 1]))
     lin = Poly(rc, [rc.neg(rc.theta()), rc.one])

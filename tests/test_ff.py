@@ -144,6 +144,19 @@ def test_inverses(q):
         ctx.inv(ctx.zero)
 
 
+def test_frobenius_negative_exponent(f3):
+    # x -> x^(p^-1) inverts x -> x^p, and equals x -> x^(p^(e-1))
+    f9 = field_make(3, 2)
+    assert frobenius(f9, 4, -1) == 7
+    ctxs = [(field_make(p, e), e) for p, e in ((2, 2), (3, 2), (3, 3))]
+    rc = ResidueCtx(f3, (1, 2, 0, 1))  # θ³+2θ+1
+    ctxs.append((rc, rc.d))
+    for ctx, e in ctxs:
+        for x in ctx.elements():
+            assert frobenius(ctx, frobenius(ctx, x, 1), -1) == x
+            assert frobenius(ctx, x, -1) == frobenius(ctx, x, e - 1)
+
+
 def test_residue_ctx_basics(f3):
     rc = ResidueCtx(f3, (1, 0, 1))  # θ²+1
     assert rc.order == 9

@@ -94,6 +94,21 @@ def test_json_round_trip(f3):
     assert LFun.from_json_obj(f3, obj) == l
 
 
+def test_json_rejects_malformed(f9):
+    def entry(j, coeffs):
+        return {"u_deg": j, "coeffs_T": coeffs}
+    one = entry(0, [1])
+    good = [one, entry(1, [2]), entry(2, [8, 1])]
+    assert LFun.from_json_obj(f9, good).to_json_obj() == good
+    for bad in ([one, entry(1, [10])],         # coefficient >= 9
+                [one, entry(1, [-1])],         # negative coefficient
+                [one, entry(1, [1.0])],        # not an int
+                [one, entry(1, [2]), entry(-1, [1])],  # negative u_deg
+                [one, entry(1, [2]), entry(1, [1])]):  # repeated u_deg
+        with pytest.raises(ValueError):
+            LFun.from_json_obj(f9, bad)
+
+
 def test_truncated_mul(f3):
     a = lf3([1], [0, 1])
     b = lf3([1], [1])
