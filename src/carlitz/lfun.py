@@ -87,14 +87,20 @@ class LFun:
     @classmethod
     def from_json_obj(cls, ctx, obj) -> "LFun":
         """Inverse of ``to_json_obj``; ValueError on malformed input."""
+        if not isinstance(obj, list):
+            raise ValueError(f"L-function JSON must be a list, got {obj!r}")
         terms = {}
         for e in obj:
+            if not isinstance(e, dict) or not {"u_deg", "coeffs_T"} <= e.keys():
+                raise ValueError("each entry needs u_deg and coeffs_T, "
+                                 f"got {e!r}")
             j, coeffs = e["u_deg"], e["coeffs_T"]
             if type(j) is not int or j < 0:
                 raise ValueError(f"u_deg must be an int >= 0, got {j!r}")
             if j in terms:
                 raise ValueError(f"repeated u_deg {j}")
-            if not all(type(v) is int and 0 <= v < ctx.order for v in coeffs):
+            if not isinstance(coeffs, list) or not all(
+                    type(v) is int and 0 <= v < ctx.order for v in coeffs):
                 raise ValueError(f"coefficients of U^{j} must be ints in "
                                  f"[0, {ctx.order}), got {coeffs!r}")
             terms[j] = Poly(ctx, coeffs)

@@ -14,14 +14,26 @@ and resume.
 Scans need prime q: coefficient rows and the shift-stable expansion are
 computed mod q as integers, and the rank engine works over GF(q) = Z/q.
 
-The squarefree filter runs once per chunk as one numpy kernel
-(``_squarefree_mask``): Bernstein-Yang divsteps computing deg gcd(P, P') for
-every row in lockstep.  In shift-stable mode it tests F, where
-P = F(θ^q - θ): then P' = -F'(θ^q - θ), so gcd(P, P') = 1 exactly when
-gcd(F, F') = 1, at degree m/q instead of m.
+The number of squarefree P needs no enumeration: with a fixed leading
+coefficient it is q^m - q^(m-1) for m >= 2 and q^m for m <= 1 (Carlitz,
+"The arithmetic of polynomials in a Galois field", 1932), and ``run_scan``
+sets each cell's ``squarefree`` from it.  In shift-stable mode the formula
+counts F at degree m/q, where P = F(θ^q - θ): then P' = -F'(θ^q - θ), so
+gcd(P, P') = 1 exactly when gcd(F, F') = 1.
+
+The squarefree test itself is one numpy kernel (``_squarefree_mask``):
+Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
+Generic scans rank first and test squarefreeness last: the engine ranks every
+row of the chunk, and the kernel runs only on the rows that a tally, a
+witness or the audit reads.  Those are the rows of rank above the base
+(1 on the distinguished coset, 0 off it), on the coset a prefix of the
+rank-1 rows long enough for the witnesses, and the audit's hash candidates.
+On the coset every squarefree P has rank >= 1, so the rank-1 count is the
+closed form minus the counts of rank >= 2.  Shift-stable scans filter F
+first, because at degree m/q the kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk on the squarefree rows.  At its first point, the
+batched call per chunk.  At its first point, the
 engine's det-first exit settles the bulk "order 0" outcome with one
 elimination, and only the rows with det(M(t) - I) = 0 pay for the full
 charpoly; for shift-stable rows the engine visits first the points whose
@@ -327,41 +339,84 @@ def _row_str(row):
     return ",".join(map(str, row))
 
 
+def _on_coset(q, n, m, lead):
+    # the distinguished coset: q-1 | m+n and a_m = (-1)^n
+    return (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
+
+
+def _squarefree_count(q, m):
+    """Squarefree polynomials over GF(q) of degree m with a fixed lead.
+
+    q^m - q^(m-1) for m >= 2 and q^m for m <= 1 (Carlitz 1932).
+    """
+    return q**m - q**(m - 1) if m >= 2 else q**m
+
+
 def _scan_chunk(args):
     (q, n, m, lead, mode, start, end,
      audit_rate, audit_cap, audit_k_cap, witness_cap) = args
     import numpy as np
 
     shift = mode == "shift-stable"
-    on_coset = (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
+    on_coset = _on_coset(q, n, m, lead)
+    base = 1 if on_coset else 0
     eng = _engines_for(q, n, m, mode, on_coset)
     free = _odometer(q, m // q if shift else m, lead, start, end)
-    # shift-stable: the rows are F, and P = F(θ^q - θ) is squarefree iff F is
-    sf_mask = _squarefree_mask(free, q)
-    sf_rows = free[sf_mask]
     if shift:
+        # squarefree first: the rows are F, P = F(θ^q - θ) is squarefree iff
+        # F is, and at degree m/q the kernel costs little next to the engine
+        sf_mask = _squarefree_mask(free, q)
         rows_mat = np.asarray(_expand_rows(q, m // q, m), dtype=np.int64)
-        sf_rows = sf_rows @ rows_mat % q
-    sf_ranks = (1 if on_coset else 0) + eng.vanishing_orders(sf_rows)
+        rows = free[sf_mask] @ rows_mat % q
 
-    hist: dict = {}
+        def squarefree(sel):
+            return sel
+    else:
+        # rank first: the engine sees every row, and only the rows that a
+        # tally, a witness or the audit reads get the squarefree test
+        rows = free
+
+        def squarefree(sel):
+            return sel[_squarefree_mask(rows[sel], q)]
+    ranks = base + eng.vanishing_orders(rows)
+
     witnesses: dict = {}
-    found, counts = np.unique(sf_ranks[sf_ranks >= 1], return_counts=True)
+    if on_coset:
+        # every squarefree row has rank >= 1 here, so run_scan derives the
+        # rank-1 count; its witnesses are the first squarefree rank-1 rows,
+        # tested in growing prefixes (at least one, so that the key appears
+        # exactly when the chunk has such a row)
+        ones = np.nonzero(ranks == 1)[0]
+        want = max(witness_cap, 1)
+        first, lo, size = ones[:0], 0, 2 * want
+        while len(first) < want and lo < len(ones):
+            first = np.concatenate([first, squarefree(ones[lo:lo + size])])
+            lo += size
+            size *= 2
+        if len(first):
+            witnesses[1] = [_row_str(row)
+                            for row in rows[first[:witness_cap]].tolist()]
+    high = squarefree(np.nonzero(ranks > base)[0])
+    hist: dict = {}
+    found, counts = np.unique(ranks[high], return_counts=True)
     for r, c in zip(found.tolist(), counts.tolist()):
         hist[r] = c
-        first = np.nonzero(sf_ranks == r)[0][:witness_cap]
-        witnesses[r] = [_row_str(row) for row in sf_rows[first].tolist()]
+        first = high[ranks[high] == r][:witness_cap]
+        witnesses[r] = [_row_str(row) for row in rows[first].tolist()]
 
     audit_failures = []
     picks = np.zeros(0, dtype=np.int64)
     if audit_rate > 0 and audit_skip_reason(q, n, m, audit_k_cap) is None:
         # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
         # which keeps the low 32 bits exact
-        idxs = np.arange(start, end, dtype=np.uint64)[sf_mask]
+        idxs = np.arange(start, end, dtype=np.uint64)
+        if shift:
+            idxs = idxs[sf_mask]
         hashed = idxs * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
-        picks = np.nonzero(hashed < int(audit_rate * 2**32))[0][:audit_cap]
+        picks = squarefree(
+            np.nonzero(hashed < int(audit_rate * 2**32))[0])[:audit_cap]
     ctx = field_make(q)
-    for row, fast in zip(sf_rows[picks].tolist(), sf_ranks[picks].tolist()):
+    for row, fast in zip(rows[picks].tolist(), ranks[picks].tolist()):
         slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
         if slow != fast:
             audit_failures.append(
@@ -371,13 +426,14 @@ def _scan_chunk(args):
         "hist": hist,
         "witnesses": witnesses,
         "scanned": end - start,
-        "squarefree": int(sf_mask.sum()),
         "audits": len(picks),
         "audit_failures": audit_failures,
     }
 
 
 def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
+    # a payload's "squarefree" (checkpoints of older versions) is ignored:
+    # run_scan sets the cell's count from the closed form
     key = (spec.m, spec.lead)
     cell = table.hist.setdefault(key, {})
     for r, c in payload["hist"].items():
@@ -391,7 +447,6 @@ def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
         if room > 0:
             mine.extend(ws[:room])
     table.scanned[key] = table.scanned.get(key, 0) + payload["scanned"]
-    table.squarefree[key] = table.squarefree.get(key, 0) + payload["squarefree"]
     table.audits += payload["audits"]
     table.audit_failures.extend(payload["audit_failures"])
 
@@ -473,6 +528,17 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
                       report_ranks=spec.report_ranks)
     for i in range(len(chunks)):
         _merge_chunk(table, spec, results[i])
+    key = (spec.m, spec.lead)
+    table.squarefree[key] = squarefree = _squarefree_count(
+        spec.q, spec.free_coeffs)
+    if _on_coset(spec.q, spec.n, spec.m, spec.lead):
+        # every squarefree P has rank >= 1 on the coset; set rather than
+        # add, since older checkpoints carry per-chunk rank-1 counts
+        cell = table.hist[key]
+        cell.pop(1, None)
+        ones = squarefree - sum(cell.values())
+        if ones:
+            cell[1] = ones
     return table
 
 
@@ -500,7 +566,7 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     for m in range(0, m_max + 1):
         eng = _engines_for(q, n, m, "squarefree", False)
         for lead in range(1, q):
-            on = m % (q - 1) == m_target and lead == lead_target
+            on = _on_coset(q, n, m, lead)
             for start in range(0, q**m, _AUDIT_BLOCK):
                 rows = _odometer(q, m, lead, start,
                                  min(start + _AUDIT_BLOCK, q**m))

@@ -109,6 +109,22 @@ def test_json_rejects_malformed(f9):
             LFun.from_json_obj(f9, bad)
 
 
+def test_json_rejects_malformed_structure(f9):
+    # wrong shapes raise ValueError too, as poly_from_str does
+    one = {"u_deg": 0, "coeffs_T": [1]}
+    for bad in ([one, {"coeffs_T": [2]}],           # no u_deg
+                [one, {"u_deg": 1}],                # no coeffs_T
+                [one, {"u_deg": 1, "coeffs_T": 2}],     # scalar coeffs_T
+                [one, {"u_deg": 1, "coeffs_T": "12"}],  # string coeffs_T
+                [one, [1, [2]]],                    # entry not a dict
+                [one, 3],
+                "[{\"u_deg\": 0, \"coeffs_T\": [1]}]",  # obj not a list
+                {"u_deg": 0, "coeffs_T": [1]},
+                7, None):
+        with pytest.raises(ValueError):
+            LFun.from_json_obj(f9, bad)
+
+
 def test_truncated_mul(f3):
     a = lf3([1], [0, 1])
     b = lf3([1], [1])

@@ -6,10 +6,12 @@ import pytest
 
 from carlitz import field_make, Poly, is_squarefree
 from carlitz.motive import TwistedPower, analytic_rank
+from carlitz import scan
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
-                          default_workers,
-                          equation_count, _squarefree_ints, _squarefree_mask)
+                          default_workers, audit_skip_reason,
+                          equation_count, _squarefree_ints, _squarefree_mask,
+                          _squarefree_count, _odometer, _engines_for)
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -38,25 +40,27 @@ def test_cap_enforced():
 
 
 def test_counts_match_direct_enumeration():
-    # independent oracle: enumerate all P of degree 4 and rank symbolically
+    # independent oracle: enumerate all P of degree m and rank symbolically;
+    # m=5, lead 2 lies on the coset, where the scan derives the rank-1 count
     f3 = field_make(3)
-    m, lead = 4, 2
-    want = {}
-    for code in range(3**m):
-        coeffs = []
-        v = code
-        for _ in range(m):
-            coeffs.append(v % 3)
-            v //= 3
-        coeffs.append(lead)
-        p = Poly(f3, coeffs)
-        if not is_squarefree(p):
-            continue
-        r = analytic_rank(TwistedPower(p, 1))
-        if r >= 1:
-            want[r] = want.get(r, 0) + 1
-    table = run_scan(ScanSpec(q=3, n=1, m=m, lead=lead, workers=1))
-    assert table.hist[(m, lead)] == want
+    for m, lead in ((4, 2), (5, 2)):
+        want = {}
+        for code in range(3**m):
+            coeffs = []
+            v = code
+            for _ in range(m):
+                coeffs.append(v % 3)
+                v //= 3
+            coeffs.append(lead)
+            p = Poly(f3, coeffs)
+            if not is_squarefree(p):
+                continue
+            r = analytic_rank(TwistedPower(p, 1))
+            if r >= 1:
+                want[r] = want.get(r, 0) + 1
+        table = run_scan(ScanSpec(q=3, n=1, m=m, lead=lead, workers=1,
+                                  chunk_size=50))
+        assert table.hist[(m, lead)] == want, m
 
 
 def test_worker_and_chunk_independence():
@@ -324,3 +328,154 @@ def test_audit_picks_follow_index_hash():
     table = run_scan(spec)
     assert table.audits == want > 0
     assert table.audit_failures == []
+
+
+def _kernel_count(q, d, lead):
+    # squarefree rows of the full degree-d odometer, by the kernel, in blocks
+    block = q**8
+    return sum(int(_squarefree_mask(_odometer(q, d, lead, s,
+                                              min(s + block, q**d)), q).sum())
+               for s in range(0, q**d, block))
+
+
+def _check_closed_form(q, d_max):
+    for d in range(d_max + 1):
+        want = q**d - q**(d - 1) if d >= 2 else q**d
+        assert _squarefree_count(q, d) == want
+        for lead in range(1, q):
+            assert _kernel_count(q, d, lead) == want, (q, d, lead)
+
+
+@pytest.mark.parametrize("q,d_max", [(2, 14), (3, 10), (5, 6)])
+def test_squarefree_closed_form_matches_kernel(q, d_max):
+    # scans take their squarefree counts from Carlitz's formula; the kernel
+    # the tallies still filter by must agree with it on every degree
+    _check_closed_form(q, d_max)
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("q,d_max", [(3, 12), (5, 7)])
+def test_squarefree_closed_form_matches_kernel_long(q, d_max):
+    _check_closed_form(q, d_max)
+
+
+def _filter_first_chunk(spec, start, end, audited):
+    """One chunk of the filter-first pipeline.
+
+    The squarefree test runs on every row and the engine on the squarefree
+    rows only; every rank >= 1 is tallied, the coset's rank 1 included, and
+    the payload carries the chunk's squarefree count.  Appends (row, rank)
+    to ``audited`` for each audit pick.
+    """
+    q, n, m, lead = spec.q, spec.n, spec.m, spec.lead
+    on_coset = (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
+    free = _odometer(q, spec.free_coeffs, lead, start, end)
+    sf_mask = _squarefree_mask(free, q)
+    rows = free[sf_mask]
+    if spec.mode == "shift-stable":
+        rows = np.array([[int(c) for c in shift_stable_expand(row, q).coeffs]
+                         for row in rows.tolist()],
+                        dtype=np.int64).reshape(len(rows), m + 1)
+    eng = _engines_for(q, n, m, spec.mode, on_coset)
+    ranks = (1 if on_coset else 0) + eng.vanishing_orders(rows)
+    strs = [",".join(map(str, row)) for row in rows.tolist()]
+    hist, witnesses = {}, {}
+    for r in sorted(set(ranks.tolist()) - {0}):
+        hits = np.nonzero(ranks == r)[0]
+        hist[r] = len(hits)
+        witnesses[r] = [strs[i] for i in hits[:spec.witness_cap]]
+    picks = []
+    if (spec.audit_rate > 0
+            and audit_skip_reason(q, n, m, spec.audit_k_cap) is None):
+        thresh = int(spec.audit_rate * 2**32)
+        idxs = np.arange(start, end)[sf_mask].tolist()
+        picks = [i for i, idx in enumerate(idxs)
+                 if idx * 2654435761 % 2**32 < thresh][:spec.audit_cap]
+    audited.extend((strs[i], int(ranks[i])) for i in picks)
+    return {"hist": hist, "witnesses": witnesses, "scanned": end - start,
+            "squarefree": int(sf_mask.sum()), "audits": len(picks),
+            "audit_failures": []}
+
+
+def _filter_first_table(spec, audited):
+    table = RankTable(q=spec.q, n=spec.n, mode=spec.mode)
+    key = (spec.m, spec.lead)
+    cell = table.hist.setdefault(key, {})
+    table.scanned[key] = table.squarefree[key] = 0
+    for start in range(0, spec.total, spec.chunk_size):
+        end = min(start + spec.chunk_size, spec.total)
+        payload = _filter_first_chunk(spec, start, end, audited)
+        for r, c in payload["hist"].items():
+            cell[r] = cell.get(r, 0) + c
+        for r, ws in payload["witnesses"].items():
+            mine = table.witnesses.setdefault((spec.m, spec.lead, r), [])
+            mine.extend(ws[:spec.witness_cap - len(mine)])
+        table.scanned[key] += payload["scanned"]
+        table.squarefree[key] += payload["squarefree"]
+        table.audits += payload["audits"]
+    return table
+
+
+def _diff_specs(q, n):
+    # every lead, generic and shift-stable degrees, each cell split into
+    # about three chunks; q=5, n=2 includes the shift-stable m=10 lead-1
+    # cell, whose squarefree F all have rank >= 2
+    m_gen, d_st = {2: (9, 8), 3: (7, 5), 5: (4, 3)}[q]
+    cells = ([(m, "squarefree") for m in range(1, m_gen + 1)]
+             + [(q * d, "shift-stable") for d in range(1, d_st + 1)])
+    for m, mode in cells:
+        for lead in range(1, q):
+            total = q ** (m // q if mode == "shift-stable" else m)
+            yield ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode, workers=1,
+                           chunk_size=-(-total // 3), witness_cap=m % 3,
+                           audit_rate=0.1, audit_cap=2)
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
+                                 (5, 2)])
+def test_rank_first_matches_filter_first(q, n, monkeypatch):
+    # full JSON and CSV, witness order, audit picks and counts included
+    audited = []
+
+    def audit(tp):
+        row = ",".join(str(int(c)) for c in tp.P.coeffs)
+        audited.append(row)
+        return ranks[row]
+
+    monkeypatch.setattr(scan, "analytic_rank", audit)
+    picked = 0
+    for spec in _diff_specs(q, n):
+        want_audits = []
+        want = _filter_first_table(spec, want_audits)
+        ranks = dict(want_audits)
+        audited.clear()
+        got = run_scan(spec)
+        where = (spec.m, spec.lead, spec.mode)
+        assert got.to_json_obj() == want.to_json_obj(), where
+        assert got.to_csv() == want.to_csv(), where
+        assert audited == [row for row, _ in want_audits], where
+        picked += len(audited)
+    assert picked > 0
+
+
+@pytest.mark.parametrize("m,lead", [(7, 2), (7, 1)])
+def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
+    # checkpoints of the filter-first pipeline carry a per-chunk squarefree
+    # count and, on the coset (m=7, lead 2), per-chunk rank-1 counts
+    spec = ScanSpec(q=3, n=1, m=m, lead=lead, workers=1, chunk_size=300)
+    fresh = run_scan(spec).to_json_obj()
+    ck = tmp_path / "scan.ckpt"
+    starts = list(range(0, spec.total, spec.chunk_size))
+    records = [{"fingerprint": spec.fingerprint(), "spec": {}}]
+    for i, start in enumerate(starts[:-2]):
+        payload = _filter_first_chunk(
+            spec, start, min(start + spec.chunk_size, spec.total), [])
+        records.append({"chunk": i, "payload": payload})
+    if lead == 2:
+        assert all(1 in r["payload"]["hist"] for r in records[1:])
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == fresh
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert [r["chunk"] for r in lines[1:]] == list(range(len(starts)))
+    assert all("squarefree" not in r["payload"] for r in lines[-2:])
