@@ -89,7 +89,10 @@ def _gen_family(args, tp):
     if kind == "twistmul":
         if not args.twist_q:
             raise UsageError("--twist-q is required for --gen twistmul")
-        qp = poly_from_str(ctx, args.twist_q)
+        try:
+            qp = poly_from_str(ctx, args.twist_q)
+        except ValueError as exc:
+            raise UsageError(f"bad --twist-q: {exc}") from None
         if qp.is_zero():
             raise UsageError("twist multiplier must be nonzero")
         return [("twistmul", TwistMul(qp))]

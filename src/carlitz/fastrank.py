@@ -15,33 +15,33 @@ and floor(n*k/q) + 1 of them are enough.
 Per point, the multiplicity of eigenvalue 1 is the number of trailing zero
 coefficients of the characteristic polynomial of M(t) - I, computed by
 Hessenberg reduction over a small lookup-table field (Cohen's recurrence).
-Points are scanned in a fixed order with two early exits: multiplicity 0
-settles order 0 immediately, and reaching a known lower bound settles the
-order exactly.  The minimum does not depend on the order, so the order is
-chosen to reach the multiplicity-0 exit early: det(M(t) - I) is a
-polynomial over GF(q) in T (in S = T^q - T for shift-stable rows), and it
-vanishes at a point of GF(q) far more often than at a point outside it.
-Extension-field points therefore come first and prime-field points last;
-for shift-stable engines the points whose Artin-Schreier value t^q - t lies
-in GF(q) go last as well.
+Multiplicity 0 is det(M(t) - I) != 0, and since that det is the U = 1 value
+(up to sign), by the argument above a det vanishing at every point certifies
+order >= 1.  The points' order is chosen to reach a nonzero det early: the
+det lies in GF(q)[T] (GF(q)[T^q - T] for shift-stable rows) and vanishes at
+a point of GF(q) far more often than at a point outside it.  So
+extension-field points come first and prime-field points last; for
+shift-stable engines the points whose Artin-Schreier value t^q - t lies in
+GF(q) go last as well.
 
-Two forms run the same points in the same order.  ``vanishing_order`` takes
-one coefficient sequence and runs in pure Python; it serves single twists
-and is the oracle for the batched form.  ``vanishing_orders`` takes an
-(N, m+1) array and keeps every row in lockstep with numpy.  Per point it
-builds M(t) - I for the rows still live.  At the first point it runs
-batched Gaussian elimination on a copy, with a pivot per row: a nonzero
-determinant is exactly multiplicity 0, which settles most rows at a
-fraction of the cost of the full kernel (the det-first exit).  The rows
-with determinant 0 go on: they are reduced to Hessenberg form with a pivot
-per row (a row without a pivot swaps with itself), Cohen's recurrence runs
-across the batch, and each multiplicity is read off the first nonzero
-charpoly coefficient.  At later points every live row has already shown
-multiplicity >= 1; most of them have order >= 1, so det(M(t) - I) vanishes
-at every t and the elimination would be wasted there: those points run the
-charpoly kernel alone.  Field arithmetic goes through uint16 copies of the
-same GF(p^s) lookup tables.  The early exits become a mask: a row leaves
-the batch once its running minimum reaches the lower bound.
+``vanishing_order`` takes one coefficient sequence and runs in pure Python;
+it serves single twists and is the oracle for the batched form.  It walks
+the points taking the charpoly multiplicity, and stops at multiplicity 0 or
+once its running minimum reaches a known lower bound.
+
+``vanishing_orders`` takes an (N, m+1) array and runs the live rows in
+lockstep with numpy, in two phases.  Certify: at every point, batched
+Gaussian elimination (a pivot per row) on M(t) - I; a nonzero det settles
+order 0 and the row leaves.  Count: only the rows certified order >= 1 get
+the charpoly, point by point: Hessenberg reduction with a pivot per row (a
+row without a pivot swaps with itself), Cohen's recurrence across the batch,
+and the multiplicity read off the first nonzero coefficient.  A row leaves
+once its running minimum reaches max(lower_bound, 1), so an order-1 row
+leaves at its first point of multiplicity 1.  The order is the minimum over
+all points, so this schedule gives the scalar form's answer (for a valid
+lower bound).  M(t) - I is one gather: M(t)[i][j] = v[(i+1)p - (j+1)] with
+v[x] = sum_l w_l(t) a[x - l].  The arithmetic uses uint16 copies of the
+same GF(p^s) lookup tables.
 
 The engine supports prime q (digit-encoded subfield elements embed as
 themselves).
@@ -70,18 +70,6 @@ def reduced_block_size(q: int, n: int, m: int) -> int:
     if (m + n) % (q - 1) != 0:
         raise ValueError("reduced block needs q-1 | m+n")
     return (m + n) // (q - 1) - 1
-
-
-def _index_map(p: int, n: int, m: int, k: int):
-    """(k, k, n+1) array: entry (i, j, l) is the a-index (i+1)p - (j+1) - l.
-
-    M(t)[i][j] = sum_l w_l(t) * a[(i+1)p - (j+1) - l]; out-of-range indices
-    point to the zero-padding slot m+1.
-    """
-    import numpy as np
-    i, j, l = np.ogrid[:k, :k, :n + 1]
-    idx = (i + 1) * p - (j + 1) - l
-    return np.where((idx >= 0) & (idx <= m), idx, m + 1)
 
 
 class _Tables:
@@ -139,7 +127,7 @@ class RankEngine:
         if k is None:
             k = max(1, math.ceil((m + n) / (p - 1)))
         self.k = k
-        self._idx = None  # _index_map, built on the first batched call
+        self._idx = None  # _matrices' gather index, built on first use
         if k == 0:
             self.points = self.point_weights = []
             return
@@ -201,9 +189,10 @@ class RankEngine:
     def vanishing_order(self, coeffs, lower_bound: int = 0) -> int:
         """Order at U = 1 given P's coefficient sequence (length m+1 ints).
 
-        ``lower_bound`` is a certified lower bound on the order (used on the
-        distinguished coset where the order is >= 1 by the forced factor);
-        once the running minimum reaches it, the answer is exact.
+        Takes the charpoly multiplicity at each point in turn; the oracle
+        for ``vanishing_orders``.  ``lower_bound`` is a certified lower
+        bound on the order (>= 1 on the distinguished coset, by the forced
+        factor); once the running minimum reaches it, the answer is exact.
         """
         if self.k == 0:
             return 0
@@ -219,9 +208,9 @@ class RankEngine:
     def vanishing_orders(self, rows, lower_bound: int = 0):
         """``vanishing_order`` of every row of an (N, m+1) integer array.
 
-        All rows walk the points in lockstep, one batched pass per point; a
-        row leaves once its running minimum reaches ``lower_bound``.  The
-        det-first exit runs at the first point only (module doc).
+        Certify, then count (module doc).  A ``lower_bound`` >= 1 certifies
+        every row already: then only the count runs, with the scalar form's
+        points and exits.
         """
         import numpy as np
         rows = np.asarray(rows)
@@ -229,43 +218,41 @@ class RankEngine:
         if self.k == 0:
             return best
         live = np.arange(len(rows))
-        for i, ws in enumerate(self.point_weights):
+        if lower_bound < 1:
+            for ws in self.point_weights:
+                if live.size == 0:
+                    break
+                nz = self._det_nonzero(self._matrices(rows[live], ws))
+                best[live[nz]] = 0
+                live = live[~nz]
+        floor = max(lower_bound, 1)
+        for ws in self.point_weights:
             if live.size == 0:
                 break
-            if i == 0:
-                mult = self._mults_at(rows[live], ws)
-            else:
-                mult = self._charpoly_mults(self._matrices(rows[live], ws))
+            mult = self._charpoly_mults(self._matrices(rows[live], ws))
             best[live] = np.minimum(best[live], mult)
-            live = live[best[live] > lower_bound]
+            live = live[best[live] > floor]
         return best
-
-    def _mults_at(self, rows, ws):
-        # _mult_at for every row of an (N, m+1) array: the det-first exit,
-        # then Hessenberg and charpoly for the rows with det(M(t) - I) = 0
-        import numpy as np
-        h = self._matrices(rows, ws)
-        mult = np.zeros(len(rows), dtype=np.int64)
-        left = np.nonzero(~self._det_nonzero(h.copy()))[0]
-        if left.size:
-            mult[left] = self._charpoly_mults(h[:, :, left])
-        return mult
 
     def _matrices(self, rows, ws):
         # M(t) - I for every row of an (N, m+1) array, as a (k, k, N) uint16
-        # array: row axis last, where the eliminations run fastest
+        # array: row axis last, where the eliminations run fastest.
+        # M(t)[i][j] = v[(i+1)p - (j+1)] with v[x] = sum_l w_l(t) a[x - l],
+        # so one gather through a (k, k) index builds every entry; indices
+        # outside 0..m+n point to the zero slot m+n+1
         import numpy as np
         mul, add, sub, _ = self.tables.ops()
+        k, n, m = self.k, self.n, self.m
         if self._idx is None:
-            self._idx = _index_map(self.p, self.n, self.m, self.k)
-        # coefficient-major, with the zero-padding slot m+1 as the last row
-        cols = np.zeros((self.m + 2, len(rows)), dtype=np.uint16)
-        cols[:-1] = np.asarray(rows).T
-        k = self.k
-        h = np.zeros((k, k, len(rows)), dtype=np.uint16)
+            i, j = np.ogrid[:k, :k]
+            idx = (i + 1) * self.p - (j + 1)
+            self._idx = np.where((idx >= 0) & (idx <= m + n), idx, m + n + 1)
+        cols = np.asarray(rows, dtype=np.uint16).T  # coefficient-major
+        v = np.zeros((m + n + 2, cols.shape[1]), dtype=np.uint16)
         for l, w in enumerate(ws):
             if w:
-                h = add(h, mul(w, cols[self._idx[:, :, l]]))
+                v[l:l + m + 1] = add(v[l:l + m + 1], mul(w, cols))
+        h = v[self._idx]
         diag = np.arange(k)
         h[diag, diag] = sub(h[diag, diag], 1)  # M - I
         return h
@@ -418,7 +405,7 @@ class BatchScreen:
 
     A nonzero det(M(t) - I) at any t = 0..p-1 proves order 0; this runs the
     engine's elimination kernel there.  Scans no longer call it: the engine's
-    det-first exit does the same job at every point.  It stays only because
+    certify phase does the same job at every point.  It stays only because
     the benchmark's tracer patches its methods, and goes with the benchmark
     change of ROADMAP item 1.
     """

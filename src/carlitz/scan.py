@@ -33,11 +33,12 @@ closed form minus the counts of rank >= 2.  Shift-stable scans filter F
 first, because at degree m/q the kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk.  At its first point, the
-engine's det-first exit settles the bulk "order 0" outcome with one
-elimination, and only the rows with det(M(t) - I) = 0 pay for the full
-charpoly; for shift-stable rows the engine visits first the points whose
-Artin-Schreier value lies outside GF(q), where that exit is most likely.  On the
+batched call per chunk.  The engine certifies first: an elimination per
+point settles the bulk "order 0" outcome at the first point where
+det(M(t) - I) != 0, and only the rows whose det vanishes at every point,
+certified order >= 1, pay for the charpoly.  For shift-stable rows the
+engine visits first the points whose Artin-Schreier value lies outside
+GF(q), where a nonzero det is most likely.  On the
 distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
 1 + the vanishing order of the leading principal block's determinant, which
 restores the early exit that the forced (1-U) factor would otherwise deny.
@@ -62,7 +63,7 @@ import os
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
-from .ff import field_make, is_prime
+from .ff import field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine, reduced_block_size
 from .motive import TwistedPower, analytic_rank
 from .poly import Poly
@@ -108,7 +109,7 @@ class ScanSpec:
     chunk_size: int = 8192
     cap: int = 3**16
     force: bool = False
-    # Scans have no separate screen any more (the engine's det-first exit
+    # Scans have no separate screen any more (the engine's certify phase
     # replaced it); the constant stays while the benchmark reads it, and goes
     # with the benchmark change of ROADMAP item 1.
     use_batch_screen: ClassVar[bool] = False
@@ -612,8 +613,7 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
     k?  Maximal feasible r is q (for q >= 3).  ``shift-stable``: expected
     dimensions of the shift-stable loci for the given even/odd m/q class.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    field_from_cardinality(q)  # ValueError unless q is a prime power
     if r < 1:
         raise ValueError("r must be >= 1")
     out = {"q": q, "r": r, "mode": mode, "single_max_r": 2 * q - 3}

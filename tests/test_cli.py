@@ -249,6 +249,25 @@ def test_dims_command(capsys):
     assert code == 2 and "r must be >= 1" in err
 
 
+def test_dims_rejects_non_prime_power(capsys):
+    for q in ("6", "1", "12"):
+        code, out, err = run_cli(capsys, "dims", "--q", q, "--r", "2")
+        assert code == 2 and out == "" and "error:" in err, q
+    code, _, err = run_cli(capsys, "dims", "--q", "6", "--r", "2")
+    assert "6 is not a prime power" in err
+    code, out, _ = run_cli(capsys, "dims", "--q", "4", "--r", "2")
+    assert code == 0 and json.loads(out)["q"] == 4
+
+
+def test_orbit_rejects_bad_twist_q(capsys):
+    base = ["orbit", "--q", "3", "--n", "1", "--poly", "0,1",
+            "--gen", "twistmul"]
+    for bad in ("0,x", "0,3", "1,,2"):
+        code, out, err = run_cli(capsys, *base, "--twist-q", bad)
+        assert code == 2 and out == "", bad
+        assert err.startswith("error: bad --twist-q: "), bad
+
+
 def test_scan_rejects_bad_clrank_workers(capsys, monkeypatch):
     monkeypatch.setenv("CLRANK_WORKERS", "x")
     code, _, err = run_cli(capsys, "scan", "--q", "3", "--n", "1", "--m", "3",

@@ -213,7 +213,6 @@ def test_batched_orders_match_scalar(p, n, m, kind, rng):
     for ws in eng.point_weights:
         # per point, where the minimum over points cannot mask an error
         want = [eng._mult_at(r, ws) for r in rows.tolist()]
-        assert eng._mults_at(rows, ws).tolist() == want
         if eng.k:
             # the det-first exit fires exactly where the multiplicity is 0,
             # and the charpoly kernel alone is exact on every row
@@ -246,3 +245,98 @@ def test_batched_identity_matrix_has_multiplicity_k(p, n, rng):
                      for _ in range(8)]).reshape(8, m + 1)
     assert eng.vanishing_orders(rows).tolist() == [1] * 8
     assert eng.vanishing_orders(rows[:0]).tolist() == []
+
+
+def _at_point(poly, x, tables):
+    # poly over GF(p) evaluated at x in the engine's GF(p^s), by Horner; the
+    # prime-field coefficients embed as themselves
+    q, acc = tables.q, 0
+    for c in reversed(poly.coeffs):
+        acc = tables.add[tables.mul[acc * q + x] * q + int(c)]
+    return acc
+
+
+@pytest.mark.parametrize("p,n,m,kind", _BATCH_CELLS)
+def test_matrices_match_symbolic_matrix(p, n, m, kind, rng):
+    # the one-gather build of M(t) - I against motive's matrix over GF(p)[T],
+    # entry by entry at every engine point; the reduced block is the leading
+    # principal block of the stable matrix
+    from carlitz.motive import build_matrix
+    eng, rows = _batch_cell(p, n, m, kind, rng, count=5)
+    ctx = field_make(p)
+    k = eng.k
+    syms = []
+    for row in rows.tolist():
+        tp = TwistedPower(Poly(ctx, row), n)
+        syms.append(build_matrix(tp, max(k, tp.k_min)))
+    for x, ws in zip(eng.points, eng.point_weights):
+        got = eng._matrices(rows, ws)
+        assert got.shape == (k, k, len(rows))
+        t = eng.tables
+        for r, sym in enumerate(syms):
+            want = [[_at_point(sym.entry(i, j), x, t) for j in range(k)]
+                    for i in range(k)]
+            for i in range(k):
+                want[i][i] = t.sub[want[i][i] * t.q + 1]
+            assert got[:, :, r].tolist() == want
+
+
+def _cell_rows(q, m, lead, mode):
+    # every engine row of a scan cell, in odometer order
+    from carlitz.scan import _odometer, shift_stable_expand
+    if mode == "squarefree":
+        return _odometer(q, m, lead, 0, q**m)
+    fs = _odometer(q, m // q, lead, 0, q ** (m // q))
+    return np.array([[int(c) for c in shift_stable_expand(f, q).coeffs]
+                     for f in fs.tolist()])
+
+
+@pytest.mark.parametrize("m,mode", [(9, "squarefree"), (18, "shift-stable")])
+def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
+    # the count phase gets only rows of order >= 1 (rank >= 2 on the coset,
+    # where the engine runs the reduced block), and the two-phase answers
+    # equal the scalar oracle on the rows where the schedule matters
+    from carlitz.scan import ScanSpec, run_scan, _engines_for, _on_coset
+    seen, last = set(), []
+    matrices, charpoly = RankEngine._matrices, RankEngine._charpoly_mults
+
+    def spy_matrices(self, rows, ws):
+        last[:] = [np.asarray(rows)]
+        return matrices(self, rows, ws)
+
+    def spy_charpoly(self, h):
+        # the count phase builds each batch right before its charpoly
+        assert h.shape[2] == len(last[0])
+        seen.update(tuple(r) for r in last[0].tolist())
+        return charpoly(self, h)
+
+    q, n = 3, 1
+    ctx = field_make(q)
+    for lead in (1, 2):
+        on = _on_coset(q, n, m, lead)
+        eng = _engines_for(q, n, m, mode, on)
+        seen.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(RankEngine, "_matrices", spy_matrices)
+            mp.setattr(RankEngine, "_charpoly_mults", spy_charpoly)
+            table = run_scan(ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode,
+                                      workers=1))
+        assert seen
+        for row in seen:
+            assert analytic_rank(TwistedPower(Poly(ctx, row), n)) >= 1 + on
+        # det(M(t) - I) = 0 at the first point with order 0, order exactly
+        # 1, and the scan's witnesses of rank >= 2
+        kinds = {0: [], 1: []}
+        for row in _cell_rows(q, m, lead, mode).tolist():
+            if eng._mult_at(row, eng.point_weights[0]):
+                group = kinds.get(eng.vanishing_order(row))
+                if group is not None and len(group) < 20:
+                    group.append(row)
+        high = [[int(c) for c in w.split(",")]
+                for (_, _, r), ws in table.witnesses.items() if r >= 2
+                for w in ws]
+        assert all(eng.vanishing_order(r) >= 2 - on for r in high)
+        for group in (kinds[0], kinds[1], high):
+            assert group
+            assert eng.vanishing_orders(np.array(group)).tolist() == \
+                [eng.vanishing_order(r) for r in group]
