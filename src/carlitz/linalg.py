@@ -1,17 +1,38 @@
-"""Division-free determinants over commutative rings.
+"""Division-free determinants over GF(q)[T].
 
-The main entry point computes det(I - M U) for a square matrix M over any
-commutative ring (here: polynomials over GF(q)) via the Berkowitz vector
-recurrence.  No division occurs at all, which matters twice over: the entries
+The main entry point computes det(I - M U) for a square matrix M over
+GF(q)[T], q = p^e, via the Berkowitz vector recurrence (Berkowitz, IPL 18,
+1984).  No division occurs at all, which matters twice over: the entries
 live in GF(q)[T] (not a field), and characteristic p forbids the usual
 divide-by-integers characteristic-polynomial tricks.
 
-Entries only need ``+``, ``-``, ``*`` and a ``zero``/``one``; ``Poly``
-instances qualify.  A cofactor-expansion determinant is provided as the
-small-instance brute-force oracle for tests.
+Entries go in and the result comes out as ``Poly`` objects over a
+``PrimeField`` or ``ExtField``, but the recurrence runs on int64 coefficient
+arrays over GF(p).  An element of GF(p^e)[T] is a (digit, T-degree) array:
+the e base-p digits of the ``ExtField`` encoding (e = 1 over a prime field),
+one column per power of T.  With every entry of T-degree <= deg, the
+coefficients of a principal j x j block's characteristic polynomial have
+T-degree <= j*deg, so k*deg + 1 columns bound every array.
+
+Digit products have degree up to 2e-2; a (2e-1) x e matrix of powers of the
+field generator folds them back to e digits.  Each T-coefficient of an entry
+is expanded once into the e x e GF(p)-matrix of multiplication by it, so a
+Krylov step [A; R]*s (A*s and R*s together: R sits under A in the block) is
+one integer matmul and deg+1 shifted adds.  The Toeplitz update of each
+block is one ``np.convolve`` of Kronecker-flattened arrays, with strides
+wide enough that nothing wraps, followed by the digit fold.
+
+numpy is imported inside the function, so importing this module (and
+``carlitz``) does not load it.  All sums stay below 2^63: see the bound
+asserted in ``det_identity_minus_mu``.
+
+A cofactor-expansion determinant over any commutative ring is provided as
+the small-instance brute-force oracle for tests.
 """
 
 from __future__ import annotations
+
+from .poly import Poly
 
 __all__ = ["det_identity_minus_mu", "det_cofactor"]
 
@@ -20,36 +41,74 @@ def det_identity_minus_mu(m, zero, one):
     """U-coefficient list (little-endian) of det(I - M U); leading entry 1.
 
     This is the Berkowitz coefficient vector v of det(xI - M), with
-    v[i] the coefficient of x^(k-i) and v[0] = 1.
+    v[i] the coefficient of x^(k-i) and v[0] = 1.  ``m`` is a k x k matrix
+    of ``Poly`` over GF(p^e); ``zero`` and ``one`` are that ring's 0 and 1.
     """
     k = len(m)
     if k == 0:
         return [one]
-    vec = [one, -m[0][0]]
-    for n in range(2, k + 1):
-        # principal n x n block; pivot row/col index n-1
-        a = [row[: n - 1] for row in m[: n - 1]]
-        r = m[n - 1][: n - 1]
-        col = [m[i][n - 1] for i in range(n - 1)]
+    import numpy as np
+
+    ctx = one.ctx
+    p, e = ctx.char, ctx.e
+    e2 = 2 * e - 1
+    deg = max(0, max(len(x.coeffs) for row in m for x in row) - 1)
+    # Largest sum before a reduction mod p: a convolution position adds at
+    # most (k+1)*e*(k*deg+1) digit products, each < p^2, and the digit fold
+    # adds 2e-1 of those times a digit < p.  Krylov sums are smaller.
+    assert (k + 1) * (k * deg + 1) * e * e2 * (p - 1) ** 3 < 2**63
+
+    flat = []
+    for row in m:
+        for x in row:
+            flat.extend(x.coeffs)
+            flat.extend((0,) * (deg + 1 - len(x.coeffs)))
+    codes = np.array(flat, dtype=np.int64).reshape(k, k, deg + 1)
+    powers = p ** np.arange(e, dtype=np.int64)
+    # mat[d, a, i, j]: digit a of the T^d coefficient of m[i][j]
+    mat = np.ascontiguousarray(
+        (codes[..., None] // powers % p).transpose(2, 3, 0, 1))
+    # fold[c, r]: digit c of x^r, x the generator encoded as p
+    fold = np.array([[ctx.pow_(p, r) // p**c % p for r in range(e2)]
+                     for c in range(e)], dtype=np.int64)
+    # mul[d, i, c, j, b]: digit c of (T^d coefficient of m[i][j]) * x^b, so
+    # that a product entry * s is a GF(p)-matmul over (entry, digit) pairs
+    digits = np.arange(e)
+    mul = np.einsum("daij,cab->dicjb", mat,
+                    fold[:, digits[:, None] + digits]) % p
+
+    vec = np.zeros((1, e, 1), dtype=np.int64)
+    vec[0, 0, 0] = 1
+    for n in range(1, k + 1):
+        # principal n x n block; pivot row/col index n-1.  [A; R] is the
+        # leading n x (n-1) corner, C the pivot column above the diagonal.
+        width = n * deg + 1
+        ar = mul[:, :n, :, : n - 1].reshape((deg + 1) * n * e, (n - 1) * e)
+        # s = A^step C, T-degree <= (step+1)*deg, stored at exactly that width
+        s = np.ascontiguousarray(mat[:, :, : n - 1, n - 1].transpose(2, 1, 0))
         # t = [1, -M[n-1][n-1], -R C, -R A C, ..., -R A^(n-2) C]
-        t = [one, -m[n - 1][n - 1]]
-        s = col
+        t = np.zeros((n + 1, e2, width), dtype=np.int64)
+        t[0, 0, 0] = 1
+        t[1, :e, : deg + 1] = -mat[:, :, n - 1, n - 1].T % p
         for step in range(n - 1):
-            dot = zero
-            for i in range(n - 1):
-                dot = dot + r[i] * s[i]
-            t.append(-dot)
-            if step < n - 2:
-                s = [sum((a[i][j] * s[j] for j in range(n - 1)), start=zero)
-                     for i in range(n - 1)]
-        new = []
-        for i in range(n + 1):
-            acc = zero
-            for j in range(max(0, i - n), min(i, n - 1) + 1):
-                acc = acc + t[i - j] * vec[j]
-            new.append(acc)
-        vec = new
-    return vec
+            ws = s.shape[2]
+            prod = (ar @ s.reshape((n - 1) * e, ws)).reshape(deg + 1, n, e, ws)
+            acc = np.zeros((n, e, ws + deg), dtype=np.int64)
+            for d in range(deg + 1):
+                acc[:, :, d : d + ws] += prod[d]
+            acc %= p
+            s = acc[: n - 1]
+            t[step + 2, :e, : ws + deg] = -acc[n - 1] % p
+        # new[i] = sum_j t[i-j] vec[j] for i <= n.  A slot holds (digit,
+        # T-degree) with strides (width, 1); t[i-j] * vec[j] has T-degree
+        # <= i*deg < width and digit degree <= 2e-2 < e2, so slots 0..n are
+        # exact and only the discarded slots above n can spill.
+        v = np.zeros((n, e2, width), dtype=np.int64)
+        v[:, :e, : vec.shape[2]] = vec
+        conv = np.convolve(t.ravel(), v.ravel())[: (n + 1) * e2 * width]
+        vec = fold @ conv.reshape(n + 1, e2, width) % p
+    out = (vec * powers[:, None]).sum(axis=1)
+    return [Poly(ctx, row) for row in out.tolist()]
 
 
 def det_cofactor(m, zero, one):

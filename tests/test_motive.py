@@ -1,8 +1,16 @@
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from carlitz import (field_make, Poly, LFun, lfun_order_at, TwistedPower,
-                     build_matrix, l_function, analytic_rank,
-                     infinity_factor, d_coefficients)
+from carlitz import (field_make, field_from_cardinality, Poly, LFun,
+                     lfun_order_at, TwistedPower, build_matrix, l_function,
+                     analytic_rank, infinity_factor, d_coefficients)
 from carlitz.motive import _matrix_rows
 from carlitz.linalg import det_identity_minus_mu, det_cofactor
 
@@ -94,22 +102,70 @@ def test_stability_of_determinant(rng):
 
 
 def test_berkowitz_matches_cofactor_expansion(rng):
-    # det(I - M U) evaluated at scalar points vs brute-force cofactor dets
-    f3 = field_make(3)
-    for _ in range(10):
-        k = rng.randrange(1, 6)
-        rows = [[Poly(f3, [rng.randrange(3), rng.randrange(3)])
-                 for _ in range(k)] for _ in range(k)]
-        vec = det_identity_minus_mu([list(r) for r in rows],
-                                    Poly.zero(f3), Poly.one(f3))
-        for t0 in range(3):
-            for u0 in range(3):
-                mat = [[(int(i == j) - u0 * rows[i][j].evaluate(t0)) % 3
-                        for j in range(k)] for i in range(k)]
-                scal = [[Poly(f3, [v]) for v in row] for row in mat]
-                want = det_cofactor(scal, Poly.zero(f3), Poly.one(f3))
-                got = sum(vec[d].evaluate(t0) * u0**d for d in range(len(vec))) % 3
-                assert want == Poly(f3, [got])
+    # det(I - M U) evaluated at scalar points vs brute-force cofactor dets,
+    # over prime and extension fields, entries of T-degree <= 2
+    for q in (2, 3, 4, 5, 9):
+        ctx = field_from_cardinality(q)
+        zero, one = Poly.zero(ctx), Poly.one(ctx)
+        for _ in range(6):
+            k = rng.randrange(1, 6)
+            rows = [[Poly(ctx, [ctx.rand(rng)
+                                for _ in range(rng.randrange(0, 4))])
+                     for _ in range(k)] for _ in range(k)]
+            vec = det_identity_minus_mu([list(r) for r in rows], zero, one)
+            assert len(vec) == k + 1 and vec[0] == one
+            for t0 in ctx.elements():
+                vals = [[r.evaluate(t0) for r in row] for row in rows]
+                for u0 in ctx.elements():
+                    mat = [[Poly.constant(ctx, ctx.sub(
+                                ctx.one if i == j else ctx.zero,
+                                ctx.mul(u0, vals[i][j])))
+                            for j in range(k)] for i in range(k)]
+                    want = det_cofactor(mat, zero, one)
+                    got = ctx.zero
+                    for c in reversed(vec):
+                        got = ctx.add(ctx.mul(got, u0), c.evaluate(t0))
+                    assert want == Poly.constant(ctx, got)
+
+
+# l_function on a seeded grid, recorded with the Poly-object Berkowitz loop
+# that the coefficient-array recurrence replaced.  The grid: random.Random(7);
+# for q in (2, 3, 4, 5, 7, 8, 9, 16, 25), n in (1, 2, 3) and m in
+# range(0, 15 if q > 2 else 21, 1 if q < 5 else 3), the twist's coefficients
+# are [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)].  243
+# twists, k_min up to 23; the digest is sha256 of json.dumps of the list of
+# to_json_obj() results.
+_PINNED_GRID_SHA256 = (
+    "527221b5ff3ef4f3ebc62c9139f0bc58219b3b41367cc2da45b13f8178574aaf")
+
+
+def test_l_function_pinned_grid_digest():
+    rng = random.Random(7)
+    objs = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 25):
+        ctx = field_from_cardinality(q)
+        for n in (1, 2, 3):
+            for m in range(0, 15 if q > 2 else 21, 1 if q < 5 else 3):
+                coeffs = ([rng.randrange(q) for _ in range(m)]
+                          + [rng.randrange(1, q)])
+                tp = TwistedPower(Poly(ctx, coeffs), n)
+                objs.append(l_function(tp).to_json_obj())
+    assert len(objs) == 243
+    digest = hashlib.sha256(json.dumps(objs).encode()).hexdigest()
+    assert digest == _PINNED_GRID_SHA256
+
+
+def test_import_leaves_numpy_unloaded():
+    # numpy costs about 0.14 s to import; the determinant loads it lazily
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, carlitz, carlitz.motive, carlitz.linalg; "
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_l_at_zero_is_one_and_degree_bound(rng):
