@@ -184,6 +184,8 @@ def _verify_conj(args, rng, gens=None):
 def cmd_verify(args) -> int:
     if args.cases < 1:
         raise UsageError("--cases must be >= 1")
+    if args.window < 1:
+        raise UsageError("--window must be >= 1")
     rng = random.Random(args.seed)
     suites = []
     which = args.suite

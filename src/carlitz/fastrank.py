@@ -24,6 +24,11 @@ extension-field points come first and prime-field points last; for
 shift-stable engines the points whose Artin-Schreier value t^q - t lies in
 GF(q) go last as well.
 
+Both forms build M(t) the way ``motive`` defines the matrix: the band of
+P(θ)(T - θ)^n at T = t, v[x] = sum_l w_l(t) a[x - l] with
+w_l(t) = (-1)^l C(n, l) t^(n-l) (``motive.band_signs``), then one gather
+through ``motive.band_index``, M(t)[i][j] = v[(i+1)p - (j+1)].
+
 ``vanishing_order`` takes one coefficient sequence and runs in pure Python;
 it serves single twists and is the oracle for the batched form.  It walks
 the points taking the charpoly multiplicity, and stops at multiplicity 0 or
@@ -36,12 +41,10 @@ order 0 and the row leaves.  Count: only the rows certified order >= 1 get
 the charpoly, point by point: Hessenberg reduction with a pivot per row (a
 row without a pivot swaps with itself), Cohen's recurrence across the batch,
 and the multiplicity read off the first nonzero coefficient.  A row leaves
-once its running minimum reaches max(lower_bound, 1), so an order-1 row
-leaves at its first point of multiplicity 1.  The order is the minimum over
-all points, so this schedule gives the scalar form's answer (for a valid
-lower bound).  M(t) - I is one gather: M(t)[i][j] = v[(i+1)p - (j+1)] with
-v[x] = sum_l w_l(t) a[x - l].  The arithmetic uses uint16 copies of the
-same GF(p^s) lookup tables.
+once its running minimum reaches 1, so an order-1 row leaves at its first
+point of multiplicity 1.  The order is the minimum over all points, so this
+schedule gives the scalar form's answer.  The arithmetic uses uint16 copies
+of the same GF(p^s) lookup tables.
 
 The engine supports prime q (digit-encoded subfield elements embed as
 themselves).
@@ -49,9 +52,8 @@ themselves).
 
 from __future__ import annotations
 
-import math
-
-from .ff import PrimeField, binom_mod_p, field_make
+from .ff import PrimeField, field_make
+from .motive import band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen", "reduced_block_size"]
 
@@ -125,9 +127,9 @@ class RankEngine:
         self.n = n
         self.m = m
         if k is None:
-            k = max(1, math.ceil((m + n) / (p - 1)))
+            k = stable_size(p, n, m)
         self.k = k
-        self._idx = None  # _matrices' gather index, built on first use
+        self._idx = band_index(p, k, m + n + 1)  # M(t) from the band at t
         if k == 0:
             self.points = self.point_weights = []
             return
@@ -174,14 +176,10 @@ class RankEngine:
     def _weights(self, x):
         # w_l(x) = (-1)^l C(n,l) x^(n-l), embedded prime coefficients
         q, mul = self.tables.q, self.tables.mul
-        n, p = self.n, self.p
         ws = []
-        for l in range(n + 1):
-            c = binom_mod_p(n, l, p)
-            if l % 2 == 1:
-                c = -c % p
+        for l, c in enumerate(band_signs(self.n, self.p)):
             tp = 1
-            for _ in range(n - l):
+            for _ in range(self.n - l):
                 tp = mul[tp * q + x]
             ws.append(mul[c * q + tp])
         return ws
@@ -205,12 +203,10 @@ class RankEngine:
                     return best
         return best
 
-    def vanishing_orders(self, rows, lower_bound: int = 0):
+    def vanishing_orders(self, rows):
         """``vanishing_order`` of every row of an (N, m+1) integer array.
 
-        Certify, then count (module doc).  A ``lower_bound`` >= 1 certifies
-        every row already: then only the count runs, with the scalar form's
-        points and exits.
+        Certify, then count (module doc).
         """
         import numpy as np
         rows = np.asarray(rows)
@@ -218,41 +214,34 @@ class RankEngine:
         if self.k == 0:
             return best
         live = np.arange(len(rows))
-        if lower_bound < 1:
-            for ws in self.point_weights:
-                if live.size == 0:
-                    break
-                nz = self._det_nonzero(self._matrices(rows[live], ws))
-                best[live[nz]] = 0
-                live = live[~nz]
-        floor = max(lower_bound, 1)
+        for ws in self.point_weights:
+            if live.size == 0:
+                break
+            nz = self._det_nonzero(self._matrices(rows[live], ws))
+            best[live[nz]] = 0
+            live = live[~nz]
         for ws in self.point_weights:
             if live.size == 0:
                 break
             mult = self._charpoly_mults(self._matrices(rows[live], ws))
             best[live] = np.minimum(best[live], mult)
-            live = live[best[live] > floor]
+            live = live[best[live] > 1]
         return best
 
     def _matrices(self, rows, ws):
         # M(t) - I for every row of an (N, m+1) array, as a (k, k, N) uint16
-        # array: row axis last, where the eliminations run fastest.
-        # M(t)[i][j] = v[(i+1)p - (j+1)] with v[x] = sum_l w_l(t) a[x - l],
-        # so one gather through a (k, k) index builds every entry; indices
-        # outside 0..m+n point to the zero slot m+n+1
+        # array: row axis last, where the eliminations run fastest.  The band
+        # v[x] = sum_l w_l(t) a[x - l] at t, with the zero slot m+n+1, for
+        # every row, then one gather through motive's band index
         import numpy as np
         mul, add, sub, _ = self.tables.ops()
         k, n, m = self.k, self.n, self.m
-        if self._idx is None:
-            i, j = np.ogrid[:k, :k]
-            idx = (i + 1) * self.p - (j + 1)
-            self._idx = np.where((idx >= 0) & (idx <= m + n), idx, m + n + 1)
         cols = np.asarray(rows, dtype=np.uint16).T  # coefficient-major
         v = np.zeros((m + n + 2, cols.shape[1]), dtype=np.uint16)
         for l, w in enumerate(ws):
             if w:
                 v[l:l + m + 1] = add(v[l:l + m + 1], mul(w, cols))
-        h = v[self._idx]
+        h = v[np.asarray(self._idx)]
         diag = np.arange(k)
         h[diag, diag] = sub(h[diag, diag], 1)  # M - I
         return h
@@ -320,25 +309,16 @@ class RankEngine:
         # multiplicity of eigenvalue 1 of M(t), via charpoly of M(t) - I
         t = self.tables
         q, mul, add, sub, inv = t.q, t.mul, t.add, t.sub, t.inv
-        k, n, p, m = self.k, self.n, self.p, self.m
-        rows = []
-        for i in range(1, k + 1):
-            base = i * p - 1  # a-index at column j0=0 and l=0, minus j0+l
-            row = [0] * k
-            lo = max(0, base - m)  # j0+l >= base-m
-            hi = min(k - 1 + n, base)
-            if lo <= hi:
-                for j0 in range(k):
-                    idx0 = base - j0
-                    acc = 0
-                    for l in range(n + 1):
-                        idx = idx0 - l
-                        if 0 <= idx <= m:
-                            c = a[idx]
-                            if c:
-                                acc = add[acc * q + mul[ws[l] * q + c]]
-                    row[j0] = acc
-            rows.append(row)
+        k, n, m = self.k, self.n, self.m
+        # the band at t, v[x] = sum_l w_l(t) a[x - l], and the zero slot
+        v = [0] * (m + n + 2)
+        for l, w in enumerate(ws):
+            if w:
+                for x in range(m + 1):
+                    c = a[x]
+                    if c:
+                        v[x + l] = add[v[x + l] * q + mul[w * q + c]]
+        rows = [[v[x] for x in row] for row in self._idx]
         for i in range(k):
             rows[i][i] = sub[rows[i][i] * q + 1]  # M - I
         # Hessenberg reduction by similarity, with pivoting

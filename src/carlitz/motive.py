@@ -3,22 +3,27 @@
 A ``TwistedPower`` is a pair (P, n): the nonzero twist polynomial
 P in GF(q)[θ] and the tensor exponent n >= 1.  Its 1x1 τ-matrix is
 P(θ) (T - θ)^n; everything observable here flows through the explicit k x k
-matrix over GF(q)[T] whose (i, j) entry (1-based) is
+matrix over GF(q)[T] whose (i, j) entry (1-based) is the θ^(iq-j)
+coefficient of P(θ) (T - θ)^n,
 
     sum_{l=0}^{n} T^(n-l) (-1)^l C(n, l) a_{iq-j-l},
 
 with a_* the coefficients of P (zero outside [0, deg P]).  For any
 k >= (m+n)/(q-1) the determinant det(I - M U) is independent of k and equals
 the global L-function L(P, n; T, U); the library always evaluates at the
-minimal such k.
+minimal such k, ``stable_size``.
 
-Rows are stored 0-based; the formula above is the 1-based indexing, so the
-stored entry [i][j] is the formula at (i+1, j+1).
+This module defines the matrix once, for every consumer: the band
+b_x = sum_l (-1)^l C(n, l) T^(n-l) a_{x-l}, x = 0..m+n, holds the θ^x
+coefficients of P(θ) (T - θ)^n, with the weights (-1)^l C(n, l) mod p from
+``band_signs``; ``band_index`` gives the k x k positions the matrix reads,
+entry [i][j] (0-based) reading b_{(i+1)q-(j+1)} and a position outside
+0..m+n reading a zero slot.  The symbolic rows here and both point engines
+of ``fastrank`` (the band at T = t) gather through that one index.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .ff import binom_mod_p
@@ -34,7 +39,30 @@ __all__ = [
     "analytic_rank",
     "infinity_factor",
     "d_coefficients",
+    "band_signs",
+    "band_index",
+    "stable_size",
 ]
+
+
+def band_signs(n: int, p: int) -> list:
+    """The band weights (-1)^l C(n, l) mod p, l = 0..n, of (T - θ)^n."""
+    return [(-1) ** l * binom_mod_p(n, l, p) % p for l in range(n + 1)]
+
+
+def band_index(q: int, k: int, width: int) -> list:
+    """k x k band positions of the twist matrix: [i][j] -> (i+1)q - (j+1).
+
+    ``width`` is the band length m+n+1; a position outside 0..width-1 reads
+    the zero slot ``width``.
+    """
+    rows = [[(i + 1) * q - (j + 1) for j in range(k)] for i in range(k)]
+    return [[x if 0 <= x < width else width for x in row] for row in rows]
+
+
+def stable_size(q: int, n: int, m: int) -> int:
+    """k_min = max(1, ceil((m+n)/(q-1))), the minimal stable matrix size."""
+    return max(1, -((m + n) // -(q - 1)))
 
 
 @dataclass(frozen=True)
@@ -60,8 +88,7 @@ class TwistedPower:
 
     @property
     def k_min(self) -> int:
-        q = self.ctx.order
-        return max(1, math.ceil((self.m + self.n) / (q - 1)))
+        return stable_size(self.ctx.order, self.n, self.m)
 
     def coeff(self, i: int):
         return self.P.coeff(i)
@@ -81,30 +108,20 @@ class MMatrix:
         return self.rows[i][j]
 
 
-def _entry_poly(tp: TwistedPower, i1: int, j1: int) -> Poly:
-    # (i1, j1) 1-based; little-endian T-coefficients, position n-l
-    ctx = tp.ctx
-    n = tp.n
-    p = ctx.char
-    coeffs = [ctx.zero] * (n + 1)
-    base = i1 * ctx.order - j1
-    for l in range(n + 1):
-        idx = base - l
-        if 0 <= idx <= tp.m:
-            a = tp.coeff(idx)
-            if a != ctx.zero:
-                b = binom_mod_p(n, l, p)
-                if b:
-                    v = ctx.mul(a, ctx.from_int(b))
-                    if l % 2 == 1:
-                        v = ctx.neg(v)
-                    coeffs[n - l] = ctx.add(coeffs[n - l], v)
-    return Poly(ctx, coeffs)
-
-
 def _matrix_rows(tp: TwistedPower, k: int):
-    return tuple(tuple(_entry_poly(tp, i, j) for j in range(1, k + 1))
-                 for i in range(1, k + 1))
+    # the band of P(θ)(T - θ)^n as Polys in T (b_x's T^(n-l) coefficient is
+    # (-1)^l C(n, l) a_{x-l}), a zero slot, then the gather
+    ctx, n, m = tp.ctx, tp.n, tp.m
+    signs = [ctx.from_int(s) for s in band_signs(n, ctx.char)]
+    band = []
+    for x in range(m + n + 1):
+        coeffs = [ctx.zero] * (n + 1)
+        for l in range(max(0, x - m), min(n, x) + 1):
+            coeffs[n - l] = ctx.mul(signs[l], tp.coeff(x - l))
+        band.append(Poly(ctx, coeffs))
+    band.append(Poly.zero(ctx))
+    return tuple(tuple(band[x] for x in row)
+                 for row in band_index(ctx.order, k, m + n + 1))
 
 
 def build_matrix(tp: TwistedPower, k: int) -> MMatrix:

@@ -66,7 +66,7 @@ from typing import ClassVar
 
 from .ff import field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine, reduced_block_size
-from .motive import TwistedPower, analytic_rank
+from .motive import TwistedPower, analytic_rank, stable_size
 from .poly import Poly
 
 __all__ = [
@@ -118,7 +118,6 @@ class ScanSpec:
     audit_cap: int = 16
     audit_k_cap: int = 12
     witness_cap: int = 16
-    report_ranks: tuple | None = None
 
     def __post_init__(self):
         if not is_prime(self.q):
@@ -167,7 +166,6 @@ class RankTable:
     squarefree: dict = field(default_factory=dict)  # (m, a) -> squarefree
     audits: int = 0
     audit_failures: list = field(default_factory=list)
-    report_ranks: tuple | None = None  # restrict CSV/JSON rows; None = all
 
     def count(self, m: int, a: int, r: int) -> int:
         h = self.hist.get((m, a), {})
@@ -183,14 +181,11 @@ class RankTable:
     def to_csv(self) -> str:
         lines = ["m,a,r,count"]
         for (m, a) in sorted(self.hist):
-            ranks = self._report_ranks(m, a)
-            for r in ranks:
+            for r in self._report_ranks(m, a):
                 lines.append(f"{m},{a},{r},{self.count(m, a, r)}")
         return "\n".join(lines) + "\n"
 
     def _report_ranks(self, m, a):
-        if self.report_ranks is not None:
-            return tuple(self.report_ranks)
         top = max(self.hist.get((m, a), {0: 0}), default=0)
         return range(1, max(top, 1) + 1)
 
@@ -255,7 +250,7 @@ def audit_skip_reason(q: int, n: int, m: int, audit_k_cap: int) -> str | None:
     2-core Xeon), so the cap guards the scans' run time, not the audit's
     feasibility.
     """
-    k_min = max(1, -((m + n) // -(q - 1)))
+    k_min = stable_size(q, n, m)
     if k_min > audit_k_cap:
         return f"k_min {k_min} > audit_k_cap {audit_k_cap}"
     return None
@@ -529,8 +524,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
             if ck:
                 _write_record(ck, {"chunk": chunk_i, "payload": payload})
 
-    table = RankTable(q=spec.q, n=spec.n, mode=spec.mode,
-                      report_ranks=spec.report_ranks)
+    table = RankTable(q=spec.q, n=spec.n, mode=spec.mode)
     for i in range(len(chunks)):
         _merge_chunk(table, spec, results[i])
     key = (spec.m, spec.lead)

@@ -214,12 +214,10 @@ def check_l_identity(g, tp: TwistedPower) -> IdentityCheck:
 
 # -- conjugator windows -------------------------------------------------------
 
-def conjugator(ctx, kind: str, size: int, *, d=None, c=None) -> WindowMatrix:
+def conjugator(ctx, kind: str, size: int, *, d=None) -> WindowMatrix:
     """Window of a conjugator matrix.
 
     ``"w1"``  upper triangular, entry (i,j) = C(j,i) d^(j-i)   (0-based);
-    ``"w2"``  diagonal c^i;
-    ``"w3"``  the exact finite antidiagonal of the given size;
     ``"w5"``  upper triangular T^(j-i), with ``"w5inv"`` its two-band inverse.
     """
     if size < 1:
@@ -240,14 +238,6 @@ def conjugator(ctx, kind: str, size: int, *, d=None, c=None) -> WindowMatrix:
                     row.append(Poly.constant(ctx, v))
             rows.append(row)
         return WindowMatrix.from_rows(rows)
-    if kind == "w2":
-        return WindowMatrix.from_rows(
-            [[Poly.constant(ctx, ctx.pow_(c, i)) if i == j else zero
-              for j in range(size)] for i in range(size)])
-    if kind == "w3":
-        return WindowMatrix.from_rows(
-            [[one if i + j == size - 1 else zero for j in range(size)]
-             for i in range(size)])
     if kind == "w5":
         return WindowMatrix.from_rows(
             [[Poly.monomial(ctx, ctx.one, j - i) if j >= i else zero
@@ -300,12 +290,10 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         return True
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
-        if (m + tp.n) % (q - 1) != 0:
-            raise ValueError("reversal degree must make q-1 divide m+n")
+        acted = act_on_poly(Iota(m), tp)  # raises unless m is admissible
         k3 = (m + tp.n) // (q - 1) - 1
         if k3 < 1:
             return True  # degenerate 0x0 statement
-        acted = act_on_poly(Iota(m), tp)
         m1 = _matrix_rows(tp, k3)
         m2 = _matrix_rows(acted, k3)
         for i in range(k3):

@@ -129,6 +129,18 @@ def test_verify_rejects_no_cases(capsys):
         assert "passed" not in out
 
 
+def test_verify_rejects_empty_window(capsys, monkeypatch):
+    # rejected before any suite runs, whichever suite is picked
+    import carlitz.cli as cli
+    monkeypatch.setattr(cli, "_verify_euler", lambda *a: pytest.fail("ran"))
+    for suite in ("all", "identity"):
+        code, out, err = run_cli(capsys, "verify", "--q", "3", "--suite",
+                                 suite, "--window", "0")
+        assert code == 2, suite
+        assert "--window must be >= 1" in err
+        assert out == ""
+
+
 def test_scan_csv_output(capsys, tmp_path):
     out_file = tmp_path / "t.csv"
     code, out, _ = run_cli(capsys, "scan", "--q", "3", "--n", "1", "--m", "3",

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -61,6 +62,36 @@ def test_band_structure_below_stable_rows(rng):
         for i in range(t.k_min, k):
             for j in range(i + 1):
                 assert mat.entry(i, j).is_zero()
+
+
+def test_matrix_rows_match_paper_formula(rng):
+    # entry (i, j), 1-based, is sum_l T^(n-l) (-1)^l C(n, l) a_{iq-j-l},
+    # a_* zero outside [0, m]; written out here independently of motive's
+    # band, for prime and extension fields and sizes past the stable one
+    for q in (2, 3, 4, 5, 9):
+        ctx = field_from_cardinality(q)
+        p = ctx.char
+        for n in (1, 2, 3):
+            for _ in range(3):
+                m = rng.randrange(0, 9)
+                coeffs = [ctx.rand(rng) for _ in range(m)] \
+                    + [rng.randrange(1, q)]
+                t = TwistedPower(Poly(ctx, coeffs), n)
+                for k in range(1, t.k_min + 4):
+                    rows = _matrix_rows(t, k)
+                    assert len(rows) == k
+                    for i in range(1, k + 1):
+                        assert len(rows[i - 1]) == k
+                        for j in range(1, k + 1):
+                            tc = [ctx.zero] * (n + 1)
+                            for l in range(n + 1):
+                                idx = i * q - j - l
+                                if 0 <= idx <= m:
+                                    c = (-1) ** l * math.comb(n, l) % p
+                                    tc[n - l] = ctx.add(tc[n - l], ctx.mul(
+                                        ctx.from_int(c), coeffs[idx]))
+                            assert rows[i - 1][j - 1] == Poly(ctx, tc), \
+                                (q, n, coeffs, k, i, j)
 
 
 def test_l_function_examples():

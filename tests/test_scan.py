@@ -102,13 +102,6 @@ def test_csv_and_json_round_trip(tmp_path):
     assert again.to_json_obj() == obj
 
 
-def test_report_rank_restriction():
-    spec = ScanSpec(q=3, n=1, m=3, lead=2, workers=1, report_ranks=(2,))
-    table = run_scan(spec)
-    lines = table.to_csv().strip().splitlines()
-    assert lines[1:] == ["3,2,2,3"]
-
-
 def test_checkpoint_resume(tmp_path):
     ck = str(tmp_path / "scan.ckpt")
     spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)

@@ -30,6 +30,14 @@ def test_iota_admissibility(f3):
         act_on_poly(Iota(2), t)  # wrong parity
     with pytest.raises(ValueError):
         act_on_poly(Iota(1), t)  # below the degree
+    # the window check rejects what the action rejects, also where the
+    # window statement would be empty (k3 < 1)
+    t5 = tp3([1, 0, 0, 0, 0, 1], n=2)
+    for g in (Iota(0), Iota(4)):
+        with pytest.raises(ValueError, match="inadmissible reversal degree"):
+            verify_conjugacy(g, t5, 5)
+    with pytest.raises(ValueError, match="inadmissible reversal degree"):
+        verify_conjugacy(Iota(4), t, 5)  # wrong parity
 
 
 def test_w1_window_values(f3):
