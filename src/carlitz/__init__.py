@@ -6,8 +6,8 @@ from .poly import (Poly, poly_gcd, is_squarefree, is_irreducible,
                    irreducibles_of_degree, irreducible_count,
                    poly_to_str, poly_from_str)
 from .lfun import LFun, lfun_order_at, lfun_substitute
-from .motive import (TwistedPower, MMatrix, build_matrix, l_function,
-                     analytic_rank, infinity_factor, d_coefficients)
+from .motive import (TwistedPower, build_matrix, l_function, analytic_rank,
+                     infinity_factor, d_coefficients)
 
 __version__ = "0.1.0"
 
@@ -18,7 +18,7 @@ __all__ = [
     "irreducibles_of_degree", "irreducible_count", "poly_to_str",
     "poly_from_str",
     "LFun", "lfun_order_at", "lfun_substitute",
-    "TwistedPower", "MMatrix", "build_matrix", "l_function",
+    "TwistedPower", "build_matrix", "l_function",
     "analytic_rank", "infinity_factor", "d_coefficients",
     "__version__",
 ]

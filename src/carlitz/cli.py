@@ -73,14 +73,15 @@ def cmd_rank(args) -> int:
 
 
 def _gen_family(args, tp):
+    # scalars range over GF(q) in the digit encoding, the ints [0, q)
     ctx = tp.ctx
     kind = args.gen
     if kind == "mu":
-        return [(f"mu({d})", Mu(ctx.from_int(d))) for d in range(args.q)]
+        return [(f"mu({d})", Mu(d)) for d in range(args.q)]
     if kind == "nu":
-        return [(f"nu({c})", Nu(ctx.from_int(c))) for c in range(1, args.q)]
+        return [(f"nu({c})", Nu(c)) for c in range(1, args.q)]
     if kind == "tau":
-        return [(f"tau({c})", Tau(ctx.from_int(c))) for c in range(1, args.q)]
+        return [(f"tau({c})", Tau(c)) for c in range(1, args.q)]
     if kind == "iota":
         m = args.iota_m if args.iota_m is not None else smallest_iota_degree(tp)
         return [(f"iota(m={m})", Iota(m))]

@@ -55,23 +55,10 @@ from __future__ import annotations
 from .ff import PrimeField, field_make
 from .motive import band_index, band_signs, stable_size
 
-__all__ = ["RankEngine", "BatchScreen", "reduced_block_size"]
+__all__ = ["RankEngine", "BatchScreen"]
 
 _FIELD_CAP = 256  # flat q^s * q^s tables
 _TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
-
-
-def reduced_block_size(q: int, n: int, m: int) -> int:
-    """Size of the leading principal block left of the forced (1-U) factor.
-
-    On the distinguished coset (q-1 | m+n with a_m = (-1)^n) the stable
-    matrix size is (m+n)/(q-1) and rows from that index down make
-    det(I - M U) = (1-U) * det(I - M1 U) with M1 the leading principal block
-    one smaller.
-    """
-    if (m + n) % (q - 1) != 0:
-        raise ValueError("reduced block needs q-1 | m+n")
-    return (m + n) // (q - 1) - 1
 
 
 class _Tables:

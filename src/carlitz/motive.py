@@ -18,13 +18,18 @@ b_x = sum_l (-1)^l C(n, l) T^(n-l) a_{x-l}, x = 0..m+n, holds the θ^x
 coefficients of P(θ) (T - θ)^n, with the weights (-1)^l C(n, l) mod p from
 ``band_signs``; ``band_index`` gives the k x k positions the matrix reads,
 entry [i][j] (0-based) reading b_{(i+1)q-(j+1)} and a position outside
-0..m+n reading a zero slot.  The symbolic rows here and both point engines
-of ``fastrank`` (the band at T = t) gather through that one index.
+0..m+n reading a zero slot.  The symbolic rows here (tuples of tuples of
+``Poly``, the one form of the matrix and its finite windows) and both point
+engines of ``fastrank`` (the band at T = t) gather through that one index.
+
+The distinguished coset is q-1 | m+n with a_m = (-1)^n (``on_coset``); there
+det(I - M U) has the factor (1 - U), left by the leading principal block of
+size ``reduced_block_size``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ff import binom_mod_p
 from .lfun import LFun, lfun_order_at
@@ -33,7 +38,6 @@ from .poly import Poly
 
 __all__ = [
     "TwistedPower",
-    "MMatrix",
     "build_matrix",
     "l_function",
     "analytic_rank",
@@ -42,6 +46,8 @@ __all__ = [
     "band_signs",
     "band_index",
     "stable_size",
+    "on_coset",
+    "reduced_block_size",
 ]
 
 
@@ -63,6 +69,23 @@ def band_index(q: int, k: int, width: int) -> list:
 def stable_size(q: int, n: int, m: int) -> int:
     """k_min = max(1, ceil((m+n)/(q-1))), the minimal stable matrix size."""
     return max(1, -((m + n) // -(q - 1)))
+
+
+def on_coset(q: int, n: int, m: int, lead=None) -> bool:
+    """q-1 | m+n and, if ``lead`` (an int, q prime) is given, a_m = (-1)^n."""
+    return (m + n) % (q - 1) == 0 and (lead is None or lead == (-1) ** n % q)
+
+
+def reduced_block_size(q: int, n: int, m: int) -> int:
+    """Size of the leading principal block left of the forced (1-U) factor.
+
+    On the distinguished coset the stable matrix size is (m+n)/(q-1) and rows
+    from that index down make det(I - M U) = (1-U) * det(I - M1 U) with M1
+    the leading principal block one smaller.
+    """
+    if not on_coset(q, n, m):
+        raise ValueError("reduced block needs q-1 | m+n")
+    return (m + n) // (q - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -94,20 +117,6 @@ class TwistedPower:
         return self.P.coeff(i)
 
 
-@dataclass(frozen=True)
-class MMatrix:
-    """k x k matrix over GF(q)[T]; stored 0-based, built from 1-based indices."""
-
-    q: int
-    n: int
-    k: int
-    rows: tuple = field(repr=False)
-
-    def entry(self, i: int, j: int) -> Poly:
-        """0-based access."""
-        return self.rows[i][j]
-
-
 def _matrix_rows(tp: TwistedPower, k: int):
     # the band of P(θ)(T - θ)^n as Polys in T (b_x's T^(n-l) coefficient is
     # (-1)^l C(n, l) a_{x-l}), a zero slot, then the gather
@@ -124,11 +133,11 @@ def _matrix_rows(tp: TwistedPower, k: int):
                  for row in band_index(ctx.order, k, m + n + 1))
 
 
-def build_matrix(tp: TwistedPower, k: int) -> MMatrix:
-    """The k x k matrix; requires k >= k_min for the stable determinant."""
+def build_matrix(tp: TwistedPower, k: int) -> tuple:
+    """The k x k rows; requires k >= k_min for the stable determinant."""
     if k < tp.k_min:
         raise ValueError(f"k = {k} below the stable threshold {tp.k_min}")
-    return MMatrix(q=tp.ctx.order, n=tp.n, k=k, rows=_matrix_rows(tp, k))
+    return _matrix_rows(tp, k)
 
 
 def l_function(tp: TwistedPower) -> LFun:

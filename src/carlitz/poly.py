@@ -4,10 +4,8 @@ Coefficients are stored little-endian (index = exponent) and normalized: the
 zero polynomial has an empty coefficient tuple, otherwise the last coefficient
 is nonzero.  The variable name is bookkeeping only.
 
-Multiplication over a prime field uses Kronecker substitution (pack the
-coefficients into one big integer, multiply, unpack limbs) once operands are
-large enough for that to win; everything else is schoolbook.  Division, gcd,
-and irreducibility testing assume the coefficient context is a field.
+Multiplication is schoolbook.  Division, gcd, and irreducibility testing
+assume the coefficient context is a field.
 
 Text format: a polynomial serializes as the comma-separated little-endian
 coefficient list ``"a0,a1,...,am"`` with integer entries in ``[0, p^e)``
@@ -15,10 +13,6 @@ coefficient list ``"a0,a1,...,am"`` with integer entries in ``[0, p^e)``
 """
 
 from __future__ import annotations
-
-import struct
-
-from .ff import PrimeField
 
 __all__ = [
     "Poly",
@@ -41,26 +35,6 @@ def _normalize(ctx, coeffs):
     while coeffs and coeffs[-1] == z:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _mul_packed_prime(a, b, p):
-    # Kronecker substitution over GF(p): pack into limbs wide enough that
-    # convolution sums cannot carry.
-    la, lb = len(a), len(b)
-    maxval = (p - 1) * (p - 1) * min(la, lb)
-    n = la + lb - 1
-    if maxval < 256 and p < 256:
-        ia = int.from_bytes(bytes(a), "little")
-        ib = int.from_bytes(bytes(b), "little")
-        raw = (ia * ib).to_bytes(n + 1, "little")
-        return [v % p for v in raw[:n]]
-    if maxval < 65536 and p < 65536:
-        ia = int.from_bytes(struct.pack(f"<{la}H", *a), "little")
-        ib = int.from_bytes(struct.pack(f"<{lb}H", *b), "little")
-        raw = (ia * ib).to_bytes(2 * (n + 1), "little")
-        limbs = struct.unpack(f"<{n + 1}H", raw)
-        return [v % p for v in limbs[:n]]
-    return None
 
 
 class Poly:
@@ -154,10 +128,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(ctx)
-        if isinstance(ctx, PrimeField) and len(a) * len(b) >= 64:
-            packed = _mul_packed_prime(a, b, ctx.p)
-            if packed is not None:
-                return Poly(ctx, packed)
         mul, add, z = ctx.mul, ctx.add, ctx.zero
         out = [z] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -184,12 +154,6 @@ class Poly:
             b = b * b
             k >>= 1
         return r
-
-    def shift(self, k: int):
-        """Multiply by X^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.ctx, (self.ctx.zero,) * k + self.coeffs)
 
     # -- field-coefficient operations ---------------------------------------
 

@@ -65,8 +65,9 @@ from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
 from .ff import field_from_cardinality, field_make, is_prime
-from .fastrank import RankEngine, reduced_block_size
-from .motive import TwistedPower, analytic_rank, stable_size
+from .fastrank import RankEngine
+from .motive import (TwistedPower, analytic_rank, on_coset,
+                     reduced_block_size, stable_size)
 from .poly import Poly
 
 __all__ = [
@@ -339,11 +340,6 @@ def _row_str(row):
     return ",".join(map(str, row))
 
 
-def _on_coset(q, n, m, lead):
-    # the distinguished coset: q-1 | m+n and a_m = (-1)^n
-    return (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
-
-
 def _squarefree_count(q, m):
     """Squarefree polynomials over GF(q) of degree m with a fixed lead.
 
@@ -358,9 +354,9 @@ def _scan_chunk(args):
     import numpy as np
 
     shift = mode == "shift-stable"
-    on_coset = _on_coset(q, n, m, lead)
-    base = 1 if on_coset else 0
-    eng = _engines_for(q, n, m, mode, on_coset)
+    coset = on_coset(q, n, m, lead)
+    base = 1 if coset else 0
+    eng = _engines_for(q, n, m, mode, coset)
     free = _odometer(q, m // q if shift else m, lead, start, end)
     if shift:
         # squarefree first: the rows are F, P = F(θ^q - θ) is squarefree iff
@@ -381,7 +377,7 @@ def _scan_chunk(args):
     ranks = base + eng.vanishing_orders(rows)
 
     witnesses: dict = {}
-    if on_coset:
+    if coset:
         # every squarefree row has rank >= 1 here, so run_scan derives the
         # rank-1 count; its witnesses are the first squarefree rank-1 rows,
         # tested in growing prefixes (at least one, so that the key appears
@@ -530,7 +526,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     key = (spec.m, spec.lead)
     table.squarefree[key] = squarefree = _squarefree_count(
         spec.q, spec.free_coeffs)
-    if _on_coset(spec.q, spec.n, spec.m, spec.lead):
+    if on_coset(spec.q, spec.n, spec.m, spec.lead):
         # every squarefree P has rank >= 1 on the coset; set rather than
         # add, since older checkpoints carry per-chunk rank-1 counts
         cell = table.hist[key]
@@ -565,7 +561,7 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     for m in range(0, m_max + 1):
         eng = _engines_for(q, n, m, "squarefree", False)
         for lead in range(1, q):
-            on = _on_coset(q, n, m, lead)
+            on = on_coset(q, n, m, lead)
             for start in range(0, q**m, _AUDIT_BLOCK):
                 rows = _odometer(q, m, lead, start,
                                  min(start + _AUDIT_BLOCK, q**m))

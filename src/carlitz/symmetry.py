@@ -17,7 +17,9 @@ statements concern infinite matrices with rows/columns indexed from 0; they
 are decided exactly on finite windows because every row of the twist matrix
 has bounded column support (row i is supported on columns
 [q(i+1)-1-m-n, q(i+1)-1]), so products restricted to the internal index range
-[0, qK + m + n) are exact on the [0, K) x [0, K) corner.
+[0, qK + m + n) are exact on the [0, K) x [0, K) corner.  A window is in
+``motive``'s form, a tuple of tuples of ``Poly`` rows, and each identity is
+an equality of such windows.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from dataclasses import dataclass
 
 from .ff import binom_mod_p
 from .lfun import LFun, lfun_substitute
-from .motive import TwistedPower, l_function, _matrix_rows
+from .motive import (TwistedPower, l_function, _matrix_rows, on_coset,
+                     reduced_block_size)
 from .poly import Poly
 from .euler import local_factor, distinct_prime_factors
 
 __all__ = [
     "Mu", "Nu", "Iota", "Tau", "Sigma", "TwistMul",
-    "WindowMatrix", "IdentityCheck",
+    "IdentityCheck",
     "act_on_poly", "check_l_identity", "conjugator", "verify_conjugacy",
     "smallest_iota_degree",
 ]
@@ -69,53 +72,6 @@ class TwistMul:
 
 
 @dataclass(frozen=True)
-class WindowMatrix:
-    """Finite window of an infinite (or exactly finite) matrix over GF(q)[T]."""
-
-    rows: tuple
-    nrows: int
-    ncols: int
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = tuple(tuple(r) for r in rows)
-        return cls(rows=rows, nrows=len(rows), ncols=len(rows[0]) if rows else 0)
-
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def mul(self, other: "WindowMatrix") -> "WindowMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("window shapes do not match")
-        out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = None
-                for l in range(self.ncols):
-                    a = self.rows[i][l]
-                    if a.is_zero():
-                        continue
-                    b = other.rows[l][j]
-                    if b.is_zero():
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = Poly.zero(self.rows[i][0].ctx)
-                row.append(acc)
-            out.append(tuple(row))
-        return WindowMatrix(rows=tuple(out), nrows=self.nrows, ncols=other.ncols)
-
-    def corner(self, k: int, kc: int | None = None) -> "WindowMatrix":
-        kc = k if kc is None else kc
-        return WindowMatrix.from_rows(tuple(r[:kc] for r in self.rows[:k]))
-
-    def __eq__(self, other):
-        return isinstance(other, WindowMatrix) and self.rows == other.rows
-
-
-@dataclass(frozen=True)
 class IdentityCheck:
     ok: bool
     lhs: LFun
@@ -124,12 +80,8 @@ class IdentityCheck:
 
 
 def smallest_iota_degree(tp: TwistedPower) -> int:
-    q = tp.ctx.order
-    m = tp.m
-    want = (-tp.n) % (q - 1) if q > 2 else 0
-    while q > 2 and m % (q - 1) != want:
-        m += 1
-    return m
+    """The least admissible reversal degree, m + (-(m+n) mod (q-1))."""
+    return tp.m + (-(tp.m + tp.n)) % (tp.ctx.order - 1)
 
 
 def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
@@ -146,7 +98,7 @@ def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
         return TwistedPower(P.scale_var(g.c), tp.n)
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
-        if m < tp.m or (q > 2 and (m + tp.n) % (q - 1) != 0):
+        if m < tp.m or not on_coset(q, tp.n, m):
             raise ValueError(f"inadmissible reversal degree {m}")
         return TwistedPower(P.reversed_to(m), tp.n)
     if isinstance(g, Tau):
@@ -214,7 +166,17 @@ def check_l_identity(g, tp: TwistedPower) -> IdentityCheck:
 
 # -- conjugator windows -------------------------------------------------------
 
-def conjugator(ctx, kind: str, size: int, *, d=None) -> WindowMatrix:
+def _matmul(a: tuple, b: tuple) -> tuple:
+    """Product of two windows; a's column count must be b's row count."""
+    zero = Poly.zero(a[0][0].ctx)
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col) if x and y), zero)
+              for col in cols)
+        for row in a)
+
+
+def conjugator(ctx, kind: str, size: int, *, d=None) -> tuple:
     """Window of a conjugator matrix.
 
     ``"w1"``  upper triangular, entry (i,j) = C(j,i) d^(j-i)   (0-based);
@@ -226,28 +188,21 @@ def conjugator(ctx, kind: str, size: int, *, d=None) -> WindowMatrix:
     one = Poly.one(ctx)
     zero = Poly.zero(ctx)
     if kind == "w1":
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                if j < i:
-                    row.append(zero)
-                else:
-                    b = binom_mod_p(j, i, p)
-                    v = ctx.mul(ctx.from_int(b), ctx.pow_(d, j - i)) if b else ctx.zero
-                    row.append(Poly.constant(ctx, v))
-            rows.append(row)
-        return WindowMatrix.from_rows(rows)
-    if kind == "w5":
-        return WindowMatrix.from_rows(
-            [[Poly.monomial(ctx, ctx.one, j - i) if j >= i else zero
-              for j in range(size)] for i in range(size)])
-    if kind == "w5inv":
+        def entry(i, j):
+            b = binom_mod_p(j, i, p) if j >= i else 0
+            return Poly.constant(ctx, ctx.mul(ctx.from_int(b),
+                                              ctx.pow_(d, j - i))) if b else zero
+    elif kind == "w5":
+        def entry(i, j):
+            return Poly.monomial(ctx, ctx.one, j - i) if j >= i else zero
+    elif kind == "w5inv":
         x = Poly.x(ctx)
-        return WindowMatrix.from_rows(
-            [[one if i == j else (-x if j == i + 1 else zero)
-              for j in range(size)] for i in range(size)])
-    raise ValueError(f"unknown conjugator kind {kind!r}")
+
+        def entry(i, j):
+            return one if i == j else (-x if j == i + 1 else zero)
+    else:
+        raise ValueError(f"unknown conjugator kind {kind!r}")
+    return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
 
 
 def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
@@ -256,7 +211,8 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
     ``Sigma`` supports the single-step statement (k = 1); ``TwistMul``
     supports the multiplier θ (other multipliers are covered at L-function
     level by ``check_l_identity``).  Blocks the statements leave free are not
-    constrained.
+    constrained.  Products keep only the rows and columns of the K x K corner
+    they are compared on.
     """
     ctx = tp.ctx
     q = ctx.order
@@ -264,51 +220,37 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
     if K < 1:
         raise ValueError("window must be >= 1")
     if isinstance(g, Mu):
-        acted = act_on_poly(g, tp)
         inner = Poly(ctx, (ctx.neg(g.d), ctx.one))  # T - d
-        lhs = WindowMatrix.from_rows(
-            [[e.compose(inner) for e in row]
-             for row in _matrix_rows(acted, K)])
         r = q * K + tp.m + tp.n
-        w = conjugator(ctx, "w1", r, d=g.d)
-        winv = conjugator(ctx, "w1", r, d=ctx.neg(g.d))
-        mid = WindowMatrix.from_rows(_matrix_rows(tp, r))
-        rhs = w.mul(mid).mul(winv).corner(K)
-        return lhs == rhs
+        w = conjugator(ctx, "w1", r, d=g.d)[:K]
+        winv = tuple(row[:K] for row in conjugator(ctx, "w1", r,
+                                                   d=ctx.neg(g.d)))
+        corner = _matmul(_matmul(w, _matrix_rows(tp, r)), winv)
+        return corner == tuple(tuple(e.compose(inner) for e in row)
+                               for row in _matrix_rows(act_on_poly(g, tp), K))
     if isinstance(g, Nu):
-        acted = act_on_poly(g, tp)
+        acted = act_on_poly(g, tp)  # raises on c = 0
         cinv = ctx.inv(g.c)
         scale = ctx.pow_(cinv, tp.n)
-        m2 = _matrix_rows(acted, K)
-        m1 = _matrix_rows(tp, K)
-        for i in range(K):
-            for j in range(K):
-                lhs = m2[i][j].scale_var(cinv)
-                f = ctx.mul(scale, ctx.pow_(g.c, i - j))
-                if lhs != m1[i][j].scalar_mul(f):
-                    return False
-        return True
+        lhs = tuple(tuple(e.scale_var(cinv) for e in row)
+                    for row in _matrix_rows(acted, K))
+        return lhs == tuple(
+            tuple(e.scalar_mul(ctx.mul(scale, ctx.pow_(g.c, i - j)))
+                  for j, e in enumerate(row))
+            for i, row in enumerate(_matrix_rows(tp, K)))
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
         acted = act_on_poly(Iota(m), tp)  # raises unless m is admissible
-        k3 = (m + tp.n) // (q - 1) - 1
-        if k3 < 1:
-            return True  # degenerate 0x0 statement
-        m1 = _matrix_rows(tp, k3)
-        m2 = _matrix_rows(acted, k3)
-        for i in range(k3):
-            for j in range(k3):
-                lhs = m1[k3 - 1 - i][k3 - 1 - j]  # central symmetry by W3
-                if lhs != m2[i][j].invert_var(tp.n):
-                    return False
-        return True
+        k3 = reduced_block_size(q, tp.n, m)  # 0 gives the empty statement
+        # central symmetry by W3
+        return tuple(row[::-1] for row in _matrix_rows(tp, k3)[::-1]) == \
+            tuple(tuple(e.invert_var(tp.n) for e in row)
+                  for row in _matrix_rows(acted, k3))
     if isinstance(g, Tau):
-        acted = act_on_poly(g, tp)
+        acted = act_on_poly(g, tp)  # raises on c = 0
         s = ctx.pow_(ctx.inv(g.c), tp.n)
-        m2 = _matrix_rows(acted, K)
-        m1 = _matrix_rows(tp, K)
-        return all(m2[i][j] == m1[i][j].scalar_mul(s)
-                   for i in range(K) for j in range(K))
+        return _matrix_rows(acted, K) == tuple(
+            tuple(e.scalar_mul(s) for e in row) for row in _matrix_rows(tp, K))
     if isinstance(g, Sigma):
         if g.k != 1:
             raise ValueError("window conjugacy implements the one-step case")
@@ -317,35 +259,25 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         r = q * K + tp.m + q * n + q
         w5 = conjugator(ctx, "w5", r)
         w5i = conjugator(ctx, "w5inv", r)
-        wn, wni = w5, w5i
+        top, left = w5[:K], tuple(row[:K] for row in w5i)  # of w5^n, w5^-n
         for _ in range(n - 1):
-            wn = wn.mul(w5)
-            wni = wni.mul(w5i)
-        mid = WindowMatrix.from_rows(_matrix_rows(big, r))
-        conj = wn.mul(mid).mul(wni)
-        small = _matrix_rows(tp, K)
-        for i in range(min(n, K)):
-            for j in range(K):
-                if not conj.entry(i, j).is_zero():
-                    return False
-        for i in range(n, K):
-            for j in range(n, K):
-                if conj.entry(i, j) != small[i - n][j - n].stretch(q):
-                    return False
-        return True
+            top = _matmul(top, w5)
+            left = _matmul(w5i, left)
+        corner = _matmul(_matmul(top, _matrix_rows(big, r)), left)
+        # rows [0, n) vanish; the [n, K) block is the stretched small window
+        return not any(e for row in corner[:n] for e in row) and \
+            tuple(row[n:] for row in corner[n:]) == tuple(
+                tuple(e.stretch(q) for e in row)
+                for row in _matrix_rows(tp, K - n))
     if isinstance(g, TwistMul):
         if g.q_poly != Poly.x(ctx):
             raise ValueError("matrix-level block shape implemented for the "
                              "multiplier θ; use check_l_identity otherwise")
-        acted = act_on_poly(g, tp)
-        m2 = _matrix_rows(acted, K)
+        m2 = _matrix_rows(act_on_poly(g, tp), K)
         m1 = _matrix_rows(tp, K)
-        corner = Poly.monomial(ctx, tp.P.coeff(0), tp.n) \
-            if tp.P.coeff(0) != ctx.zero else Poly.zero(ctx)
-        if m2[0][0] != corner:
-            return False
-        if any(not m2[0][j].is_zero() for j in range(1, K)):
-            return False
-        return all(m2[i][j] == m1[i - 1][j - 1]
-                   for i in range(1, K) for j in range(1, K))
+        first = (Poly.monomial(ctx, tp.P.coeff(0), tp.n),) + \
+            (Poly.zero(ctx),) * (K - 1)
+        return m2[0] == first and \
+            tuple(row[1:] for row in m2[1:]) == \
+            tuple(row[:-1] for row in m1[:-1])
     raise TypeError(f"unknown generator {g!r}")

@@ -72,6 +72,18 @@ def test_orbit_families(capsys):
     assert json.loads(out) == [{"gen": "sigma(1)", "poly": "0,1", "n": 6}]
 
 
+def test_orbit_scalars_over_extension_fields(capsys):
+    # every scalar of GF(q) in the digit encoding, not its residue mod p:
+    # on θ + 1 the images are θ + 1 + d, cθ + 1 and c^-1 (θ + 1)
+    for q in (4, 9):
+        for gen, count in (("mu", q), ("nu", q - 1), ("tau", q - 1)):
+            code, out, _ = run_cli(capsys, "orbit", "--q", str(q), "--n", "1",
+                                   "--poly", "1,1", "--gen", gen)
+            assert code == 0, (q, gen)
+            images = {e["poly"] for e in json.loads(out)}
+            assert len(images) == count, (q, gen)
+
+
 def test_verify_identity_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "identity",
                            "--cases", "6", "--seed", "7")

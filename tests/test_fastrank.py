@@ -3,7 +3,8 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank
-from carlitz.fastrank import RankEngine, BatchScreen, reduced_block_size
+from carlitz.fastrank import RankEngine, BatchScreen
+from carlitz.motive import on_coset, reduced_block_size
 
 
 def test_engine_matches_symbolic_rank(rng):
@@ -85,6 +86,17 @@ def test_reduced_block_size_validation():
     assert reduced_block_size(3, 1, 3) == 1
     with pytest.raises(ValueError):
         reduced_block_size(3, 1, 4)
+    # the coset: q-1 | m+n, and a_m = (-1)^n when a lead is given
+    assert on_coset(3, 1, 3) and on_coset(3, 1, 3, 2)
+    assert not on_coset(3, 1, 3, 1)
+    assert on_coset(3, 2, 4, 1) and not on_coset(3, 2, 4, 2)
+    assert not on_coset(3, 1, 4) and not on_coset(3, 1, 4, 2)
+    assert on_coset(5, 1, 7, 4) and not on_coset(5, 1, 6, 4)
+    # q = 2: every P is on the coset, the block one below k_min
+    for n in range(1, 4):
+        for m in range(6):
+            assert on_coset(2, n, m) and on_coset(2, n, m, 1)
+            assert reduced_block_size(2, n, m) == m + n - 1
 
 
 def test_zero_size_engine():
@@ -272,7 +284,7 @@ def test_matrices_match_symbolic_matrix(p, n, m, kind, rng):
         assert got.shape == (k, k, len(rows))
         t = eng.tables
         for r, sym in enumerate(syms):
-            want = [[_at_point(sym.entry(i, j), x, t) for j in range(k)]
+            want = [[_at_point(sym[i][j], x, t) for j in range(k)]
                     for i in range(k)]
             for i in range(k):
                 want[i][i] = t.sub[want[i][i] * t.q + 1]
@@ -294,7 +306,7 @@ def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
     # the count phase gets only rows of order >= 1 (rank >= 2 on the coset,
     # where the engine runs the reduced block), and the two-phase answers
     # equal the scalar oracle on the rows where the schedule matters
-    from carlitz.scan import ScanSpec, run_scan, _engines_for, _on_coset
+    from carlitz.scan import ScanSpec, run_scan, _engines_for
     seen, last = set(), []
     matrices, charpoly = RankEngine._matrices, RankEngine._charpoly_mults
 
@@ -311,7 +323,7 @@ def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
     q, n = 3, 1
     ctx = field_make(q)
     for lead in (1, 2):
-        on = _on_coset(q, n, m, lead)
+        on = on_coset(q, n, m, lead)
         eng = _engines_for(q, n, m, mode, on)
         seen.clear()
         with monkeypatch.context() as mp:

@@ -123,7 +123,7 @@ def test_divmod_identity(a, b):
 
 
 def test_packed_mul_matches_schoolbook(rng):
-    # force both paths on sizable operands
+    # Poly.__mul__ against an independent schoolbook product, sizable operands
     f3 = field_make(3)
     for _ in range(40):
         a = Poly(f3, [rng.randrange(3) for _ in range(rng.randrange(1, 40))])

@@ -1,10 +1,10 @@
 import pytest
 
-from carlitz import field_make, Poly, TwistedPower
+from carlitz import field_make, field_from_cardinality, Poly, TwistedPower
 from carlitz.motive import analytic_rank
 from carlitz.symmetry import (Mu, Nu, Iota, Tau, Sigma, TwistMul, act_on_poly,
                               check_l_identity, conjugator, verify_conjugacy,
-                              smallest_iota_degree)
+                              smallest_iota_degree, _matmul)
 from carlitz.scan import shift_stable_expand
 from carlitz.fastrank import RankEngine
 
@@ -38,32 +38,44 @@ def test_iota_admissibility(f3):
             verify_conjugacy(g, t5, 5)
     with pytest.raises(ValueError, match="inadmissible reversal degree"):
         verify_conjugacy(Iota(4), t, 5)  # wrong parity
+    # the closed form against the search it replaced: the least m' >= deg P
+    # with q-1 | m'+n
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = field_from_cardinality(q)
+        for m in range(12):
+            for n in range(1, 5):
+                want = m
+                while (want + n) % (q - 1):
+                    want += 1
+                t = TwistedPower(Poly.monomial(ctx, ctx.one, m), n)
+                assert smallest_iota_degree(t) == want, (q, m, n)
 
 
 def test_w1_window_values(f3):
     w = conjugator(f3, "w1", 3, d=1)
-    assert [[int(e.coeff(0)) for e in row] for row in w.rows] == \
+    assert [[int(e.coeff(0)) for e in row] for row in w] == \
         [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
 
 
 def test_w1_one_parameter_subgroup(f3):
     for d1 in range(3):
         for d2 in range(3):
-            lhs = conjugator(f3, "w1", 6, d=d1).mul(conjugator(f3, "w1", 6, d=d2))
+            lhs = _matmul(conjugator(f3, "w1", 6, d=d1),
+                          conjugator(f3, "w1", 6, d=d2))
             assert lhs == conjugator(f3, "w1", 6, d=(d1 + d2) % 3)
     ident = conjugator(f3, "w1", 5, d=0)
-    assert all(ident.entry(i, j).is_zero() != (i == j)
+    assert all(ident[i][j].is_zero() != (i == j)
                for i in range(5) for j in range(5))
 
 
 def test_w5_inverse(f3):
     w = conjugator(f3, "w5", 6)
     wi = conjugator(f3, "w5inv", 6)
-    prod = w.mul(wi)
+    prod = _matmul(w, wi)
     for i in range(6):
         for j in range(6):
             want_one = i == j
-            assert prod.entry(i, j).is_zero() != want_one
+            assert prod[i][j].is_zero() != want_one
 
 
 def test_l_identities_random(rng):
@@ -101,6 +113,20 @@ def test_window_conjugacy_random(rng):
         for g in (Mu(rng.randrange(q)), Nu(rng.randrange(1, q)), Iota(None),
                   Tau(rng.randrange(1, q)), TwistMul(Poly.x(ctx))):
             assert verify_conjugacy(g, t, 7), (q, coeffs, n, g)
+
+
+def test_window_conjugacy_larger_fields(rng):
+    # over GF(3) every scalar is its own inverse, which hides the sign of
+    # exponents such as Nu's c^(i-j); GF(4), GF(5) and GF(9) do not
+    for q in (4, 5, 9):
+        ctx = field_from_cardinality(q)
+        for _ in range(2):
+            m = rng.randrange(0, 5)
+            coeffs = [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)]
+            t = TwistedPower(Poly(ctx, coeffs), rng.randrange(1, 3))
+            for g in (Mu(rng.randrange(q)), Nu(rng.randrange(2, q)), Iota(None),
+                      Tau(rng.randrange(2, q)), TwistMul(Poly.x(ctx))):
+                assert verify_conjugacy(g, t, 5), (q, coeffs, t.n, g)
 
 
 def test_mu_window_identity_element(f3):
