@@ -1,7 +1,7 @@
 """Exact L-functions and analytic ranks of twisted Carlitz tensor powers."""
 
 from .ff import (PrimeField, ExtField, ResidueCtx, field_make,
-                 field_from_cardinality, frobenius, binom_mod_p)
+                 field_from_cardinality, binom_mod_p)
 from .poly import (Poly, poly_gcd, is_squarefree, is_irreducible,
                    irreducibles_of_degree, irreducible_count,
                    poly_to_str, poly_from_str)
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrimeField", "ExtField", "ResidueCtx", "field_make",
-    "field_from_cardinality", "frobenius", "binom_mod_p",
+    "field_from_cardinality", "binom_mod_p",
     "Poly", "poly_gcd", "is_squarefree", "is_irreducible",
     "irreducibles_of_degree", "irreducible_count", "poly_to_str",
     "poly_from_str",

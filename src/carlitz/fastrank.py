@@ -52,12 +52,11 @@ themselves).
 
 from __future__ import annotations
 
-from .ff import PrimeField, field_make
+from .ff import _TABLE_LIMIT, PrimeField, field_make
 from .motive import band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
 
-_FIELD_CAP = 256  # flat q^s * q^s tables
 _TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
 
 
@@ -65,7 +64,7 @@ class _Tables:
     __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "_ops")
 
     def __init__(self, p: int, s: int):
-        if p**s > _FIELD_CAP:
+        if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
             raise ValueError(f"point field GF({p}^{s}) above table cap")
         f = field_make(p, s)
         q = self.q = p**s

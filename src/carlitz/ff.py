@@ -4,22 +4,24 @@ Three kinds of coefficient context, all immutable after construction and safe
 to share across threads and processes (elements are plain values):
 
 - ``PrimeField(p)``: GF(p).  Elements are ints in ``[0, p)``.
-- ``ExtField(p, e)``: GF(p^e) as F_p[x]/(modulus).  Elements are ints in
-  ``[0, p^e)`` whose little-endian base-p digits are the coefficients of the
-  residue polynomial.  The modulus is found deterministically: the first
-  of ``poly.irreducibles_of_degree(GF(p), e)``, i.e. the monic irreducible
-  of degree e whose sub-leading coefficient vector, read as a little-endian
+- ``ExtField(p, e)``: GF(p^e) as F_p[x]/(modulus), that is
+  ``ResidueCtx(GF(p), modulus)`` behind a digit encoding.  Elements are ints
+  in ``[0, p^e)`` whose little-endian base-p digits are the coefficients of
+  the residue polynomial; the arithmetic is the ResidueCtx's, read from
+  lookup tables when the order is at most ``_TABLE_LIMIT``.  The modulus is
+  found deterministically: the first of
+  ``poly.irreducibles_of_degree(GF(p), e)``, i.e. the monic irreducible of
+  degree e whose sub-leading coefficient vector, read as a little-endian
   base-p integer, is smallest.  This makes element encodings reproducible
   across runs and machines.
 - ``ResidueCtx(base, mod_coeffs)``: base[θ]/(𝔓) for a monic irreducible 𝔓
   over a field context.  Elements are tuples of base elements of length
   deg 𝔓.  Irreducibility of 𝔓 is verified at construction with
-  ``poly.is_irreducible``, the test ExtField applies to a caller's modulus.
+  ``poly.is_irreducible``.
 
 Polynomial arithmetic over a field (irreducibility, gcd) lives in ``poly``;
 this module imports it inside the functions that need it, because ``poly``
-imports this one.  The one exception is ``_pl_mulmod``, a plain int-list
-product that builds ExtField's multiplication table faster than ``Poly``.
+imports this one.
 
 The word-size budget: contexts are intended for cardinalities up to a machine
 word (documented limit >= 2^16); everything here is plain Python int
@@ -37,7 +39,6 @@ __all__ = [
     "ResidueCtx",
     "field_make",
     "field_from_cardinality",
-    "frobenius",
     "binom_mod_p",
     "is_prime",
 ]
@@ -140,35 +141,29 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-# Dense-list product mod a monic modulus over GF(p).  ExtField._mul_raw uses
-# it to build the multiplication table; going through Poly makes that build
-# 2-2.5x slower (GF(27): 6.1 ms against 2.4 ms on a 2-core Xeon), and
-# GF(27)'s table sits in every shift-stable scan's set-up.
-
-def _pl_mulmod(a, b, mod, p):
-    # a, b, mod: little-endian int lists; mod monic
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    d = len(mod) - 1
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(d):
-                res[i - d + j] = (res[i - d + j] - c * mod[j]) % p
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
+def _pow(ctx, a, k: int):
+    """a^k in ctx by square-and-multiply; negative k inverts a first."""
+    if k < 0:
+        a = ctx.inv(a)
+        k = -k
+    r = ctx.one
+    while k:
+        if k & 1:
+            r = ctx.mul(r, a)
+        a = ctx.mul(a, a)
+        k >>= 1
+    return r
 
 
 class ExtField:
-    """GF(p^e) = F_p[x]/(modulus); elements are base-p digit-encoded ints."""
+    """GF(p^e) = F_p[x]/(modulus); elements are base-p digit-encoded ints.
 
-    __slots__ = ("p", "e", "order", "char", "modulus", "_mul_tab", "_add_tab",
-                 "_neg_tab", "_inv_tab")
+    The arithmetic is ``ResidueCtx(GF(p), modulus)`` on the digit tuples;
+    for order <= _TABLE_LIMIT it is read from lookup tables built from it.
+    """
+
+    __slots__ = ("p", "e", "order", "char", "modulus", "_rc", "_mul_tab",
+                 "_add_tab", "_neg_tab", "_inv_tab")
 
     def __init__(self, p: int, e: int, modulus=None):
         if not is_prime(p):
@@ -179,17 +174,16 @@ class ExtField:
         self.e = e
         self.order = p**e
         self.char = p
-        # poly imports this module, so its names are imported here
-        from .poly import Poly, irreducibles_of_degree, is_irreducible
         fp = PrimeField(p)
         if modulus is None:
+            # poly imports this module, so its names are imported here
+            from .poly import irreducibles_of_degree
             modulus = next(irreducibles_of_degree(fp, e)).coeffs
         else:
             modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != e + 1 or modulus[-1] != 1:
+            if len(modulus) != e + 1:
                 raise ValueError("modulus must be monic of degree e")
-            if not is_irreducible(Poly(fp, modulus)):
-                raise ValueError("modulus is reducible")
+        self._rc = ResidueCtx(fp, modulus)  # checks monic and irreducible
         self.modulus = modulus
         self._mul_tab = None
         self._add_tab = None
@@ -205,7 +199,7 @@ class ExtField:
         for _ in range(self.e):
             out.append(a % p)
             a //= p
-        return out
+        return tuple(out)
 
     def _encode(self, digits):
         v = 0
@@ -213,68 +207,44 @@ class ExtField:
             v = v * self.p + d
         return v
 
-    def add(self, a, b):
-        t = self.add_table()
-        if t is not None:
-            return t[a * self.order + b]
-        return self._add_raw(a, b)
+    # add/neg/mul/inv read the table attribute before calling its builder:
+    # Poly arithmetic over GF(4) and GF(9) calls them once per term.  Without
+    # a table they run the residue op between _digits and _encode.
 
-    def _add_raw(self, a, b):
-        p = self.p
-        if p == 2:
-            return a ^ b
-        da, db = self._digits(a), self._digits(b)
-        return self._encode([(x + y) % p for x, y in zip(da, db)])
+    def add(self, a, b):
+        t = self._add_tab or self.add_table()
+        if t is None:
+            return self._encode(self._rc.add(self._digits(a), self._digits(b)))
+        return t[a * self.order + b]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        t = self.neg_table()
-        if t is not None:
-            return t[a]
-        p = self.p
-        return self._encode([-x % p for x in self._digits(a)])
+        t = self._neg_tab or self.neg_table()
+        if t is None:
+            return self._encode(self._rc.neg(self._digits(a)))
+        return t[a]
 
     def mul(self, a, b):
-        t = self.mul_table()
-        if t is not None:
-            return t[a * self.order + b]
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        p = self.p
-        prod = _pl_mulmod(self._digits(a), self._digits(b), list(self.modulus), p)
-        return self._encode(prod + [0] * (self.e - len(prod)))
+        t = self._mul_tab or self.mul_table()
+        if t is None:
+            return self._encode(self._rc.mul(self._digits(a), self._digits(b)))
+        return t[a * self.order + b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        t = self.inv_table()
-        if t is not None:
-            return t[a]
-        return self.pow_(a, self.order - 2)
+        t = self._inv_tab or self.inv_table()
+        if t is None:
+            return self._encode(self._rc.inv(self._digits(a)))
+        return t[a]
 
-    def pow_(self, a, k: int):
-        if k < 0:
-            a = self.inv(a)
-            k = -k
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
+    pow_ = _pow
 
     def frobenius(self, a, k: int = 1):
         """x -> x^(p^k); k = e is the identity."""
-        r = a
-        for _ in range(k % self.e):
-            r = self.pow_(r, self.p)
-        return r
+        return self._encode(self._rc.frobenius(self._digits(a), k))
 
     def from_int(self, i: int):
         return i % self.p  # embeds the prime subfield
@@ -285,23 +255,26 @@ class ExtField:
     def rand(self, rng):
         return rng.randrange(self.order)
 
-    # lookup tables, built lazily for small fields; add/neg/mul/inv use them
+    # lookup tables from the residue ops, built lazily for small fields
     def mul_table(self):
         if self._mul_tab is None and self.order <= _TABLE_LIMIT:
-            q = self.order
-            self._mul_tab = [self._mul_raw(a, b) for a in range(q) for b in range(q)]
+            self._mul_tab = self._binary_table(self._rc.mul)
         return self._mul_tab
 
     def add_table(self):
         if self._add_tab is None and self.order <= _TABLE_LIMIT:
-            q = self.order
-            self._add_tab = [self._add_raw(a, b) for a in range(q) for b in range(q)]
+            self._add_tab = self._binary_table(self._rc.add)
         return self._add_tab
+
+    def _binary_table(self, op):
+        digits = [self._digits(a) for a in range(self.order)]
+        enc = {x: a for a, x in enumerate(digits)}
+        return [enc[op(x, y)] for x in digits for y in digits]
 
     def neg_table(self):
         if self._neg_tab is None and self.order <= _TABLE_LIMIT:
-            p = self.p
-            self._neg_tab = [self._encode([-x % p for x in self._digits(a)])
+            neg = self._rc.neg
+            self._neg_tab = [self._encode(neg(self._digits(a)))
                              for a in range(self.order)]
         return self._neg_tab
 
@@ -411,44 +384,32 @@ class ResidueCtx:
         return tuple([b.zero, b.one] + [b.zero] * (self.d - 2))
 
     def add(self, a, b):
-        f = self.base.add
-        return tuple(f(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.add, a, b))
 
     def sub(self, a, b):
-        f = self.base.sub
-        return tuple(f(x, y) for x, y in zip(a, b))
+        return tuple(map(self.base.sub, a, b))
 
     def neg(self, a):
-        f = self.base.neg
-        return tuple(f(x) for x in a)
+        return tuple(map(self.base.neg, a))
 
     def mul(self, a, b):
         base = self.base
+        add, mul, zero = base.add, base.mul, base.zero
         d = self.d
-        conv = [base.zero] * (2 * d - 1)
+        conv = [zero] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if ai != base.zero:
+            if ai != zero:
                 for j, bj in enumerate(b):
-                    conv[i + j] = base.add(conv[i + j], base.mul(ai, bj))
+                    conv[i + j] = add(conv[i + j], mul(ai, bj))
         out = conv[:d]
         for j in range(d - 1):
             c = conv[d + j]
-            if c != base.zero:
+            if c != zero:
                 row = self._red[j]
-                out = [base.add(x, base.mul(c, y)) for x, y in zip(out, row)]
+                out = [add(x, mul(c, y)) for x, y in zip(out, row)]
         return tuple(out)
 
-    def pow_(self, a, k: int):
-        if k < 0:
-            a = self.inv(a)
-            k = -k
-        r = self.one
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
+    pow_ = _pow
 
     def inv(self, a):
         if a == self.zero:
@@ -509,11 +470,3 @@ class ResidueCtx:
     def __repr__(self):
         return f"{self.base!r}[θ]/(deg {self.d})"
 
-
-def frobenius(ctx, x, k: int = 1):
-    """x^(b^k) where b is the cardinality of ctx's base field.
-
-    For GF(p) and GF(p^e) the base is GF(p) (so this is the p-power map);
-    for a residue context over GF(q) it is the q-power map of order d.
-    """
-    return ctx.frobenius(x, k)

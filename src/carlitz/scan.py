@@ -97,6 +97,8 @@ def default_workers() -> int:
             raise ValueError(
                 f"CLRANK_WORKERS must be an integer >= 1, got {env!r}")
         return workers
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may use
+        return len(os.sched_getaffinity(0))
     return max(1, os.cpu_count() or 1)
 
 
@@ -139,6 +141,10 @@ class ScanSpec:
             raise ValueError("worker count must be >= 0")
         if self.witness_cap < 0:
             raise ValueError("witness cap must be >= 0")
+        if not 0 <= self.audit_rate <= 1:
+            raise ValueError("audit rate must lie in [0, 1]")
+        if self.audit_cap < 0:
+            raise ValueError("audit cap must be >= 0")
 
     @property
     def free_coeffs(self) -> int:

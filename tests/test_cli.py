@@ -133,6 +133,31 @@ def test_verify_conj_restricted_to_mu(capsys):
     assert "conj: 4 passed, 0 failed" in out
 
 
+def test_verify_reports_sigma_apart(capsys):
+    # Sigma(1)'s stated block shape fails for every twist; it gets its own
+    # line and leaves the exit code at 0
+    code, out, _ = run_cli(capsys, "verify", "--q", "3", "--cases", "15",
+                           "--seed", "5")
+    assert code == 0
+    assert "conj: 75 passed, 0 failed" in out
+    assert ("conj sigma (stated block shape, known false): 0 held, "
+            "13 did not") in out
+
+
+def test_verify_conj_failure_exits_one(capsys, monkeypatch):
+    import carlitz.cli as cli
+    real = cli.verify_conjugacy
+
+    def broken_for_mu(g, tp, window):
+        return not isinstance(g, cli.Mu) and real(g, tp, window)
+
+    monkeypatch.setattr(cli, "verify_conjugacy", broken_for_mu)
+    code, out, _ = run_cli(capsys, "verify", "--q", "3", "--suite", "conj",
+                           "--cases", "4", "--seed", "5")
+    assert code == 1
+    assert "conj: 16 passed, 4 failed" in out
+
+
 def test_verify_rejects_no_cases(capsys):
     for cases in ("0", "-3"):
         code, out, err = run_cli(capsys, "verify", "--q", "3", "--cases", cases)

@@ -1,11 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlitz import (field_make, frobenius, binom_mod_p, ExtField, ResidueCtx,
-                     Poly)
+from carlitz import field_make, binom_mod_p, ExtField, ResidueCtx, Poly
 from carlitz.ff import is_prime
 
 
@@ -74,15 +74,15 @@ def test_pinned_field_moduli():
 
 def test_frobenius_prime_field_fixed():
     f3 = field_make(3)
-    assert frobenius(f3, 2, 5) == 2
-    assert frobenius(f3, 0, 1) == 0
+    assert f3.frobenius(2, 5) == 2
+    assert f3.frobenius(0, 1) == 0
 
 
 def test_frobenius_f9_conjugates_theta():
     f9 = field_make(3, 2)
     theta = 3  # digits (0, 1)
-    assert frobenius(f9, theta, 1) == 6  # θ³ = -θ = 2θ
-    assert frobenius(f9, theta, 2) == theta
+    assert f9.frobenius(theta, 1) == 6  # θ³ = -θ = 2θ
+    assert f9.frobenius(theta, 2) == theta
     for x in f9.elements():
         assert f9.pow_(x, 9) == x
 
@@ -147,14 +147,54 @@ def test_inverses(q):
 def test_frobenius_negative_exponent(f3):
     # x -> x^(p^-1) inverts x -> x^p, and equals x -> x^(p^(e-1))
     f9 = field_make(3, 2)
-    assert frobenius(f9, 4, -1) == 7
+    assert f9.frobenius(4, -1) == 7
     ctxs = [(field_make(p, e), e) for p, e in ((2, 2), (3, 2), (3, 3))]
     rc = ResidueCtx(f3, (1, 2, 0, 1))  # θ³+2θ+1
     ctxs.append((rc, rc.d))
     for ctx, e in ctxs:
         for x in ctx.elements():
-            assert frobenius(ctx, frobenius(ctx, x, 1), -1) == x
-            assert frobenius(ctx, x, -1) == frobenius(ctx, x, e - 1)
+            assert ctx.frobenius(ctx.frobenius(x, 1), -1) == x
+            assert ctx.frobenius(x, -1) == ctx.frobenius(x, e - 1)
+
+
+def _oracle_pow(a, k, mod):
+    # a^k mod `mod` by Poly square-and-multiply
+    r = Poly.one(a.ctx)
+    while k:
+        if k & 1:
+            r = r * a % mod
+        a = a * a % mod
+        k >>= 1
+    return r
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 2), (3, 3), (2, 9), (3, 6)])
+def test_ext_field_against_poly_oracle(p, e):
+    # GF(4), GF(25), GF(27) through their tables; GF(512), GF(729) without
+    fp = field_make(p)
+    f = field_make(p, e)
+    assert (f.mul_table() is None) == (f.order > 256)
+    mod = Poly(fp, f.modulus)
+
+    def dec(a):  # base-p digits, little-endian
+        return Poly(fp, [a // p**i % p for i in range(e)])
+
+    def enc(x):
+        return sum(c * p**i for i, c in enumerate(x.coeffs))
+
+    rng = random.Random(p * 100 + e)
+    for _ in range(25):
+        a, b = rng.randrange(f.order), rng.randrange(1, f.order)
+        k = rng.randrange(40)
+        assert f.mul(a, b) == enc(dec(a) * dec(b) % mod)
+        assert f.add(a, b) == enc(dec(a) + dec(b))
+        assert f.neg(a) == enc(-dec(a))
+        assert enc(dec(b) * dec(f.inv(b)) % mod) == 1
+        assert f.pow_(a, k) == enc(_oracle_pow(dec(a), k, mod))
+        assert f.pow_(b, -k) == f.inv(enc(_oracle_pow(dec(b), k, mod)))
+        for j in range(e):
+            assert f.frobenius(a, j) == enc(_oracle_pow(dec(a), p**j, mod))
+        assert f.frobenius(a, e) == a
 
 
 def test_residue_ctx_basics(f3):

@@ -26,7 +26,8 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="scans need prime q"):
             ScanSpec(q=q, n=1, m=3, lead=1)
     for bad in (dict(chunk_size=0), dict(chunk_size=-3), dict(workers=-1),
-                dict(witness_cap=-1)):
+                dict(witness_cap=-1), dict(audit_cap=-1), dict(audit_rate=-0.1),
+                dict(audit_rate=7.0)):
         with pytest.raises(ValueError):
             ScanSpec(q=3, n=1, m=5, lead=1, **bad)
 
@@ -248,6 +249,15 @@ def test_default_workers_reads_clrank_workers(monkeypatch):
             default_workers()
     monkeypatch.delenv("CLRANK_WORKERS")
     assert default_workers() >= 1
+
+
+def test_default_workers_counts_usable_cpus(monkeypatch):
+    # the CPUs this process may run on, not every CPU of the machine
+    monkeypatch.delenv("CLRANK_WORKERS", raising=False)
+    monkeypatch.setattr(scan.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(scan.os, "cpu_count", lambda: 64)
+    assert default_workers() == 1
 
 
 def test_audit_failure_reporting_structure():
