@@ -3,7 +3,8 @@
 This module never touches the matrix formula: for a monic irreducible 𝔓 of
 degree d it reduces the 1x1 τ-matrix P (T - θ)^n modulo 𝔓, forms the d-fold
 Frobenius-twisted product, checks that the result is fixed coefficient-wise
-by x -> x^q (so it descends to GF(q)[T]), and assembles local factors
+by x -> x^q (so it descends to GF(q)[T]) and that it has T-degree n·d when
+𝔓 does not divide P, and assembles local factors
 
     (1 - N_𝔓(T) U^d)^(-1)
 
@@ -12,9 +13,29 @@ primes of degree <= D must agree with det(I - M U) through degree D, and
 equal it exactly once D reaches the stable matrix size — that cross-check is
 the decisive end-to-end verification and lives in the test suite.
 
-Primes of each degree, and the residue context of each prime (with its
-reduction rows and Frobenius columns), are built once per process and shared
-by every twist.
+``truncated_product`` computes the N_𝔓 of all primes of one degree at once
+(``local_factors``), on int64 arrays over GF(p) with the digit encoding of
+``linalg``: a residue of GF(q)[θ]/𝔓, q = p^e, is the vector of the e base-p
+digits of each of its d coordinates.  Every step of the definition is one
+array operation across the primes.  Each degree's tables (the reduction of
+x^c θ^k mod 𝔓, which gives both P mod 𝔓 and the product, with θ̄ its k = 1
+column; the Frobenius matrix; (T - θ̄)^n) come from the primes' residue
+contexts on the first call for that degree, in blocks of ``_BLOCK`` primes
+so that no work array grows with the number of primes.  The series is
+assembled per degree: when 2d > D the degree-d factors multiply to
+1 + (sum of N_𝔓) U^d mod U^(D+1), one digit-wise sum; only degrees
+d <= D/2 take the per-prime recurrence.  numpy is imported inside the
+functions that use it, so importing this module or listing primes does not
+load it.
+
+The scalar ``local_factor`` (``reduce_tau``, ``twisted_power``) computes one
+prime's factor on ``Poly`` objects.  It is the single-prime path (the θ
+factor and twist multipliers of ``symmetry``) and the oracle the batch is
+tested against.
+
+Primes of each degree, the residue context of each prime (with its
+reduction rows and Frobenius columns) and the batch tables are built once
+per process and shared by every twist.
 """
 
 from __future__ import annotations
@@ -33,10 +54,13 @@ __all__ = [
     "reduce_tau",
     "twisted_power",
     "local_factor",
+    "local_factors",
     "truncated_product",
     "primes_of_degree",
     "distinct_prime_factors",
 ]
+
+_BLOCK = 512  # primes per table block
 
 
 @lru_cache(maxsize=None)
@@ -51,8 +75,16 @@ def primes_of_degree(ctx, d: int):
     return tuple(irreducibles_of_degree(ctx, d))
 
 
+def _check_field(tp: TwistedPower, ctx):
+    # Poly arithmetic uses its left operand's field, so a prime over another
+    # field would give a wrong answer rather than an error
+    if ctx != tp.ctx:
+        raise ValueError(f"prime over {ctx!r}, twist over {tp.ctx!r}")
+
+
 def reduce_tau(tp: TwistedPower, prime: Poly) -> Poly:
     """P̄ (T - θ̄)^n in (GF(q)[θ]/𝔓)[T]; T-degree n unless 𝔓 | P."""
+    _check_field(tp, prime.ctx)
     rc = residue_ctx(prime)
     rem = (tp.P % prime).coeffs
     pbar = rem + (rc.base.zero,) * (rc.d - len(rem))
@@ -106,6 +138,139 @@ def local_factor(tp: TwistedPower, prime: Poly) -> LocalFactor:
     return LocalFactor(prime=prime, d=d, npoly=n)
 
 
+class _Block:
+    """The stacked tables of up to ``_BLOCK`` primes of one degree d.
+
+    A residue is a row of D = d*e base-p digits, column i*e + a holding
+    digit a of its θ^i coordinate; a polynomial in T over the residue fields
+    of the block is a (primes, T-coefficients, D) array.  ``red[b, :, k, c]``
+    is x^c θ^k mod 𝔓_b for k <= k_max and c <= 2e-2 (x the generator of
+    GF(q)), so one contraction reduces P, or the digit-and-θ convolution of
+    two residues, to D digits; its k = 1, c = 0 column is θ̄.  ``frob[b]``
+    maps a row v to v^q.  All entries are reduced mod p.
+    """
+
+    def __init__(self, ctx, primes):
+        import numpy as np
+
+        self.ctx = ctx
+        self.p, self.e, self.d = ctx.char, ctx.e, int(primes[0].degree)
+        self.rcs = [residue_ctx(prime) for prime in primes]
+        p, e, d = self.p, self.e, self.d
+        basis = [tuple(p**a if j == i else 0 for j in range(d))
+                 for i in range(d) for a in range(e)]  # x^a θ^i
+        self.frob = np.array([[self._digits(rc.frobenius(x, 1)) for x in basis]
+                              for rc in self.rcs], dtype=np.int64)
+        self._lins = {}
+        self._grow(max(1, 2 * d - 2))
+
+    def _digits(self, r):
+        p = self.p
+        return [c // p**a % p for c in r for a in range(self.e)]
+
+    def _grow(self, k_max: int):
+        """Build ``red`` for θ^0 .. θ^k_max, from the residue contexts."""
+        import numpy as np
+
+        from .linalg import generator_digits
+
+        p, e, d = self.p, self.e, self.d
+        rows = []
+        for rc in self.rcs:
+            cur, theta = rc.one, rc.theta()
+            for _ in range(k_max + 1):
+                rows.append(self._digits(cur))
+                cur = rc.mul(cur, theta)
+        rows = np.array(rows, dtype=np.int64).reshape(-1, k_max + 1, d, e)
+        # xs[A, c, a]: digit A of x^(c+a), so x^c times a digit row a
+        xs = generator_digits(self.ctx, 3 * e - 2)[
+            :, np.arange(2 * e - 1)[:, None] + np.arange(e)]
+        self.red = np.einsum("Aca,bkia->biAkc", xs, rows).reshape(
+            len(self.rcs), d * e, k_max + 1, 2 * e - 1) % p
+
+    def _mul(self, a, b):
+        """Products of (B, ta, D) and (B, tb, D) polynomials, per residue field."""
+        import numpy as np
+
+        p, d, e = self.p, self.d, self.e
+        nb, ta, tb = a.shape[0], a.shape[1], b.shape[1]
+        # a convolution entry sums at most tb*d*e digit products < p^2; the
+        # reduction adds (2d-1)(2e-1) of those times a digit < p
+        assert tb * d * e * (2 * d - 1) * (2 * e - 1) * (p - 1) ** 3 < 2**63
+        a4 = a.reshape(nb, ta, d, e)
+        b4 = b.reshape(nb, tb, d, e)
+        conv = np.zeros((nb, ta + tb - 1, 2 * d - 1, 2 * e - 1), dtype=np.int64)
+        for s, j, c in np.ndindex(tb, d, e):
+            conv[:, s : s + ta, j : j + d, c : c + e] += (
+                a4 * b4[:, s, j, c, None, None, None])
+        red = self.red[:, :, : 2 * d - 1].reshape(nb, d * e, -1)
+        return conv.reshape(nb, ta + tb - 1, -1) @ red.transpose(0, 2, 1) % p
+
+    def _lin(self, n: int):
+        """(T - θ̄)^n, cached per n."""
+        if n not in self._lins:
+            import numpy as np
+
+            theta = self.red[:, :, 1, 0]
+            one = np.zeros_like(theta)
+            one[:, 0] = 1
+            lin = np.stack([-theta % self.p, one], axis=1)
+            out = lin
+            for _ in range(n - 1):
+                out = self._mul(out, lin)
+            self._lins[n] = out
+        return self._lins[n]
+
+    def norms(self, tp: TwistedPower):
+        """N_𝔓 for each prime of the block: (B, n*d + 1, e) base-p digits."""
+        import numpy as np
+
+        _check_field(tp, self.ctx)
+        p, e, d, n = self.p, self.e, self.d, tp.n
+        coeffs = tp.P.coeffs
+        if len(coeffs) > self.red.shape[2]:
+            self._grow(len(coeffs) - 1)
+        digits = np.array(coeffs, dtype=np.int64)[:, None] // p ** np.arange(e) % p
+        pbar = np.tensordot(self.red[:, :, : len(coeffs), :e], digits,
+                            axes=2) % p
+        red = self._mul(self._lin(n), pbar[:, None])
+        acc = cur = red
+        for _ in range(d - 1):
+            cur = cur @ self.frob % p
+            acc = self._mul(acc, cur)
+        # Frobenius invariance forces descent to the base field; its failure
+        # would mean an arithmetic bug, never bad input.
+        if (acc @ self.frob % p != acc).any():
+            raise AssertionError("twisted product not Frobenius-fixed")
+        acc = acc.reshape(len(acc), n * d + 1, d, e)
+        if acc[:, :, 1:].any():
+            raise AssertionError("twisted product not in the base field")
+        norms = acc[:, :, 0]
+        if (pbar.any(axis=1) & ~norms[:, -1].any(axis=1)).any():
+            raise AssertionError("local factor has wrong T-degree")
+        return norms
+
+
+@lru_cache(maxsize=None)
+def _degree_tables(ctx, d: int):
+    """The table blocks of the primes of degree d, built on first use."""
+    primes = primes_of_degree(ctx, d)
+    return tuple(_Block(ctx, primes[i : i + _BLOCK])
+                 for i in range(0, len(primes), _BLOCK))
+
+
+def local_factors(tp: TwistedPower, d: int):
+    """N_𝔓 of every prime of degree d, as one batch.
+
+    An int64 array (primes, n*d + 1, e), one row per prime of
+    ``primes_of_degree(ctx, d)``: the base-p digits of N_𝔓's
+    T-coefficients, little-endian; a zero row exactly when 𝔓 | P.
+    """
+    import numpy as np
+
+    return np.concatenate([b.norms(tp) for b in _degree_tables(tp.ctx, d)])
+
+
 def truncated_product(tp: TwistedPower, bound: int) -> LFun:
     """Product of local factors over primes of degree <= bound, mod U^(bound+1).
 
@@ -115,22 +280,20 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
     if bound < 1:
         raise ValueError("truncation bound must be >= 1")
     ctx = tp.ctx
-    series = LFun.one(ctx)
+    powers = [ctx.char**a for a in range(ctx.e)]
+    series = [Poly.one(ctx)] + [Poly.zero(ctx)] * bound
     for d in range(1, bound + 1):
-        for prime in primes_of_degree(ctx, d):
-            lf = local_factor(tp, prime)
-            if lf.npoly.is_zero():
-                continue
-            # (1 - N U^d)^(-1) = sum_j N^j U^(jd), truncated
-            cs = [Poly.zero(ctx)] * (bound + 1)
-            acc = Poly.one(ctx)
-            j = 0
-            while j * d <= bound:
-                cs[j * d] = acc
-                acc = acc * lf.npoly
-                j += 1
-            series = series.mul(LFun(ctx, cs), trunc=bound)
-    return series
+        digits = local_factors(tp, d)
+        if 2 * d > bound:
+            # the cross terms of the degree-d factors lie beyond U^bound:
+            # their product is 1 + (sum of N) U^d, a digit-wise sum mod p
+            digits = digits.sum(axis=0, keepdims=True) % ctx.char
+        for row in (digits @ powers).tolist():
+            npoly = Poly(ctx, row)
+            # series / (1 - N U^d), from the lowest power up
+            for j in range(d, bound + 1):
+                series[j] = series[j] + npoly * series[j - d]
+    return LFun(ctx, series)
 
 
 def distinct_prime_factors(qpoly: Poly):

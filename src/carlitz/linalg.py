@@ -34,7 +34,20 @@ from __future__ import annotations
 
 from .poly import Poly
 
-__all__ = ["det_identity_minus_mu", "det_cofactor"]
+__all__ = ["det_identity_minus_mu", "det_cofactor", "generator_digits"]
+
+
+def generator_digits(ctx, count: int):
+    """(e, count) int64 array: column r holds the base-p digits of x^r.
+
+    x is the generator of GF(p^e), encoded as p (x^0 = 1 over GF(p)).  The
+    columns r >= e fold a digit product of degree r back to e digits.
+    """
+    import numpy as np
+
+    p = ctx.char
+    return np.array([[ctx.pow_(p, r) // p**c % p for r in range(count)]
+                     for c in range(ctx.e)], dtype=np.int64)
 
 
 def det_identity_minus_mu(m, zero, one):
@@ -68,9 +81,7 @@ def det_identity_minus_mu(m, zero, one):
     # mat[d, a, i, j]: digit a of the T^d coefficient of m[i][j]
     mat = np.ascontiguousarray(
         (codes[..., None] // powers % p).transpose(2, 3, 0, 1))
-    # fold[c, r]: digit c of x^r, x the generator encoded as p
-    fold = np.array([[ctx.pow_(p, r) // p**c % p for r in range(e2)]
-                     for c in range(e)], dtype=np.int64)
+    fold = generator_digits(ctx, e2)
     # mul[d, i, c, j, b]: digit c of (T^d coefficient of m[i][j]) * x^b, so
     # that a product entry * s is a GF(p)-matmul over (entry, digit) pairs
     digits = np.arange(e)

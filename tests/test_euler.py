@@ -2,8 +2,8 @@ import pytest
 
 from carlitz import field_make, Poly, LFun, TwistedPower, l_function
 from carlitz.euler import (reduce_tau, twisted_power, local_factor,
-                           truncated_product, primes_of_degree,
-                           distinct_prime_factors, residue_ctx)
+                           local_factors, truncated_product, primes_of_degree,
+                           distinct_prime_factors, residue_ctx, _degree_tables)
 
 
 def tp3(coeffs, n=1):
@@ -77,6 +77,41 @@ def test_local_factor_degree_invariant(rng):
                         assert lf.npoly.degree == n * d
 
 
+def test_local_factor_rejects_prime_over_other_field(f3):
+    tp = tp3([1, 1])
+    prime = Poly(field_make(5), [1, 1])
+    with pytest.raises(ValueError):
+        reduce_tau(tp, prime)
+    with pytest.raises(ValueError):
+        local_factor(tp, prime)
+    with pytest.raises(ValueError):
+        _degree_tables(field_make(5), 1)[0].norms(tp)
+
+
+def test_local_factors_match_scalar(rng):
+    # every prime's batched N against the scalar path; P is divisible by a
+    # prime of each degree, so zero factors occur at every degree
+    cases = [(field_make(2), 3), (field_make(3), 3), (field_make(2, 2), 3),
+             (field_make(5), 3), (field_make(3, 2), 2)]
+    for ctx, dmax in cases:
+        q = ctx.order
+        powers = [ctx.char**a for a in range(ctx.e)]
+        for n in (1, 2):
+            for _ in range(2):
+                p = Poly(ctx, [rng.randrange(q) for _ in range(3)]
+                         + [rng.randrange(1, q)])
+                for d in range(1, dmax + 1):
+                    p = p * rng.choice(primes_of_degree(ctx, d))
+                tp = TwistedPower(p, n)
+                for d in range(1, dmax + 1):
+                    rows = (local_factors(tp, d) @ powers).tolist()
+                    primes = primes_of_degree(ctx, d)
+                    assert len(rows) == len(primes)
+                    want = [local_factor(tp, prime).npoly for prime in primes]
+                    assert [Poly(ctx, row) for row in rows] == want
+                    assert any(w.is_zero() for w in want)
+
+
 def test_truncated_product_examples(f3):
     assert truncated_product(tp3([1]), 3) == LFun.one(f3)
     got = truncated_product(tp3([0, 2, 0, 2]), 3)
@@ -99,6 +134,68 @@ def test_oracle_agreement_random(rng):
             assert truncated_product(t, 3) == l.truncate(3)
             if t.k_min <= 5:
                 assert truncated_product(t, t.k_min) == l
+
+
+def test_oracle_agreement_prime_powers(rng):
+    for q, e in ((2, 2), (5, 1), (7, 1), (3, 2)):
+        ctx = field_make(q, e)
+        order = ctx.order
+        exact = 0
+        for _ in range(6):
+            m = rng.randrange(0, 8)
+            coeffs = ([rng.randrange(order) for _ in range(m)]
+                      + [rng.randrange(1, order)])
+            t = TwistedPower(Poly(ctx, coeffs), rng.randrange(1, 3))
+            l = l_function(t)
+            assert truncated_product(t, 3) == l.truncate(3)
+            if t.k_min <= 3:
+                exact += 1
+                assert truncated_product(t, t.k_min) == l
+        assert exact > 0
+
+
+@pytest.fixture
+def fresh_tables():
+    # the tests below corrupt one block's tables: rebuild them around each
+    _degree_tables.cache_clear()
+    yield
+    _degree_tables.cache_clear()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("zero", "wrong T-degree"), ("perturb", "not Frobenius-fixed")])
+def test_batch_frobenius_table_is_checked(f3, fresh_tables, monkeypatch,
+                                          patch, message):
+    # one degree-2 prime (θ² + θ + 2, which does not divide P) gets a wrong
+    # Frobenius matrix
+    tp = tp3([1, 2, 0, 1])
+    assert not (tp.P % primes_of_degree(f3, 2)[1]).is_zero()
+    block = _degree_tables(f3, 2)[0]
+    frob = block.frob.copy()
+    if patch == "zero":
+        frob[1] = 0
+    else:
+        frob[1, 0, 1] = (frob[1, 0, 1] + 1) % 3
+    monkeypatch.setattr(block, "frob", frob)
+    with pytest.raises(AssertionError, match=message):
+        truncated_product(tp, 3)
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ([1, 2, 0, 1], "not Frobenius-fixed"), ([0, 2, 1, 1], "wrong T-degree")])
+def test_batch_theta_is_checked(f3, fresh_tables, monkeypatch, coeffs,
+                                message):
+    # θ̄ of one degree-3 prime (θ³ + 2θ + 2, not dividing P) becomes θ̄ + 1;
+    # the batch keeps θ̄ as the θ^1 column of its reduction table, which
+    # gives P mod 𝔓, (T - θ̄)^n and the reduction of every product
+    block = _degree_tables(f3, 3)[0]
+    red = block.red.copy()
+    red[1, 0, 1, 0] = (red[1, 0, 1, 0] + 1) % 3
+    monkeypatch.setattr(block, "red", red)
+    tp = tp3(coeffs)
+    assert not (tp.P % primes_of_degree(f3, 3)[1]).is_zero()
+    with pytest.raises(AssertionError, match=message):
+        truncated_product(tp, 3)
 
 
 def test_same_class_same_factors(rng):

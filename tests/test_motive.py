@@ -185,14 +185,17 @@ def test_l_function_pinned_grid_digest():
 
 
 def test_import_leaves_numpy_unloaded():
-    # numpy costs about 0.14 s to import; the determinant loads it lazily,
-    # and field tables and Poly arithmetic never load it
+    # numpy costs about 0.14 s to import; the determinant and the Euler
+    # batch load it lazily, and field tables, Poly arithmetic and the prime
+    # lists (which the benchmark's verify set-up builds) never load it
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, carlitz, carlitz.motive, carlitz.linalg; "
+            "import carlitz.euler as euler; "
             "from carlitz import Poly, field_make; "
             "g = field_make(3, 3); g.mul_table(); g.add_table(); "
             "g.neg_table(); g.inv_table(); "
             "f9 = field_make(3, 2); Poly(f9, [1, 5, 7]) * Poly(f9, [8, 2]); "
+            "euler.primes_of_degree(field_make(5), 3); "
             "print('numpy' in sys.modules)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
