@@ -12,6 +12,23 @@ For shift-stable twist polynomials every such derivative lies in
 GF(q)[T^q - T], so points with distinct Artin-Schreier values t^q - t suffice
 and floor(n*k/q) + 1 of them are enough.
 
+One point per Frobenius orbit.  The engine takes prime q = p, so M has
+entries in GF(p)[T] and every Hasse derivative above lies in GF(p)[T]
+(GF(p)[T^p - T] in shift-stable mode).  A polynomial H over GF(p) satisfies
+H(t^p) = H(t)^p, so its roots in GF(p^s) are closed under t -> t^p: if H
+vanishes at t it vanishes on the whole Frobenius orbit of t.  Equally
+M(t^p) is M(t) with Frobenius applied to every entry, so det(M(t) - I) and
+the multiplicity of eigenvalue 1 are the same at t and at t^p.  Hence one
+representative per orbit stands for every point of its orbit, and the
+representatives suffice once their orbit sizes add up to n*k + 1.  In
+shift-stable mode (t^p - t)^p = t^(p^2) - t^p is the Artin-Schreier value of
+t^p, so the orbits are taken over the AS values, one point per orbit, and
+their sizes must add up to floor(n*k/p) + 1.  The point field is the
+smallest GF(p^s) with p^s >= n*k + 1 (p^(s-1) >= floor(n*k/p) + 1, the
+number of AS values, in shift-stable mode), so all its orbits together
+always reach the bound.  The engine takes the orbits largest first and
+stops once their sizes reach it.
+
 Per point, the multiplicity of eigenvalue 1 is the number of trailing zero
 coefficients of the characteristic polynomial of M(t) - I, computed by
 Hessenberg reduction over a small lookup-table field (Cohen's recurrence).
@@ -20,9 +37,10 @@ Multiplicity 0 is det(M(t) - I) != 0, and since that det is the U = 1 value
 order >= 1.  The points' order is chosen to reach a nonzero det early: the
 det lies in GF(q)[T] (GF(q)[T^q - T] for shift-stable rows) and vanishes at
 a point of GF(q) far more often than at a point outside it.  So
-extension-field points come first and prime-field points last; for
-shift-stable engines the points whose Artin-Schreier value t^q - t lies in
-GF(q) go last as well.
+prime-field points, the orbits of size 1, come last; for shift-stable
+engines the points whose Artin-Schreier value lies in GF(q) (orbits of
+size 1 too) go last as well, and the prime-field points (AS value 0) last
+of all.
 
 Both forms build M(t) the way ``motive`` defines the matrix: the band of
 P(θ)(T - θ)^n at T = t, v[x] = sum_l w_l(t) a[x - l] with
@@ -61,7 +79,7 @@ _TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
 
 
 class _Tables:
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "_ops")
+    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "frob", "_ops")
 
     def __init__(self, p: int, s: int):
         if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
@@ -73,6 +91,7 @@ class _Tables:
         self.sub = [f.sub(a, b) for a in range(q) for b in range(q)]
         self.neg = [f.neg(a) for a in range(q)]
         self.inv = [0] + [f.inv(a) for a in range(1, q)]
+        self.frob = [f.frobenius(a) for a in range(q)]  # x -> x^p
         self._ops = None
 
     def ops(self):
@@ -134,28 +153,30 @@ class RankEngine:
         if t is None:
             t = _TABLES[(p, s)] = _Tables(p, s)
         self.tables = t
-        q = t.q
-        mul, sub = t.mul, t.sub
-        if shift_stable:
-            # one point per Artin-Schreier value t^p - t
-            found, seen = [], set()  # (AS value, point)
-            for x in range(q):
-                xp = x
-                for _ in range(p - 1):
-                    xp = mul[xp * q + x]
-                asv = sub[xp * q + x]
-                if asv not in seen:
-                    seen.add(asv)
-                    found.append((asv, x))
-                    if len(found) == need:
-                        break
-            # AS values in GF(p) last, and prime-field points (AS value 0)
-            # last of all: det vanishes there most often (module doc)
-            found.sort(key=lambda ax: (ax[0] < p, ax[1] < p))
-            pts = [x for _, x in found]
-        else:
-            # prime-field points last (module doc)
-            pts = sorted(range(need), key=lambda x: x < p)
+        q, frob, sub = t.q, t.frob, t.sub
+        # one point per Frobenius orbit of x (of its Artin-Schreier value
+        # x^p - x in shift-stable mode), the first x met in each orbit
+        orbits, seen = [], set()  # (orbit size, point)
+        for x in range(q):
+            y = sub[frob[x] * q + x] if shift_stable else x
+            if y in seen:
+                continue
+            size = 0
+            while y not in seen:
+                seen.add(y)
+                y = frob[y]
+                size += 1
+            orbits.append((size, x))
+        # largest orbits first, so orbits of size 1 (prime-field points, or
+        # AS values in GF(p)) come last, and prime-field points last of all:
+        # det vanishes there most often (module doc)
+        orbits.sort(key=lambda sx: (-sx[0], sx[1] < p))
+        pts, reach = [], 0
+        for size, x in orbits:
+            if reach >= need:
+                break
+            pts.append(x)
+            reach += size
         self.point_weights = [self._weights(x) for x in pts]
         self.points = pts
 

@@ -36,9 +36,11 @@ Ranks come from the point-evaluation engine (exact; see fastrank), one
 batched call per chunk.  The engine certifies first: an elimination per
 point settles the bulk "order 0" outcome at the first point where
 det(M(t) - I) != 0, and only the rows whose det vanishes at every point,
-certified order >= 1, pay for the charpoly.  For shift-stable rows the
-engine visits first the points whose Artin-Schreier value lies outside
-GF(q), where a nonzero det is most likely.  On the
+certified order >= 1, pay for the charpoly.  The engine takes one point per
+Frobenius orbit (per orbit of Artin-Schreier values t^q - t for
+shift-stable rows), largest orbits first.  So it visits last the prime-field
+points and, for shift-stable rows, the points whose Artin-Schreier value
+lies in GF(q): a nonzero det is least likely there.  On the
 distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
 1 + the vanishing order of the leading principal block's determinant, which
 restores the early exit that the forced (1-U) factor would otherwise deny.
@@ -274,7 +276,9 @@ def _squarefree_mask(rows, p):
     branch and every shift is the same for all of them.  Scaling f or g by a
     unit leaves the δ sequence alone, so g need not be negated after a swap.
     Step j (counting down) reads only the first j coefficients, which lets
-    the arrays shrink over the second half.
+    the arrays shrink over the second half.  The steps run on int16 when
+    f_0 g - g_0 f fits it with room to spare, 2(p-1)^2 < 2^15, and on int64
+    above that.
     """
     import numpy as np
 
@@ -283,8 +287,9 @@ def _squarefree_mask(rows, p):
     m = width - 1
     if m == 0:
         return np.ones(count, dtype=bool)  # nonzero constants
+    dtype = np.int16 if 2 * (p - 1) ** 2 < 2**15 else np.int64
     # coefficient index first, so f[j] is the θ^j coefficient of every row
-    f = np.ascontiguousarray(rows.T[::-1] % p)
+    f = np.ascontiguousarray(rows.T[::-1] % p, dtype=dtype)
     g = np.zeros_like(f)
     g[:m] = rows.T[:0:-1] * np.arange(m, 0, -1)[:, None] % p
     delta = np.ones(count, dtype=np.int64)

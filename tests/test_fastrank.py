@@ -34,31 +34,47 @@ def test_engine_extension_points_match_symbolic(rng):
             assert eng.vanishing_order(tuple(coeffs)) == analytic_rank(t)
 
 
-def _as_value(eng, x):
-    # Artin-Schreier value x^p - x in the engine's point field
+def _frob(eng, x):
+    # x^p in the engine's point field, by repeated multiplication
     t = eng.tables
     xp = x
     for _ in range(eng.p - 1):
         xp = t.mul[xp * t.q + x]
-    return t.sub[xp * t.q + x]
+    return xp
+
+
+def _as_value(eng, x):
+    # Artin-Schreier value x^p - x in the engine's point field
+    t = eng.tables
+    return t.sub[_frob(eng, x) * t.q + x]
 
 
 def test_points_put_prime_field_last():
+    # orbits of size 1 come last: prime-field points, and for shift-stable
+    # engines the points whose AS value lies in GF(p), AS value 0 last of all
+    tails = 0
     for p, n, m, shift in [(3, 1, 11, False), (3, 2, 10, False),
                            (3, 1, 27, True), (3, 1, 36, True),
-                           (5, 1, 35, True), (5, 2, 9, False)]:
+                           (5, 1, 35, True), (5, 2, 9, False),
+                           (3, 2, 4, False), (3, 2, 6, True),
+                           (3, 1, 48, True)]:
         eng = RankEngine(p, n, m, shift_stable=shift)
         pts = eng.points
         tail = [x for x in pts if x < p]
-        assert tail and pts[-len(tail):] == tail
+        assert pts[len(pts) - len(tail):] == tail
         assert len(tail) < len(pts)
+        tails += bool(tail)
         if shift:
             # points whose AS value lies in GF(p) come after all others
             in_fp = [_as_value(eng, x) < p for x in pts]
             assert in_fp == sorted(in_fp)
-    # GF(27) at m=27: 3 and 6 are outside GF(3) but their AS values are not
-    eng = RankEngine(3, 1, 27, shift_stable=True)
-    assert eng.points[-3:] == [3, 6, 0]
+    assert tails == 4
+    # GF(27) at m=27: two orbits of AS values of size 3 reach the bound
+    # floor(14/3) + 1 = 5, so no prime-field point is needed; at m=48 the
+    # bound 9 takes every AS value, 3 and 6 (outside GF(3), AS values in
+    # GF(3)) before 0
+    assert RankEngine(3, 1, 27, shift_stable=True).points == [9, 18]
+    assert RankEngine(3, 1, 48, shift_stable=True).points == [9, 18, 3, 6, 0]
 
 
 def test_engine_rejects_non_prime_q():
@@ -217,6 +233,75 @@ def test_batch_cells_cover_fields_and_small_k(rng):
             fields.add((p, eng.tables.q))
     assert {(p, p**s) for p in (2, 3, 5) for s in (1, 2, 3)} <= fields
     assert {0, 1, 2} <= ks
+
+
+# the benchmark's scan cells (q=3): m=11, shift-stable m=27 and n=2 m=10,
+# each with both leads (the reduced block on the coset), and the size of the
+# point field each runs on; a larger field costs its table build in set-up
+_BENCH_CELLS = [(1, 11, "squarefree", 9), (1, 27, "shift-stable", 27),
+                (2, 10, "squarefree", 27)]
+
+
+def _engines_under_test(rng):
+    # (engine, shift-stable?) for every _BATCH_CELLS and benchmark engine
+    from carlitz.scan import _engines_for
+    engines = [(_batch_cell(p, n, m, kind, rng, count=0)[0], kind == "stable")
+               for p, n, m, kind in _BATCH_CELLS]
+    engines += [(_engines_for(3, n, m, mode, on_coset(3, n, m, lead)),
+                 mode == "shift-stable")
+                for n, m, mode, _ in _BENCH_CELLS for lead in (1, 2)]
+    return [(eng, shift) for eng, shift in engines if eng.k]
+
+
+def _orbit(eng, y):
+    orbit = [y]
+    while _frob(eng, orbit[-1]) != y:
+        orbit.append(_frob(eng, orbit[-1]))
+    return orbit
+
+
+def test_points_one_per_frobenius_orbit(rng):
+    # no two points are Frobenius-conjugate (in shift-stable mode, no two AS
+    # values), and the orbit sizes reach n*k + 1 (floor(n*k/p) + 1), the
+    # last orbit taken being the one that reaches it
+    for eng, shift in _engines_under_test(rng):
+        p, bound = eng.p, eng.n * eng.k
+        need = bound // p + 1 if shift else bound + 1
+        orbits = [_orbit(eng, _as_value(eng, x) if shift else x)
+                  for x in eng.points]
+        covered = set().union(*orbits)
+        assert len(covered) == sum(map(len, orbits))
+        sizes = [len(o) for o in orbits]
+        assert sum(sizes) >= need > sum(sizes) - sizes[-1]
+        assert sizes == sorted(sizes, reverse=True)
+
+
+def test_bench_point_fields_do_not_grow():
+    from carlitz.scan import _engines_for
+    for n, m, mode, size in _BENCH_CELLS:
+        for lead in (1, 2):
+            eng = _engines_for(3, n, m, mode, on_coset(3, n, m, lead))
+            assert eng.tables.q == size
+
+
+def test_mult_at_is_frobenius_invariant(rng):
+    # M(t^p) is M(t) with Frobenius on every entry, so the multiplicity of
+    # eigenvalue 1 agrees at t and t^p, over every point of the field
+    fields = {}
+    for cell in _BATCH_CELLS:
+        eng, rows = _batch_cell(*cell, rng, count=12)
+        if eng.k and eng.tables.q in (8, 9, 25, 27):
+            fields.setdefault(eng.tables.q, (eng, rows))
+    assert sorted(fields) == [8, 9, 25, 27]
+    for eng, rows in fields.values():
+        mults = set()
+        for x in range(eng.tables.q):
+            ws, ws_p = eng._weights(x), eng._weights(_frob(eng, x))
+            for row in rows.tolist():
+                mult = eng._mult_at(row, ws)
+                assert eng._mult_at(row, ws_p) == mult
+                mults.add(mult)
+        assert len(mults) > 1
 
 
 @pytest.mark.parametrize("p,n,m,kind", _BATCH_CELLS)

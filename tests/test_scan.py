@@ -182,6 +182,33 @@ def test_squarefree_mask_matches_oracle(p, m_max):
         assert got.tolist() == want, (p, m)
 
 
+@pytest.mark.parametrize("p", [127, 131])
+def test_squarefree_mask_large_p(p, rng):
+    # the kernel runs on int16 for 2(p-1)^2 < 2^15 (p = 127) and on int64
+    # above (p = 131); every other row carries a square factor A^2
+    ctx = field_make(p)
+    by_degree = {}  # one degree per call, as the scans call it
+    for i in range(120):
+        m = rng.randrange(2, 10)
+        if i % 2:
+            a = Poly(ctx, [rng.randrange(p) for _ in range(rng.randrange(1, 3))]
+                     + [rng.randrange(1, p)])
+            b = Poly(ctx, [rng.randrange(p) for _ in range(m - 2 * a.degree)]
+                     + [rng.randrange(1, p)])
+            poly = a * a * b
+        else:
+            poly = Poly(ctx, [rng.randrange(p) for _ in range(m)]
+                        + [rng.randrange(1, p)])
+        by_degree.setdefault(poly.degree, []).append(
+            [int(c) for c in poly.coeffs])
+    flags = []
+    for block in by_degree.values():
+        want = [is_squarefree(Poly(ctx, r)) for r in block]
+        assert _squarefree_mask(np.array(block), p).tolist() == want
+        flags += want
+    assert True in flags and False in flags
+
+
 def test_shift_stable_squarefree_follows_f():
     # P = F(θ^3 - θ) is squarefree exactly when F is
     for m_st in range(7):
