@@ -8,26 +8,21 @@ multiplicity of the eigenvalue 1 of M(t): the per-point multiplicity can only
 exceed the global order at roots of the first nonvanishing Hasse derivative,
 and that polynomial cannot vanish at all n*k + 1 points.
 
-For shift-stable twist polynomials every such derivative lies in
-GF(q)[T^q - T], so points with distinct Artin-Schreier values t^q - t suffice
-and floor(n*k/q) + 1 of them are enough.
-
-One point per Frobenius orbit.  The engine takes prime q = p, so M has
-entries in GF(p)[T] and every Hasse derivative above lies in GF(p)[T]
-(GF(p)[T^p - T] in shift-stable mode).  A polynomial H over GF(p) satisfies
-H(t^p) = H(t)^p, so its roots in GF(p^s) are closed under t -> t^p: if H
-vanishes at t it vanishes on the whole Frobenius orbit of t.  Equally
-M(t^p) is M(t) with Frobenius applied to every entry, so det(M(t) - I) and
-the multiplicity of eigenvalue 1 are the same at t and at t^p.  Hence one
-representative per orbit stands for every point of its orbit, and the
-representatives suffice once their orbit sizes add up to n*k + 1.  In
-shift-stable mode (t^p - t)^p = t^(p^2) - t^p is the Artin-Schreier value of
-t^p, so the orbits are taken over the AS values, one point per orbit, and
-their sizes must add up to floor(n*k/p) + 1.  The point field is the
-smallest GF(p^s) with p^s >= n*k + 1 (p^(s-1) >= floor(n*k/p) + 1, the
-number of AS values, in shift-stable mode), so all its orbits together
-always reach the bound.  The engine takes the orbits largest first and
-stops once their sizes reach it.
+The point rule.  Each of those Hasse derivatives is a polynomial in φ(T),
+with φ(T) = T, or φ(T) = T^p - T for shift-stable twist polynomials (their
+derivatives lie in GF(p)[T^p - T]).  With d = deg φ (1, or p) it has degree
+<= floor(n*k/d) in φ, so it cannot vanish at need = floor(n*k/d) + 1
+distinct values of φ.  The engine takes prime q = p, so the derivatives
+have coefficients in GF(p), and such a polynomial H has H(y^p) = H(y)^p:
+its roots are closed under Frobenius.  Equally M(t^p) is M(t) with
+Frobenius on every entry and φ(t^p) = φ(t)^p, so det(M(t) - I) and the
+multiplicity of eigenvalue 1 agree at t and t^p.  Hence one point per
+Frobenius orbit of φ values stands for the whole orbit, and the points
+suffice once their orbit sizes add up to need.  The point field is the
+smallest GF(p^s) with p^s >= d*need: φ takes p^s/d values on it, so its
+orbits together always reach need.  The engine keeps the first x met in
+each orbit of φ(x), takes the orbits largest first and stops once their
+sizes reach need.
 
 Per point, the multiplicity of eigenvalue 1 is the number of trailing zero
 coefficients of the characteristic polynomial of M(t) - I, computed by
@@ -79,7 +74,7 @@ _TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
 
 
 class _Tables:
-    __slots__ = ("q", "mul", "add", "sub", "neg", "inv", "frob", "_ops")
+    __slots__ = ("q", "mul", "add", "sub", "inv", "frob", "_ops")
 
     def __init__(self, p: int, s: int):
         if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
@@ -89,7 +84,6 @@ class _Tables:
         self.mul = [f.mul(a, b) for a in range(q) for b in range(q)]
         self.add = [f.add(a, b) for a in range(q) for b in range(q)]
         self.sub = [f.sub(a, b) for a in range(q) for b in range(q)]
-        self.neg = [f.neg(a) for a in range(q)]
         self.inv = [0] + [f.inv(a) for a in range(1, q)]
         self.frob = [f.frobenius(a) for a in range(q)]  # x -> x^p
         self._ops = None
@@ -138,24 +132,20 @@ class RankEngine:
         if k == 0:
             self.points = self.point_weights = []
             return
-        bound = n * k
-        if shift_stable:
-            need = bound // p + 1
-            s = 1
-            while p ** (s - 1) < need:
-                s += 1
-        else:
-            need = bound + 1
-            s = 1
-            while p**s < need:
-                s += 1
+        # orbits of φ values reaching need, in the smallest GF(p^s) whose
+        # p^s/d values of φ (d = deg φ) can reach it (module doc)
+        d = p if shift_stable else 1
+        need = n * k // d + 1
+        s = 1
+        while p**s < d * need:
+            s += 1
         t = _TABLES.get((p, s))
         if t is None:
             t = _TABLES[(p, s)] = _Tables(p, s)
         self.tables = t
         q, frob, sub = t.q, t.frob, t.sub
-        # one point per Frobenius orbit of x (of its Artin-Schreier value
-        # x^p - x in shift-stable mode), the first x met in each orbit
+        # one point per Frobenius orbit of φ(x) = x (x^p - x in shift-stable
+        # mode), the first x met in each orbit
         orbits, seen = [], set()  # (orbit size, point)
         for x in range(q):
             y = sub[frob[x] * q + x] if shift_stable else x

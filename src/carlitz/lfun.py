@@ -50,19 +50,14 @@ class LFun:
     def __hash__(self):
         return hash((self.ctx, self.cs))
 
-    def mul(self, other: "LFun", trunc: int | None = None) -> "LFun":
-        """Product, optionally truncated at U-degree ``trunc``."""
+    def mul(self, other: "LFun") -> "LFun":
+        """Product."""
         ctx = self.ctx
-        n = len(self.cs) + len(other.cs) - 1
-        if trunc is not None:
-            n = min(n, trunc + 1)
-        out = [Poly.zero(ctx) for _ in range(n)]
+        out = [Poly.zero(ctx)] * (len(self.cs) + len(other.cs) - 1)
         for i, a in enumerate(self.cs):
-            if a.is_zero() or i >= n:
+            if a.is_zero():
                 continue
-            jmax = min(len(other.cs), n - i)
-            for j in range(jmax):
-                b = other.cs[j]
+            for j, b in enumerate(other.cs):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return LFun(ctx, out)

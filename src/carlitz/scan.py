@@ -5,11 +5,16 @@ squarefree P with those parameters (optionally restricted to shift-stable P,
 i.e. polynomials in θ^q - θ), tallying how many have analytic rank >= r and
 keeping a bounded list of witnesses per exact rank.
 
-Enumeration is a little-endian odometer over the free coefficients: index c
-maps to coefficients (c % q, (c//q) % q, ...).  Work is split into
-fixed-size chunks merged in chunk order, so the result is identical for any
-worker count.  Long scans can checkpoint per-chunk tallies to a JSONL file
-and resume.
+Enumeration is a little-endian odometer over the free digits: index c maps
+to digits (c % q, (c//q) % q, ...), the leading coefficient appended.  The
+digits are P's coefficients, or in shift-stable mode F's, where
+P = F(θ^q - θ); there P's coefficient rows are the digits times the basis
+of the powers (θ^q - θ)^i (``_stable_basis``, in closed form).  Beyond the
+digits, the basis and the squarefree policy below, a chunk does not branch
+on the mode; the engine takes its points from it (see fastrank).  Work is
+split into fixed-size chunks merged in chunk order, so the result is
+identical for any worker count.  Long scans can checkpoint per-chunk
+tallies to a JSONL file and resume.
 
 Scans need prime q: coefficient rows and the shift-stable expansion are
 computed mod q as integers, and the rank engine works over GF(q) = Z/q.
@@ -23,14 +28,17 @@ gcd(P, P') = 1 exactly when gcd(F, F') = 1.
 
 The squarefree test itself is one numpy kernel (``_squarefree_mask``):
 Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
-Generic scans rank first and test squarefreeness last: the engine ranks every
-row of the chunk, and the kernel runs only on the rows that a tally, a
-witness or the audit reads.  Those are the rows of rank above the base
-(1 on the distinguished coset, 0 off it), on the coset a prefix of the
-rank-1 rows long enough for the witnesses, and the audit's hash candidates.
-On the coset every squarefree P has rank >= 1, so the rank-1 count is the
-closed form minus the counts of rank >= 2.  Shift-stable scans filter F
-first, because at degree m/q the kernel costs little next to the engine.
+It reads the free digits, since P is squarefree iff F is.  The mode picks
+one of two policies, each the faster on its own workload.  Generic scans
+rank first and test squarefreeness last: the engine ranks every row of the
+chunk, and the kernel runs only on the rows that a tally, a witness or the
+audit reads.  Those are the rows of rank above the base (1 on the
+distinguished coset, 0 off it), on the coset a prefix of the rank-1 rows
+long enough for the witnesses, and the audit's hash candidates.  On the
+coset every squarefree P has rank >= 1, so the rank-1 count is the closed
+form minus the counts of rank >= 2.  Shift-stable scans filter F first,
+dropping the odometer indices with the rows, because at degree m/q the
+kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
 batched call per chunk.  The engine certifies first: an elimination per
@@ -66,7 +74,7 @@ import os
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
-from .ff import field_from_cardinality, field_make, is_prime
+from .ff import binom_mod_p, field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine
 from .motive import (TwistedPower, analytic_rank, on_coset,
                      reduced_block_size, stable_size)
@@ -82,10 +90,12 @@ _AUDIT_MIX = 2654435761  # Knuth multiplicative hash
 # coset-audit rows per block: the engine holds a few k x k uint16 matrices per
 # row, and the audit shares its process with other work, so keep blocks small
 _AUDIT_BLOCK = 512
+# largest enumeration a scan runs without force=True
+_SCAN_CAP = 3**16
 
 
 class ScanCapError(RuntimeError):
-    """Enumeration larger than the configured cap (pass force=True)."""
+    """Enumeration larger than the scan cap (pass force=True)."""
 
 
 def default_workers() -> int:
@@ -113,7 +123,6 @@ class ScanSpec:
     mode: str = "squarefree"  # "squarefree" | "shift-stable"
     workers: int = 0          # 0 = default_workers()
     chunk_size: int = 8192
-    cap: int = 3**16
     force: bool = False
     # Scans have no separate screen any more (the engine's certify phase
     # replaced it); the constant stays while the benchmark reads it, and goes
@@ -313,27 +322,31 @@ def _squarefree_ints(coeffs, p) -> bool:
     return bool(_squarefree_mask([coeffs], p)[0])
 
 
-def _expand_rows(q, m_st, m):
-    # coefficient rows of (θ^q - θ)^i for i = 0..m_st over GF(q), as lists
-    ctx = field_make(q)
-    base = Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1])
-    rows = []
-    cur = Poly.one(ctx)
-    for _ in range(m_st + 1):
-        row = [int(c) for c in cur.coeffs]
-        rows.append(row + [0] * (m + 1 - len(row)))
-        cur = cur * base
-    return rows
+def _stable_basis(q, m_st):
+    """Coefficient rows of (θ^q - θ)^i for i = 0..m_st, an int64 array.
+
+    (θ^q - θ)^i = sum_j C(i, j) (-1)^(i-j) θ^(i + (q-1)j), mod q.
+    """
+    import numpy as np
+
+    basis = np.zeros((m_st + 1, q * m_st + 1), dtype=np.int64)
+    for i in range(m_st + 1):
+        for j in range(i + 1):
+            basis[i, i + (q - 1) * j] = (
+                (-1) ** (i - j) * binom_mod_p(i, j, q) % q)
+    return basis
 
 
 def shift_stable_expand(c, q: int) -> Poly:
     """P = sum_i c[i] (θ^q - θ)^i from a little-endian coefficient sequence."""
-    m = q * (len(c) - 1)
-    rows = _expand_rows(q, len(c) - 1, m)
+    import numpy as np
+
+    if not len(c):
+        return Poly(field_make(q), [])
     # fixed by every θ -> θ + d by construction
+    digits = np.asarray(c, dtype=np.int64)
     return Poly(field_make(q),
-                [sum(int(ci) * row[j] for ci, row in zip(c, rows)) % q
-                 for j in range(m + 1)])
+                (digits @ _stable_basis(q, len(c) - 1) % q).tolist())
 
 
 def _odometer(q, mfree, lead, start, end):
@@ -368,23 +381,24 @@ def _scan_chunk(args):
     coset = on_coset(q, n, m, lead)
     base = 1 if coset else 0
     eng = _engines_for(q, n, m, mode, coset)
-    free = _odometer(q, m // q if shift else m, lead, start, end)
+    # the free digits: P's coefficients, or F's where P = F(θ^q - θ), and
+    # their odometer indices, kept in step with them
+    digits = _odometer(q, m // q if shift else m, lead, start, end)
+    idxs = np.arange(start, end, dtype=np.uint64)
+    rows = digits
     if shift:
-        # squarefree first: the rows are F, P = F(θ^q - θ) is squarefree iff
-        # F is, and at degree m/q the kernel costs little next to the engine
-        sf_mask = _squarefree_mask(free, q)
-        rows_mat = np.asarray(_expand_rows(q, m // q, m), dtype=np.int64)
-        rows = free[sf_mask] @ rows_mat % q
+        # filter first: at degree m/q the kernel costs little next to the
+        # engine
+        keep = _squarefree_mask(digits, q)
+        digits, idxs = digits[keep], idxs[keep]
+        rows = digits @ _stable_basis(q, m // q) % q
 
-        def squarefree(sel):
-            return sel
-    else:
-        # rank first: the engine sees every row, and only the rows that a
-        # tally, a witness or the audit reads get the squarefree test
-        rows = free
+    def squarefree(sel):
+        # P is squarefree iff F is, so the test reads the free digits
+        return sel[_squarefree_mask(digits[sel], q)]
 
-        def squarefree(sel):
-            return sel[_squarefree_mask(rows[sel], q)]
+    # rank first in generic mode: the engine sees every row, and only the
+    # rows that a tally, a witness or the audit reads get the squarefree test
     ranks = base + eng.vanishing_orders(rows)
 
     witnesses: dict = {}
@@ -416,9 +430,6 @@ def _scan_chunk(args):
     if audit_rate > 0 and audit_skip_reason(q, n, m, audit_k_cap) is None:
         # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
         # which keeps the low 32 bits exact
-        idxs = np.arange(start, end, dtype=np.uint64)
-        if shift:
-            idxs = idxs[sf_mask]
         hashed = idxs * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
         picks = squarefree(
             np.nonzero(hashed < int(audit_rate * 2**32))[0])[:audit_cap]
@@ -499,9 +510,9 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
              resume: bool = False) -> RankTable:
     """Execute a scan; deterministic for any worker count."""
     total = spec.total
-    if total > spec.cap and not spec.force:
+    if total > _SCAN_CAP and not spec.force:
         raise ScanCapError(
-            f"enumeration size {total} exceeds cap {spec.cap}; set force")
+            f"enumeration size {total} exceeds cap {_SCAN_CAP}; set force")
     chunks = [(s, min(s + spec.chunk_size, total))
               for s in range(0, total, spec.chunk_size)]
     done = None

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,27 @@ def test_bench_point_fields_do_not_grow():
         for lead in (1, 2):
             eng = _engines_for(3, n, m, mode, on_coset(3, n, m, lead))
             assert eng.tables.q == size
+
+
+def test_engine_points_pinned():
+    # the points and point fields of every engine over p in {2, 3, 5, 7},
+    # n <= 3, m <= 30, both modes, full and (where some lead lies on the
+    # coset) reduced blocks, pinned by digest: any change to the point rule
+    # or the point order fails here
+    h = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for m in range(1, 31):
+                ks = [None]
+                if any(on_coset(p, n, m, a) for a in range(1, p)):
+                    ks.append(reduced_block_size(p, n, m))
+                for shift in (False, True):
+                    for k in ks:
+                        eng = RankEngine(p, n, m, shift_stable=shift, k=k)
+                        got = [eng.points, eng.tables.q] if eng.k else []
+                        h.update(json.dumps(got).encode() + b"\n")
+    assert h.hexdigest() == (
+        "882c0ca710eafb9987e30cf0214acd82fc463c3c15bf77e674f253c71acec75c")
 
 
 def test_mult_at_is_frobenius_invariant(rng):

