@@ -47,17 +47,51 @@ it serves single twists and is the oracle for the batched form.  It walks
 the points taking the charpoly multiplicity, and stops at multiplicity 0 or
 once its running minimum reaches a known lower bound.
 
-``vanishing_orders`` takes an (N, m+1) array and runs the live rows in
-lockstep with numpy, in two phases.  Certify: at every point, batched
-Gaussian elimination (a pivot per row) on M(t) - I; a nonzero det settles
-order 0 and the row leaves.  Count: only the rows certified order >= 1 get
-the charpoly, point by point: Hessenberg reduction with a pivot per row (a
-row without a pivot swaps with itself), Cohen's recurrence across the batch,
-and the multiplicity read off the first nonzero coefficient.  A row leaves
-once its running minimum reaches 1, so an order-1 row leaves at its first
-point of multiplicity 1.  The order is the minimum over all points, so this
-schedule gives the scalar form's answer.  The arithmetic uses uint16 copies
-of the same GF(p^s) lookup tables.
+``vanishing_orders`` takes an (N, w) array of digits and an optional
+(w, m+1) basis: the coefficient rows are digits @ basis mod p, or the
+digits themselves without a basis (a scan passes F's digits and the rows of
+(θ^p - θ)^x for shift-stable P = F(θ^p - θ)).  It runs the live rows in
+lockstep with numpy, in two phases, over uint16 copies of the point
+field's lookup tables.
+
+Certify: at every point, a nonzero det(M(t) - I) settles order 0 and the
+row leaves.  Rows run in groups: runs of consecutive rows with equal digits
+from position s up (this s counts digits, not the point field's degree;
+the odometer varies digit 0 fastest, so up to p^s rows share them).
+Digit x moves the coefficients in the support of basis row x and so only
+band slots up to n above them, and row i of M(t) reads slots
+(i+1)p - k .. (i+1)p - 1; so digits 0..s-1 reach only the top r = r(s)
+rows of M(t) - I, and the other k - r rows, B, are the same for the whole
+group.  Write the top rows as A0 + sum_x d_x A_x: A0 those of the group's
+row with digits 0..s-1 set to 0, A_x those of the pure band of basis row x
+(fixed per point and basis).  Row operations that eliminate the first k - r
+columns of N = [B^T | A0^T | A_0^T .. A_(s-1)^T] bring [B^T | A^T] to the
+form [[U, *], [0, S]], and being linear they send A to
+S = S0 + sum_x d_x S_x, with S0 and S_x the trailing r rows of the A0 and
+A_x blocks.  Hence
+
+    det(M(t) - I) = ± prod pivots(U) · det(S0 + sum_x d_x S_x).
+
+A zero pivot means B's rows are dependent, and every row of the group has
+det 0 at t; otherwise each row tests its own r x r matrix.  One kernel,
+``_eliminate``, runs both eliminations with a pivot per matrix;
+``_det_nonzero`` is that kernel on whole k x k matrices and stays as the
+oracle.  The rule for s: a group's elimination (k - r columns over
+k + s*r) is shared by up to p^s rows, and a row pays for its combination
+(s blocks of r x r) and an r x r elimination, while r(s) grows with s.  The
+engine estimates the cost per row in table lookups, once per basis, for s
+= 0 and every s with r(s) < k, and takes the cheapest (``_Plan``).  s = 0
+(r = 0, one row per group) is plain elimination of every row; an engine
+takes it when digit 0 already reaches all k rows (k <= 2 and small q = 2
+cells) or when no s pays.
+
+Count: only the rows certified order >= 1 get the charpoly, point by point:
+Hessenberg reduction with a pivot per row (a row without a pivot swaps with
+itself), Cohen's recurrence across the batch, and the multiplicity read off
+the first nonzero coefficient.  A row leaves once its running minimum
+reaches 1, so an order-1 row leaves at its first point of multiplicity 1.
+The order is the minimum over all points, so this schedule gives the scalar
+form's answer.
 
 The engine supports prime q (digit-encoded subfield elements embed as
 themselves).
@@ -115,6 +149,76 @@ class _Tables:
         return self._ops
 
 
+class _Plan:
+    """How the certify phase splits M(t) - I for one basis (module doc).
+
+    Digit x of a row moves the coefficients in the support of basis row x,
+    and so the band slots up to n above them; ``r`` is one more than the
+    last row of M(t) that a slot moved by digits 0..s-1 reaches.  ``s`` is
+    the one of lowest estimated cost per row, counted in table lookups:
+    the group elimination of k - r columns over k + s*r, shared by up to
+    p^s rows, then per row the combination of s blocks and an r x r
+    elimination.  s = 0 (r = 0) is plain elimination of every row.
+
+    The combination S0 + sum d_x S_x is linear over GF(p), so it runs on
+    the base-p digits of the point field's elements, each digit in its own
+    b bits of a uint16, with plain integer arithmetic: ``pack`` spreads an
+    element's digits, b bits hold the largest digit sum (p-1)(1 + s(p-1)),
+    and ``unpack`` reduces each digit sum mod p back to an element.  An s
+    whose e digits of b bits overflow 16 bits (GF(p^e) the point field) is
+    not considered.
+
+    ``blocks[i]`` holds A_0^T .. A_(s-1)^T at the i-th point as a (k, s*r)
+    array; ``nidx`` gathers N = [B^T | A0^T] from the band and ``diag`` is
+    where N holds M's diagonal.
+    """
+
+    __slots__ = ("s", "r", "nidx", "diag", "blocks", "pack", "unpack")
+
+    def __init__(self, eng, basis):
+        import numpy as np
+        k, p, q = eng.k, eng.p, eng.tables.q
+        e = 1  # the point field is GF(p^e)
+        while p**e < q:
+            e += 1
+        idx = np.asarray(eng._idx)
+        reach = [0]
+        for row in basis:
+            slots = np.flatnonzero(row)[:, None] + np.arange(eng.n + 1)
+            hit = np.flatnonzero(np.isin(idx, slots).any(axis=1))
+            reach.append(max(reach[-1], hit[-1] + 1 if hit.size else 0))
+
+        def bits(s):
+            return ((p - 1) * (1 + s * (p - 1))).bit_length()
+
+        def elim(rows, cols, width):
+            # a mul and a sub per updated entry
+            return sum(2 * (rows - c - 1) * (width - c - 1)
+                       for c in range(cols))
+
+        def cost(s):
+            r, w = reach[s], k + s * reach[s]
+            group = elim(k, k - r, w) + k * w
+            return group / p**s + (1 + s) * r * r + elim(r, r, r)
+
+        s = min((s for s in range(len(basis))
+                 if not s or reach[s] < k and bits(s) * e <= 16), key=cost)
+        r, b = reach[s], bits(s)
+        self.s, self.r = s, r
+        order = list(range(r, k)) + list(range(r))
+        self.nidx = idx[order].T
+        self.diag = (np.arange(k), np.argsort(order))
+        self.blocks = [
+            eng._band(basis[:s], ws)[idx[:r].T].transpose(0, 2, 1)
+            .reshape(k, s * r) for ws in eng.point_weights]
+        shifts = b * np.arange(e)
+        digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+        self.pack = (digits << shifts).sum(axis=1).astype(np.uint16)
+        sums = np.arange(1 << (b * e))[:, None] >> shifts & ((1 << b) - 1)
+        self.unpack = (sums % p * p ** np.arange(e)).sum(axis=1).astype(
+            np.uint16)
+
+
 class RankEngine:
     """Vanishing order of det(I - M(P) U) at U = 1 for fixed (q, n, m, k)."""
 
@@ -129,6 +233,7 @@ class RankEngine:
             k = stable_size(p, n, m)
         self.k = k
         self._idx = band_index(p, k, m + n + 1)  # M(t) from the band at t
+        self._plans = {}  # basis -> _Plan, built on first use
         if k == 0:
             self.points = self.point_weights = []
             return
@@ -200,63 +305,128 @@ class RankEngine:
                     return best
         return best
 
-    def vanishing_orders(self, rows):
-        """``vanishing_order`` of every row of an (N, m+1) integer array.
+    def vanishing_orders(self, digits, basis=None):
+        """``vanishing_order`` of every row of ``digits @ basis % p``.
 
-        Certify, then count (module doc).
+        ``digits`` is an (N, w) integer array and ``basis`` a (w, m+1) one;
+        without a basis the digits are the coefficient rows.  Certify, then
+        count (module doc); the certify phase groups the rows by their
+        digits from position s up.
         """
         import numpy as np
-        rows = np.asarray(rows)
-        best = np.full(len(rows), self.k, dtype=np.int64)
+        digits = np.asarray(digits)
+        best = np.full(len(digits), self.k, dtype=np.int64)
         if self.k == 0:
             return best
-        live = np.arange(len(rows))
-        for ws in self.point_weights:
+        plan = self._plan(basis, digits.shape[1])
+        live = np.arange(len(digits))
+        for i in range(len(self.points)):
             if live.size == 0:
                 break
-            nz = self._det_nonzero(self._matrices(rows[live], ws))
+            nz = self._certify(digits[live], basis, plan, i)
             best[live[nz]] = 0
             live = live[~nz]
+        rows = digits[live]
+        if basis is not None:
+            rows = rows @ basis % self.p
         for ws in self.point_weights:
             if live.size == 0:
                 break
-            mult = self._charpoly_mults(self._matrices(rows[live], ws))
+            mult = self._charpoly_mults(self._matrices(rows, ws))
             best[live] = np.minimum(best[live], mult)
-            live = live[best[live] > 1]
+            more = best[live] > 1
+            live, rows = live[more], rows[more]
         return best
 
-    def _matrices(self, rows, ws):
-        # M(t) - I for every row of an (N, m+1) array, as a (k, k, N) uint16
-        # array: row axis last, where the eliminations run fastest.  The band
-        # v[x] = sum_l w_l(t) a[x - l] at t, with the zero slot m+n+1, for
-        # every row, then one gather through motive's band index
+    def _plan(self, basis, width):
+        # the certify plan of a basis (None: the identity), built once
         import numpy as np
-        mul, add, sub, _ = self.tables.ops()
-        k, n, m = self.k, self.n, self.m
+        if basis is not None:
+            basis = np.asarray(basis, dtype=np.int64)
+        key = (width, None if basis is None else basis.tobytes())
+        plan = self._plans.get(key)
+        if plan is None:
+            if basis is None:
+                basis = np.eye(width, self.m + 1, dtype=np.int64)
+            plan = self._plans[key] = _Plan(self, basis)
+        return plan
+
+    def _certify(self, digits, basis, plan, i):
+        # det(M(t) - I) != 0 at the i-th point for every row of
+        # digits @ basis, by one elimination of the shared rows per group
+        # (module doc)
+        import numpy as np
+        _, _, sub, _ = self.tables.ops()
+        k, s, r = self.k, plan.s, plan.r
+        # groups: runs of rows with equal digits from position s up
+        hi = digits[:, s:]
+        new = np.ones(len(digits), dtype=bool)
+        new[1:] = (hi[1:] != hi[:-1]).any(axis=1)
+        sizes = np.diff(np.append(np.flatnonzero(new), len(digits)))
+        heads = digits[new]
+        heads[:, :s] = 0
+        if basis is not None:
+            heads = heads @ basis % self.p
+        # N = [B^T | A0^T | A_0^T .. A_(s-1)^T] per group
+        a = np.empty((k, k + s * r, len(heads)), dtype=np.uint16)
+        a[:, :k] = self._band(heads, self.point_weights[i])[plan.nidx]
+        a[plan.diag] = sub(a[plan.diag], 1)
+        a[:, k:] = plan.blocks[i][:, :, None]
+        ok = self._eliminate(a, k - r)
+        # S0 + sum d_x S_x per row, on packed base-p digits (_Plan)
+        tail = np.repeat(plan.pack.take(a[k - r:, k - r:]), sizes, axis=2)
+        acc = tail[:, :r].copy()
+        for x in range(s):
+            acc += digits[:, x].astype(np.uint16) * tail[:, r * (x + 1):
+                                                            r * (x + 2)]
+        return np.repeat(ok, sizes) & self._eliminate(plan.unpack.take(acc),
+                                                      r)
+
+    def _band(self, rows, ws):
+        # the band v[x] = sum_l w_l(t) a[x - l] at t of every row of an
+        # (N, m+1) array, with the zero slot m+n+1, as (m+n+2, N) uint16
+        import numpy as np
+        mul, add, _, _ = self.tables.ops()
+        n, m = self.n, self.m
         cols = np.asarray(rows, dtype=np.uint16).T  # coefficient-major
         v = np.zeros((m + n + 2, cols.shape[1]), dtype=np.uint16)
         for l, w in enumerate(ws):
             if w:
                 v[l:l + m + 1] = add(v[l:l + m + 1], mul(w, cols))
-        h = v[np.asarray(self._idx)]
-        diag = np.arange(k)
+        return v
+
+    def _matrices(self, rows, ws):
+        # M(t) - I for every row of an (N, m+1) array, as a (k, k, N) uint16
+        # array: row axis last, where the eliminations run fastest.  One
+        # gather of the band through motive's band index
+        import numpy as np
+        _, _, sub, _ = self.tables.ops()
+        h = self._band(rows, ws)[np.asarray(self._idx)]
+        diag = np.arange(self.k)
         h[diag, diag] = sub(h[diag, diag], 1)  # M - I
         return h
 
     def _det_nonzero(self, a):
-        # det != 0 for each matrix of a (k, k, N) array, by Gaussian
-        # elimination with a pivot per row (a row with no pivot in column c
-        # swaps row c with itself); overwrites a
+        # det != 0 for each matrix of a (k, k, N) array; overwrites a
+        return self._eliminate(a, self.k)
+
+    def _eliminate(self, a, ncols):
+        # Gaussian elimination of the first ncols columns of each matrix of
+        # an (R, W, N) array, R >= ncols, every row operation applied to all
+        # W columns, with a pivot per matrix (the first nonzero entry; a
+        # matrix with no pivot in column c keeps its rows); True where every
+        # pivot is nonzero.  Only the matrices whose pivot row moves take
+        # part in the swap.  Overwrites a
         import numpy as np
         mul, _, sub, inv = self.tables.ops()
-        k, count = self.k, a.shape[2]
-        at = np.arange(count)
-        ok = np.ones(count, dtype=bool)
-        for c in range(k):
+        ok = np.ones(a.shape[2], dtype=bool)
+        for c in range(ncols):
             piv = c + (a[c:, c] != 0).argmax(axis=0)
-            top = a[c, c:].copy()
-            a[c, c:] = a[piv, c:, at].T
-            a[piv, c:, at] = top.T
+            at = np.flatnonzero(piv != c)
+            if at.size:
+                top = a[c, c:, at]
+                a[c, c:, at] = a[piv[at], c:, at]
+                a[piv[at], c:, at] = top
             ok &= a[c, c] != 0
             f = mul(a[c + 1:, c], inv.take(a[c, c]))
             a[c + 1:, c + 1:] = sub(a[c + 1:, c + 1:],

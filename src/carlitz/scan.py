@@ -41,12 +41,17 @@ dropping the odometer indices with the rows, because at degree m/q the
 kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk.  The engine certifies first: an elimination per
-point settles the bulk "order 0" outcome at the first point where
-det(M(t) - I) != 0, and only the rows whose det vanishes at every point,
-certified order >= 1, pay for the charpoly.  The engine takes one point per
-Frobenius orbit (per orbit of Artin-Schreier values t^q - t for
-shift-stable rows), largest orbits first.  So it visits last the prime-field
+batched call per chunk on the free digits, with the basis in shift-stable
+mode; the engine computes P's rows only for the few it counts.  The engine
+certifies first, settling the bulk "order 0" outcome at the first point
+where det(M(t) - I) != 0.  Rows in odometer order share their high digits
+in runs of up to q^s, and the low digits reach only a few top rows of
+M(t) - I, so at each point the engine eliminates the other rows once per
+run and tests a small r x r Schur complement per row.  Only the rows whose
+det vanishes at every point, certified order >= 1, pay for the charpoly.
+The engine takes one point per Frobenius orbit (per orbit of
+Artin-Schreier values t^q - t for shift-stable rows), largest orbits
+first.  So it visits last the prime-field
 points and, for shift-stable rows, the points whose Artin-Schreier value
 lies in GF(q): a nonzero det is least likely there.  On the
 distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
@@ -385,21 +390,26 @@ def _scan_chunk(args):
     # their odometer indices, kept in step with them
     digits = _odometer(q, m // q if shift else m, lead, start, end)
     idxs = np.arange(start, end, dtype=np.uint64)
-    rows = digits
+    basis = None
     if shift:
         # filter first: at degree m/q the kernel costs little next to the
         # engine
         keep = _squarefree_mask(digits, q)
         digits, idxs = digits[keep], idxs[keep]
-        rows = digits @ _stable_basis(q, m // q) % q
+        basis = _stable_basis(q, m // q)
 
     def squarefree(sel):
         # P is squarefree iff F is, so the test reads the free digits
         return sel[_squarefree_mask(digits[sel], q)]
 
+    def coeffs(sel):
+        # P's coefficient rows, as lists
+        rows = digits[sel] if basis is None else digits[sel] @ basis % q
+        return rows.tolist()
+
     # rank first in generic mode: the engine sees every row, and only the
     # rows that a tally, a witness or the audit reads get the squarefree test
-    ranks = base + eng.vanishing_orders(rows)
+    ranks = base + eng.vanishing_orders(digits, basis)
 
     witnesses: dict = {}
     if coset:
@@ -415,15 +425,14 @@ def _scan_chunk(args):
             lo += size
             size *= 2
         if len(first):
-            witnesses[1] = [_row_str(row)
-                            for row in rows[first[:witness_cap]].tolist()]
+            witnesses[1] = list(map(_row_str, coeffs(first[:witness_cap])))
     high = squarefree(np.nonzero(ranks > base)[0])
     hist: dict = {}
     found, counts = np.unique(ranks[high], return_counts=True)
     for r, c in zip(found.tolist(), counts.tolist()):
         hist[r] = c
         first = high[ranks[high] == r][:witness_cap]
-        witnesses[r] = [_row_str(row) for row in rows[first].tolist()]
+        witnesses[r] = list(map(_row_str, coeffs(first)))
 
     audit_failures = []
     picks = np.zeros(0, dtype=np.int64)
@@ -434,7 +443,7 @@ def _scan_chunk(args):
         picks = squarefree(
             np.nonzero(hashed < int(audit_rate * 2**32))[0])[:audit_cap]
     ctx = field_make(q)
-    for row, fast in zip(rows[picks].tolist(), ranks[picks].tolist()):
+    for row, fast in zip(coeffs(picks), ranks[picks].tolist()):
         slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
         if slow != fast:
             audit_failures.append(

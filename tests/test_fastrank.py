@@ -459,3 +459,113 @@ def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
             assert group
             assert eng.vanishing_orders(np.array(group)).tolist() == \
                 [eng.vanishing_order(r) for r in group]
+
+
+def _window(p, w, start, count, rng):
+    # rows start..start+count-1 of the odometer over the low j digits, the
+    # fewest that hold the window (all w-1 free digits at most), with random
+    # higher digits and lead shared by every row
+    from carlitz.scan import _odometer
+    j = 0
+    while j < w - 1 and p**j < start + count:
+        j += 1
+    end = min(start + count, p**j)
+    start = min(start, end - 1)
+    low = _odometer(p, j, 0, start, end)[:, :j]
+    high = [rng.randrange(p) for _ in range(w - 1 - j)] + [rng.randrange(1, p)]
+    return np.hstack([low, np.tile(high, (end - start, 1))])
+
+
+def _certify_mask(eng, digits, basis, i):
+    return eng._certify(digits, basis, eng._plan(basis, digits.shape[1]), i)
+
+
+def test_schur_certify_matches_elimination(rng):
+    # the per-group Schur form against plain elimination of M(t) - I, on
+    # every engine and point: aligned odometer blocks of p^s rows, ragged
+    # windows, every 7th row of a window, and shift-stable digits with their
+    # basis
+    from carlitz.scan import _stable_basis
+    cases = 0
+    for eng, shift in _engines_under_test(rng):
+        p, m = eng.p, eng.m
+        basis = _stable_basis(p, m // p) if shift else None
+        w = m // p + 1 if shift else m + 1
+        block = p ** eng._plan(basis, w).s
+        windows = [_window(p, w, 2 * block, 3 * block, rng),
+                   _window(p, w, 2 * block + 1, 3 * block - 2, rng),
+                   _window(p, w, block + 3, 21 * block, rng)[::7]]
+        for digits in windows:
+            rows = digits if basis is None else digits @ basis % p
+            for i, ws in enumerate(eng.point_weights):
+                want = eng._det_nonzero(eng._matrices(rows, ws))
+                assert _certify_mask(eng, digits, basis, i).tolist() == \
+                    want.tolist()
+                cases += 1
+    assert cases > 300
+
+
+def test_schur_certify_rank_deficient_prefix(monkeypatch):
+    # q=3 n=1 m=5 with the coset lead, on the full-size matrix: the rows of
+    # M(t) - I that the low digits do not reach are dependent for some
+    # groups, so the group elimination meets a zero pivot and every row of
+    # the group has det 0
+    from carlitz.scan import _odometer
+    eng = RankEngine(3, 1, 5)
+    digits = _odometer(3, 5, 2, 0, 243)
+    plan = eng._plan(None, 6)
+    assert 0 < plan.r < eng.k
+    groups = []
+    eliminate = RankEngine._eliminate
+
+    def spy(self, a, ncols):
+        ok = eliminate(self, a, ncols)
+        if ncols == self.k - plan.r and a.shape[0] == self.k:
+            groups.append(ok)
+        return ok
+
+    monkeypatch.setattr(RankEngine, "_eliminate", spy)
+    for i, ws in enumerate(eng.point_weights):
+        groups.clear()
+        got = _certify_mask(eng, digits, None, i)
+        assert len(groups) == 1 and not groups[0].all()
+        want = eng._det_nonzero(eng._matrices(digits, ws))
+        assert got.tolist() == want.tolist()
+
+
+def test_schur_certify_s0_engines(rng):
+    # an engine in which digit 0 already reaches all k rows (r(s) >= k for
+    # every s >= 1) takes s = 0, plain elimination of every row; so do
+    # engines where the cost estimate finds no s that pays.  Either way the
+    # answers are the scalar ones
+    from carlitz.scan import _stable_basis
+    forced, zero = [], []
+    for p in (2, 3, 5):
+        for n in (1, 2, 3):
+            for m in range(0, 9):
+                for shift in (False, True):
+                    if shift and (m == 0 or m % p):
+                        continue
+                    eng = RankEngine(p, n, m, shift_stable=shift)
+                    basis = _stable_basis(p, m // p) if shift else None
+                    row0 = basis[0] if shift else np.eye(m + 1, dtype=int)[0]
+                    slots = {x + l for x in np.flatnonzero(row0).tolist()
+                             for l in range(n + 1)}
+                    reached = [i for i, idx in enumerate(eng._idx)
+                               if slots & set(idx)]
+                    w = m // p + 1 if shift else m + 1
+                    s = eng._plan(basis, w).s
+                    if max(reached, default=-1) + 1 >= eng.k:
+                        assert s == 0
+                        forced.append((p, eng.k))
+                    if s:
+                        continue
+                    zero.append((p, eng.k))
+                    digits = np.array(
+                        [[rng.randrange(p) for _ in range(w - 1)]
+                         + [rng.randrange(1, p)] for _ in range(20)])
+                    rows = digits if basis is None else digits @ basis % p
+                    assert eng.vanishing_orders(digits, basis).tolist() == \
+                        [eng.vanishing_order(r) for r in rows.tolist()]
+    assert {(2, 3), (3, 1)} <= set(forced)
+    assert len(zero) > len(forced) and (2, 8) in zero

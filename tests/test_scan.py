@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -534,3 +535,28 @@ def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
     lines = [json.loads(line) for line in ck.read_text().splitlines()]
     assert [r["chunk"] for r in lines[1:]] == list(range(len(starts)))
     assert all("squarefree" not in r["payload"] for r in lines[-2:])
+
+
+def test_scan_outputs_pinned():
+    # run_scan JSON of generic, n=2, shift-stable, q=5 and q=2 cells, and two
+    # coset audits, pinned by digest: a change to the engine's certify or
+    # count phase that moves a count or a witness fails here
+    cells = [(3, 1, 9, 1, "squarefree"), (3, 1, 9, 2, "squarefree"),
+             (3, 2, 8, 1, "squarefree"), (3, 2, 8, 2, "squarefree"),
+             (3, 1, 18, 1, "shift-stable"), (3, 1, 18, 2, "shift-stable"),
+             (3, 1, 24, 1, "shift-stable"), (3, 1, 24, 2, "shift-stable"),
+             (5, 1, 7, 4, "squarefree"), (2, 1, 14, 1, "squarefree")]
+    h = hashlib.sha256()
+    for q, n, m, lead, mode in cells:
+        table = run_scan(ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode,
+                                  workers=1))
+        h.update(json.dumps(table.to_json_obj(), sort_keys=True).encode()
+                 + b"\n")
+    assert h.hexdigest() == (
+        "de509772f9d3d32cae3934cf7e8b41e9bc8c0cfca7d7924bdd5d4063ee3ccd6c")
+    h = hashlib.sha256()
+    for args in [(3, 1, 7), (2, 2, 8)]:
+        h.update(json.dumps(coset_audit(*args), sort_keys=True).encode()
+                 + b"\n")
+    assert h.hexdigest() == (
+        "55cb99010e7b069d27a12faf6ff6d01941c5b2a9efd9d590dbb7dc99df64d59e")
