@@ -60,7 +60,7 @@ def main(argv=None) -> int:
             print(f"{m:>3} {lead:>2} {table.squarefree[(m, lead)]:>11} " +
                   " ".join(f"{c:>8}" for c in counts) +
                   f"  {mx:>3}  {table.audits:>6}")
-            skipped = audit_skip_reason(spec.q, spec.n, m, spec.audit_k_cap)
+            skipped = audit_skip_reason(spec.q, spec.n, m)
             if skipped:
                 print(f"  audit skipped: {skipped}")
             if table.audit_failures:

@@ -224,7 +224,7 @@ def cmd_scan(args) -> int:
         table = run_scan(spec, checkpoint=args.checkpoint, resume=args.resume)
     except ScanCapError as exc:
         raise UsageError(str(exc)) from None
-    skipped = audit_skip_reason(spec.q, spec.n, spec.m, spec.audit_k_cap)
+    skipped = audit_skip_reason(spec.q, spec.n, spec.m)
     if skipped:
         print(f"audit skipped: {skipped}", file=sys.stderr)
     payload = json.dumps(table.to_json_obj(), indent=None)

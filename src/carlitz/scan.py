@@ -61,7 +61,7 @@ restores the early exit that the forced (1-U) factor would otherwise deny.
 A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
 audited against the full division-free determinant plus synthetic division.
 The audit is skipped when the stable matrix size k_min exceeds
-``audit_k_cap`` (``audit_skip_reason``); ``carlitz scan`` and
+``_AUDIT_K_CAP`` (``audit_skip_reason``); ``carlitz scan`` and
 ``scripts/rank_count_tables.py`` say so.
 
 The exhaustive coset audit (``coset_audit``) runs on the same chunk pipeline,
@@ -92,9 +92,12 @@ __all__ = [
 ]
 
 _AUDIT_MIX = 2654435761  # Knuth multiplicative hash
-# coset-audit rows per block: the engine holds a few k x k uint16 matrices per
-# row, and the audit shares its process with other work, so keep blocks small
-_AUDIT_BLOCK = 512
+# the symbolic audit's share of rows, its picks per chunk and its k_min cap
+_AUDIT_RATE = 1e-3
+_AUDIT_CAP = 16
+_AUDIT_K_CAP = 12
+# odometer rows per scan chunk (the default) and per coset-audit block
+_CHUNK = 8192
 # largest enumeration a scan runs without force=True
 _SCAN_CAP = 3**16
 
@@ -127,15 +130,14 @@ class ScanSpec:
     lead: int
     mode: str = "squarefree"  # "squarefree" | "shift-stable"
     workers: int = 0          # 0 = default_workers()
-    chunk_size: int = 8192
+    chunk_size: int = _CHUNK
     force: bool = False
     # Scans have no separate screen any more (the engine's certify phase
     # replaced it); the constant stays while the benchmark reads it, and goes
     # with the benchmark change of ROADMAP item 1.
     use_batch_screen: ClassVar[bool] = False
-    audit_rate: float = 1e-3
-    audit_cap: int = 16
-    audit_k_cap: int = 12
+    # _AUDIT_K_CAP, kept here while the benchmark reads it, like the above
+    audit_k_cap: ClassVar[int] = _AUDIT_K_CAP
     witness_cap: int = 16
 
     def __post_init__(self):
@@ -157,10 +159,6 @@ class ScanSpec:
             raise ValueError("worker count must be >= 0")
         if self.witness_cap < 0:
             raise ValueError("witness cap must be >= 0")
-        if not 0 <= self.audit_rate <= 1:
-            raise ValueError("audit rate must lie in [0, 1]")
-        if self.audit_cap < 0:
-            raise ValueError("audit cap must be >= 0")
 
     @property
     def free_coeffs(self) -> int:
@@ -173,7 +171,7 @@ class ScanSpec:
     def fingerprint(self) -> str:
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
                 f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
-                f"r{self.audit_rate}ac{self.audit_cap}ak{self.audit_k_cap}")
+                f"r{_AUDIT_RATE}ac{_AUDIT_CAP}ak{_AUDIT_K_CAP}")
 
 
 @dataclass
@@ -264,18 +262,18 @@ def _engines_for(q, n, m, mode, on_coset, _screen=None):
     return eng
 
 
-def audit_skip_reason(q: int, n: int, m: int, audit_k_cap: int) -> str | None:
+def audit_skip_reason(q: int, n: int, m: int) -> str | None:
     """Why a scan of degree m runs no symbolic audit, or None if it runs one.
 
-    Cells with a stable matrix size k_min above ``audit_k_cap`` are not
+    Cells with a stable matrix size k_min above ``_AUDIT_K_CAP`` are not
     audited.  The audit's division-free determinant costs about 2-5 ms per
     twist at k_min = 13-19 (q = 2, 3; median of 5 random twists on a
     2-core Xeon), so the cap guards the scans' run time, not the audit's
     feasibility.
     """
     k_min = stable_size(q, n, m)
-    if k_min > audit_k_cap:
-        return f"k_min {k_min} > audit_k_cap {audit_k_cap}"
+    if k_min > _AUDIT_K_CAP:
+        return f"k_min {k_min} > audit_k_cap {_AUDIT_K_CAP}"
     return None
 
 
@@ -358,9 +356,10 @@ def _odometer(q, mfree, lead, start, end):
     """Rows for odometer indices start..end-1: free coefficients, then lead."""
     import numpy as np
 
-    idxs = np.arange(start, end, dtype=np.int64)[:, None]
+    idxs = np.arange(start, end, dtype=np.int64)
     rows = np.empty((end - start, mfree + 1), dtype=np.int64)
-    rows[:, :mfree] = idxs // q ** np.arange(mfree, dtype=np.int64) % q
+    for j in range(mfree):  # digit j is the remainder, idxs the carry
+        np.divmod(idxs, q, out=(idxs, rows[:, j]))
     rows[:, mfree] = lead
     return rows
 
@@ -378,8 +377,7 @@ def _squarefree_count(q, m):
 
 
 def _scan_chunk(args):
-    (q, n, m, lead, mode, start, end,
-     audit_rate, audit_cap, audit_k_cap, witness_cap) = args
+    q, n, m, lead, mode, start, end, witness_cap = args
     import numpy as np
 
     shift = mode == "shift-stable"
@@ -436,12 +434,12 @@ def _scan_chunk(args):
 
     audit_failures = []
     picks = np.zeros(0, dtype=np.int64)
-    if audit_rate > 0 and audit_skip_reason(q, n, m, audit_k_cap) is None:
+    if audit_skip_reason(q, n, m) is None:
         # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
         # which keeps the low 32 bits exact
         hashed = idxs * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
         picks = squarefree(
-            np.nonzero(hashed < int(audit_rate * 2**32))[0])[:audit_cap]
+            np.nonzero(hashed < int(_AUDIT_RATE * 2**32))[0])[:_AUDIT_CAP]
     ctx = field_make(q)
     for row, fast in zip(coeffs(picks), ranks[picks].tolist()):
         slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
@@ -530,8 +528,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     results = dict(done or {})
     todo = [i for i in range(len(chunks)) if i not in results]
     args = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
-             chunks[i][0], chunks[i][1], spec.audit_rate, spec.audit_cap,
-             spec.audit_k_cap, spec.witness_cap) for i in todo]
+             chunks[i][0], chunks[i][1], spec.witness_cap) for i in todo]
     workers = spec.workers or default_workers()
     with contextlib.ExitStack() as stack:
         ck = None
@@ -593,9 +590,8 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
         eng = _engines_for(q, n, m, "squarefree", False)
         for lead in range(1, q):
             on = on_coset(q, n, m, lead)
-            for start in range(0, q**m, _AUDIT_BLOCK):
-                rows = _odometer(q, m, lead, start,
-                                 min(start + _AUDIT_BLOCK, q**m))
+            for start in range(0, q**m, _CHUNK):
+                rows = _odometer(q, m, lead, start, min(start + _CHUNK, q**m))
                 ge1 = eng.vanishing_orders(rows) >= 1
                 hits = int(ge1.sum())
                 if on:

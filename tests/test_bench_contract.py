@@ -1,10 +1,13 @@
 """The benchmark under ``perfbench/`` reaches into carlitz by name.
 
-``perfbench/tracer.py`` patches internals by string (``_PATCHES``), and the
-scan workloads call ``scan._engines_for`` with ``ScanSpec.use_batch_screen``.
-Renaming or deleting one of those names breaks ``perfbench/run.py --trace 1``
-and ``perfbench/selftest.py`` without failing any other test, so these tests
-load the benchmark's own modules by path and use them as it does.
+``perfbench/tracer.py`` patches internals by string (``_PATCHES``) and
+unpacks the first seven arguments of ``scan._scan_chunk`` as
+``(q, n, m, lead, mode, start, end)``.  The scan workloads call
+``scan._engines_for`` with ``ScanSpec.use_batch_screen`` and read
+``ScanSpec.audit_k_cap``.  Renaming, deleting or reordering one of those
+breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py`` without
+failing any other test, so these tests load the benchmark's own modules by
+path and use them as it does.
 """
 
 import importlib.util
@@ -65,3 +68,23 @@ def test_traced_smoke_pass(bench, tmp_path, name):
     assert res.checks.attempted > 0
     assert res.checks.failures == []
     assert tr.aggs["scan.chunk" if w.kind == "scan" else "motive.l_function"][0]
+
+
+def test_scan_chunk_arguments(bench, monkeypatch):
+    # the tracer keys each chunk span by args[:7]; the workloads compare k_min
+    # with ScanSpec.audit_k_cap to count skipped audits
+    _, workloads = bench
+    scan = workloads.import_carlitz()["scan"]
+    seen = []
+    chunk = scan._scan_chunk
+
+    def record(args):
+        seen.append(args[:7])
+        return chunk(args)
+
+    monkeypatch.setattr(scan, "_scan_chunk", record)
+    spec = scan.ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
+    scan.run_scan(spec)
+    assert seen == [(3, 1, 6, 2, "squarefree", s, min(s + 100, 3**6))
+                    for s in range(0, 3**6, 100)]
+    assert scan.ScanSpec.audit_k_cap == spec.audit_k_cap == 12

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,8 +29,7 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="scans need prime q"):
             ScanSpec(q=q, n=1, m=3, lead=1)
     for bad in (dict(chunk_size=0), dict(chunk_size=-3), dict(workers=-1),
-                dict(witness_cap=-1), dict(audit_cap=-1), dict(audit_rate=-0.1),
-                dict(audit_rate=7.0)):
+                dict(witness_cap=-1)):
         with pytest.raises(ValueError):
             ScanSpec(q=3, n=1, m=5, lead=1, **bad)
 
@@ -147,6 +147,39 @@ def test_checkpoint_resume_after_torn_final_line(tmp_path):
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+def test_fingerprint_unchanged():
+    # checkpoint headers carry this string, so it must not move: checkpoints
+    # written while the audit policy was a set of ScanSpec fields resume
+    assert ScanSpec(q=3, n=1, m=9, lead=2).fingerprint() == (
+        "q3n1m9a2squarefreec8192w16r0.001ac16ak12")
+    assert [f.name for f in dataclasses.fields(ScanSpec)] == [
+        "q", "n", "m", "lead", "mode", "workers", "chunk_size", "force",
+        "witness_cap"]
+
+
+def test_resume_from_checkpoint_with_audit_fields(tmp_path):
+    # the header as written while ScanSpec carried audit_rate, audit_cap and
+    # audit_k_cap; the chunks it lists are kept, the rest run again
+    spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
+    fresh = run_scan(spec).to_json_obj()
+    ck = tmp_path / "scan.ckpt"
+    run_scan(spec, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    header = (
+        '{"fingerprint": "q3n1m6a2squarefreec100w16r0.001ac16ak12", "spec": '
+        '{"q": 3, "n": 1, "m": 6, "lead": 2, "mode": "squarefree", '
+        '"workers": 1, "chunk_size": 100, "force": false, '
+        '"audit_rate": 0.001, "audit_cap": 16, "audit_k_cap": 12, '
+        '"witness_cap": 16}}')
+    ck.write_text("\n".join([header] + lines[1:-2]) + "\n")
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == fresh
+    lines = ck.read_text().splitlines()
+    assert lines[0] == header
+    assert [json.loads(line)["chunk"] for line in lines[1:]] == \
+        list(range(len(lines) - 1))
 
 
 def test_resume_refuses_other_witness_cap(tmp_path):
@@ -313,9 +346,10 @@ def test_default_workers_counts_usable_cpus(monkeypatch):
     assert default_workers() == 1
 
 
-def test_audit_failure_reporting_structure():
-    spec = ScanSpec(q=3, n=1, m=5, lead=2, workers=1, audit_rate=1.0,
-                    audit_cap=5)
+def test_audit_failure_reporting_structure(monkeypatch):
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 1.0)
+    monkeypatch.setattr(scan, "_AUDIT_CAP", 5)
+    spec = ScanSpec(q=3, n=1, m=5, lead=2, workers=1)
     table = run_scan(spec)
     assert table.audits > 0
     assert table.audit_failures == []
@@ -367,12 +401,13 @@ def test_coset_audit_matches_symbolic_ranks(q, n, m_max):
     assert {key: rep[key] for key in want} == want
 
 
-def test_audit_picks_follow_index_hash():
-    # per chunk: the first audit_cap squarefree indices whose Knuth hash
-    # falls below audit_rate * 2^32
-    spec = ScanSpec(q=3, n=1, m=7, lead=2, workers=1, chunk_size=300,
-                    audit_rate=0.05, audit_cap=7)
-    thresh = int(spec.audit_rate * 2**32)
+def test_audit_picks_follow_index_hash(monkeypatch):
+    # per chunk: the first _AUDIT_CAP squarefree indices whose Knuth hash
+    # falls below _AUDIT_RATE * 2^32
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+    monkeypatch.setattr(scan, "_AUDIT_CAP", 7)
+    spec = ScanSpec(q=3, n=1, m=7, lead=2, workers=1, chunk_size=300)
+    thresh = int(0.05 * 2**32)
     want = 0
     for start in range(0, spec.total, spec.chunk_size):
         picked = [i for i in range(start, min(start + spec.chunk_size,
@@ -380,10 +415,24 @@ def test_audit_picks_follow_index_hash():
                   if i * 2654435761 % 2**32 < thresh
                   and _squarefree_ints([i // 3**j % 3 for j in range(7)] + [2],
                                        3)]
-        want += min(len(picked), spec.audit_cap)
+        want += min(len(picked), 7)
     table = run_scan(spec)
     assert table.audits == want > 0
     assert table.audit_failures == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_odometer_digits(q):
+    # little-endian digits of each index, then the lead, on windows that
+    # start in the middle of a carry and end ragged
+    m, lead = 6, q - 1
+    for start, end in ((q**3 - 1, q**4 + 2), (q**2 + 1, q**5 - 3), (0, 1),
+                       (7, 7)):
+        rows = _odometer(q, m, lead, start, end)
+        assert rows.dtype == np.int64 and rows.shape == (end - start, m + 1)
+        assert rows.tolist() == [[c // q**j % q for j in range(m)] + [lead]
+                                 for c in range(start, end)]
+    assert _odometer(q, 0, lead, 0, 1).tolist() == [[lead]]
 
 
 def _kernel_count(q, d, lead):
@@ -441,12 +490,11 @@ def _filter_first_chunk(spec, start, end, audited):
         hist[r] = len(hits)
         witnesses[r] = [strs[i] for i in hits[:spec.witness_cap]]
     picks = []
-    if (spec.audit_rate > 0
-            and audit_skip_reason(q, n, m, spec.audit_k_cap) is None):
-        thresh = int(spec.audit_rate * 2**32)
+    if audit_skip_reason(q, n, m) is None:
+        thresh = int(scan._AUDIT_RATE * 2**32)
         idxs = np.arange(start, end)[sf_mask].tolist()
         picks = [i for i, idx in enumerate(idxs)
-                 if idx * 2654435761 % 2**32 < thresh][:spec.audit_cap]
+                 if idx * 2654435761 % 2**32 < thresh][:scan._AUDIT_CAP]
     audited.extend((strs[i], int(ranks[i])) for i in picks)
     return {"hist": hist, "witnesses": witnesses, "scanned": end - start,
             "squarefree": int(sf_mask.sum()), "audits": len(picks),
@@ -483,8 +531,7 @@ def _diff_specs(q, n):
         for lead in range(1, q):
             total = q ** (m // q if mode == "shift-stable" else m)
             yield ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode, workers=1,
-                           chunk_size=-(-total // 3), witness_cap=m % 3,
-                           audit_rate=0.1, audit_cap=2)
+                           chunk_size=-(-total // 3), witness_cap=m % 3)
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
@@ -499,6 +546,8 @@ def test_rank_first_matches_filter_first(q, n, monkeypatch):
         return ranks[row]
 
     monkeypatch.setattr(scan, "analytic_rank", audit)
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.1)
+    monkeypatch.setattr(scan, "_AUDIT_CAP", 2)
     picked = 0
     for spec in _diff_specs(q, n):
         want_audits = []
