@@ -311,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift-stable", action="store_true")
     p.add_argument("--workers", type=int, default=0,
                    help="0 = CLRANK_WORKERS or the usable CPU count")
-    p.add_argument("--chunk-size", type=int, default=8192)
+    p.add_argument("--chunk-size", type=int, default=ScanSpec.chunk_size)
     p.add_argument("--force", action="store_true",
                    help="allow enumerations above the size cap")
-    p.add_argument("--witnesses", type=int, default=16)
+    p.add_argument("--witnesses", type=int, default=ScanSpec.witness_cap)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--csv", action="store_true")
     p.add_argument("--checkpoint", type=str, default=None)

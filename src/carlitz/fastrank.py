@@ -26,7 +26,8 @@ sizes reach need.
 
 Per point, the multiplicity of eigenvalue 1 is the number of trailing zero
 coefficients of the characteristic polynomial of M(t) - I, computed by
-Hessenberg reduction over a small lookup-table field (Cohen's recurrence).
+Hessenberg reduction (Cohen's recurrence) on the point field's lookup
+tables, which ``ff`` builds once per field from a log/antilog pair.
 Multiplicity 0 is det(M(t) - I) != 0, and since that det is the U = 1 value
 (up to sign), by the argument above a det vanishing at every point certifies
 order >= 1.  The points' order is chosen to reach a nonzero det early: the
@@ -99,27 +100,24 @@ themselves).
 
 from __future__ import annotations
 
-from .ff import _TABLE_LIMIT, PrimeField, field_make
+from .ff import _TABLE_LIMIT, field_make, is_prime
 from .motive import band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
 
-_TABLES: dict = {}  # (p, s) -> _Tables, read-only and shared by all engines
-
 
 class _Tables:
-    __slots__ = ("q", "mul", "add", "sub", "inv", "frob", "_ops")
+    """The point field GF(p^s)'s ``ff`` tables, with numpy ops over them."""
+
+    __slots__ = ("q", "e", "mul", "add", "sub", "inv", "frob", "_ops")
 
     def __init__(self, p: int, s: int):
         if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
             raise ValueError(f"point field GF({p}^{s}) above table cap")
-        f = field_make(p, s)
-        q = self.q = p**s
-        self.mul = [f.mul(a, b) for a in range(q) for b in range(q)]
-        self.add = [f.add(a, b) for a in range(q) for b in range(q)]
-        self.sub = [f.sub(a, b) for a in range(q) for b in range(q)]
-        self.inv = [0] + [f.inv(a) for a in range(1, q)]
-        self.frob = [f.frobenius(a) for a in range(q)]  # x -> x^p
+        t = field_make(p, s).tables()
+        self.q, self.e = t.q, t.e
+        self.mul, self.add, self.sub, self.inv, self.frob = (
+            t.mul, t.add, t.sub, t.inv, t.frob)
         self._ops = None
 
     def ops(self):
@@ -177,10 +175,8 @@ class _Plan:
 
     def __init__(self, eng, basis):
         import numpy as np
-        k, p, q = eng.k, eng.p, eng.tables.q
-        e = 1  # the point field is GF(p^e)
-        while p**e < q:
-            e += 1
+        k, p = eng.k, eng.p
+        q, e = eng.tables.q, eng.tables.e  # the point field is GF(p^e)
         idx = np.asarray(eng._idx)
         reach = [0]
         for row in basis:
@@ -224,7 +220,7 @@ class RankEngine:
 
     def __init__(self, p: int, n: int, m: int, *, shift_stable: bool = False,
                  k: int | None = None):
-        if not isinstance(field_make(p), PrimeField):
+        if not is_prime(p):
             raise ValueError("engine requires prime q")
         self.p = p
         self.n = n
@@ -244,10 +240,7 @@ class RankEngine:
         s = 1
         while p**s < d * need:
             s += 1
-        t = _TABLES.get((p, s))
-        if t is None:
-            t = _TABLES[(p, s)] = _Tables(p, s)
-        self.tables = t
+        t = self.tables = _Tables(p, s)
         q, frob, sub = t.q, t.frob, t.sub
         # one point per Frobenius orbit of φ(x) = x (x^p - x in shift-stable
         # mode), the first x met in each orbit

@@ -19,19 +19,24 @@ to share across threads and processes (elements are plain values):
   deg 𝔓.  Irreducibility of 𝔓 is verified at construction with
   ``poly.is_irreducible``.
 
+Lookup tables.  Every field of order q = p^e <= ``_TABLE_LIMIT``, prime
+fields included, has one set of flat tables on that encoding
+(``FieldTables``), built once per field context by ``_build_tables`` from a
+log/antilog pair: mul, inv and x -> x^p are index sums mod q - 1, add is
+digit-wise mod p.  ExtField and the point engine (``fastrank``) read them.
+Larger contexts, up to a machine word (>= 2^16), run on plain Python ints,
+so their ceiling is time, not overflow.
+
 Polynomial arithmetic over a field (irreducibility, gcd) lives in ``poly``;
 this module imports it inside the functions that need it, because ``poly``
 imports this one.
-
-The word-size budget: contexts are intended for cardinalities up to a machine
-word (documented limit >= 2^16); everything here is plain Python int
-arithmetic, so the practical ceiling is lookup-table memory, not overflow.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 
 __all__ = [
     "PrimeField",
@@ -48,18 +53,7 @@ _TABLE_LIMIT = 256  # build q*q lookup tables only for q <= this
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check (fine for word-size n)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, math.isqrt(n) + 1))
 
 
 def binom_mod_p(j: int, i: int, p: int) -> int:
@@ -82,10 +76,48 @@ def binom_mod_p(j: int, i: int, p: int) -> int:
     return r
 
 
+# Flat lookup tables of GF(q), q = p^e: mul, add and sub hold op(a, b) at
+# a*q + b; neg, inv (with inv[0] = 0) and frob (x -> x^p) hold op(a) at a.
+FieldTables = namedtuple("FieldTables", "p e q mul add sub neg inv frob")
+
+
+def _build_tables(p: int, e: int, mul) -> FieldTables:
+    """The tables of GF(p^e) from a log/antilog pair (module doc).
+
+    ``mul`` is the field's own multiplication on encoded ints; it only finds
+    a primitive element g and its powers.
+    """
+    q = p**e
+    for g in range(1, q):  # the first g whose powers reach q - 1 elements
+        exp = [1]
+        while (x := mul(exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
+            break
+    log = [2 * q - 2] * q  # log 0 points past the powers, into zeros
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp2 = exp * 2 + [0] * (2 * q - 1)
+    mul_t = [exp2[la + lb] for la in log for lb in log]
+    inv = [0] + [exp[-la] for la in log[1:]]
+    frob = [0] + [exp[la * p % (q - 1)] for la in log[1:]]
+    # add of e digits: the low digit's sum mod p plus p times the add of the
+    # high e - 1 digits, read from the table one digit shorter
+    low = [[(i + j) % p for j in range(p)] for i in range(p)]
+    add = [0]  # the one-entry table of p^0 elements
+    for j in range(e):
+        r, up = p**j, [p * v for v in add]
+        add = [hi + lo for a in range(r * p)
+               for hi in up[a // p * r:(a // p + 1) * r] for lo in low[a % p]]
+    neg = [add.index(0, a) - a for a in range(0, q * q, q)]
+    sub = [add[a + nb] for a in range(0, q * q, q) for nb in neg]
+    return FieldTables(p, e, q, mul_t, add, sub, neg, inv, frob)
+
+
 class PrimeField:
     """GF(p); elements are ints in [0, p)."""
 
-    __slots__ = ("p", "e", "order", "char")
+    __slots__ = ("p", "e", "order", "char", "_tab")
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -94,6 +126,13 @@ class PrimeField:
         self.e = 1
         self.order = p
         self.char = p
+        self._tab = None
+
+    def tables(self):
+        """GF(p)'s ``FieldTables``, built on first call; None above the cap."""
+        if self._tab is None and self.p <= _TABLE_LIMIT:
+            self._tab = _build_tables(self.p, 1, self.mul)
+        return self._tab
 
     zero = 0
     one = 1
@@ -159,11 +198,12 @@ class ExtField:
     """GF(p^e) = F_p[x]/(modulus); elements are base-p digit-encoded ints.
 
     The arithmetic is ``ResidueCtx(GF(p), modulus)`` on the digit tuples;
-    for order <= _TABLE_LIMIT it is read from lookup tables built from it.
+    for order <= _TABLE_LIMIT it is read from ``FieldTables`` built at
+    construction (module doc).  The encoding depends on the modulus, so a
+    caller-given modulus gets tables of its own.
     """
 
-    __slots__ = ("p", "e", "order", "char", "modulus", "_rc", "_mul_tab",
-                 "_add_tab", "_neg_tab", "_inv_tab")
+    __slots__ = ("p", "e", "order", "char", "modulus", "_rc", "_tab")
 
     def __init__(self, p: int, e: int, modulus=None):
         if not is_prime(p):
@@ -185,66 +225,52 @@ class ExtField:
                 raise ValueError("modulus must be monic of degree e")
         self._rc = ResidueCtx(fp, modulus)  # checks monic and irreducible
         self.modulus = modulus
-        self._mul_tab = None
-        self._add_tab = None
-        self._neg_tab = None
-        self._inv_tab = None
+        self._tab = (_build_tables(p, e, partial(self._residue, self._rc.mul))
+                     if self.order <= _TABLE_LIMIT else None)
 
     zero = 0
     one = 1
 
-    def _digits(self, a):
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
+    def _residue(self, op, *args):
+        # op of the residue ctx on the base-p digit tuples, encoded back
+        p, e = self.p, self.e
+        out = op(*(tuple(a // p**i % p for i in range(e)) for a in args))
+        return sum(d * p**i for i, d in enumerate(out))
 
-    def _encode(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    # add/neg/mul/inv read the table attribute before calling its builder:
-    # Poly arithmetic over GF(4) and GF(9) calls them once per term.  Without
-    # a table they run the residue op between _digits and _encode.
+    # each op reads its table, or without tables (order above the cap)
+    # runs the residue op; Poly arithmetic over GF(4) and GF(9) calls them
+    # once per term
 
     def add(self, a, b):
-        t = self._add_tab or self.add_table()
-        if t is None:
-            return self._encode(self._rc.add(self._digits(a), self._digits(b)))
-        return t[a * self.order + b]
+        if self._tab:
+            return self._tab.add[a * self.order + b]
+        return self._residue(self._rc.add, a, b)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        t = self._neg_tab or self.neg_table()
-        if t is None:
-            return self._encode(self._rc.neg(self._digits(a)))
-        return t[a]
+        if self._tab:
+            return self._tab.neg[a]
+        return self._residue(self._rc.neg, a)
 
     def mul(self, a, b):
-        t = self._mul_tab or self.mul_table()
-        if t is None:
-            return self._encode(self._rc.mul(self._digits(a), self._digits(b)))
-        return t[a * self.order + b]
+        if self._tab:
+            return self._tab.mul[a * self.order + b]
+        return self._residue(self._rc.mul, a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        t = self._inv_tab or self.inv_table()
-        if t is None:
-            return self._encode(self._rc.inv(self._digits(a)))
-        return t[a]
+        if self._tab:
+            return self._tab.inv[a]
+        return self._residue(self._rc.inv, a)
 
     pow_ = _pow
 
     def frobenius(self, a, k: int = 1):
         """x -> x^(p^k); k = e is the identity."""
-        return self._encode(self._rc.frobenius(self._digits(a), k))
+        return self._residue(partial(self._rc.frobenius, k=k), a)
 
     def from_int(self, i: int):
         return i % self.p  # embeds the prime subfield
@@ -255,34 +281,22 @@ class ExtField:
     def rand(self, rng):
         return rng.randrange(self.order)
 
-    # lookup tables from the residue ops, built lazily for small fields
+    def tables(self):
+        """The field's ``FieldTables``; None above _TABLE_LIMIT."""
+        return self._tab
+
+    # the flat tables one by one, None above _TABLE_LIMIT
     def mul_table(self):
-        if self._mul_tab is None and self.order <= _TABLE_LIMIT:
-            self._mul_tab = self._binary_table(self._rc.mul)
-        return self._mul_tab
+        return None if self._tab is None else self._tab.mul
 
     def add_table(self):
-        if self._add_tab is None and self.order <= _TABLE_LIMIT:
-            self._add_tab = self._binary_table(self._rc.add)
-        return self._add_tab
-
-    def _binary_table(self, op):
-        digits = [self._digits(a) for a in range(self.order)]
-        enc = {x: a for a, x in enumerate(digits)}
-        return [enc[op(x, y)] for x in digits for y in digits]
+        return None if self._tab is None else self._tab.add
 
     def neg_table(self):
-        if self._neg_tab is None and self.order <= _TABLE_LIMIT:
-            neg = self._rc.neg
-            self._neg_tab = [self._encode(neg(self._digits(a)))
-                             for a in range(self.order)]
-        return self._neg_tab
+        return None if self._tab is None else self._tab.neg
 
     def inv_table(self):
-        if self._inv_tab is None and self.order <= _TABLE_LIMIT:
-            self._inv_tab = [0] + [self.pow_(a, self.order - 2)
-                                   for a in range(1, self.order)]
-        return self._inv_tab
+        return None if self._tab is None else self._tab.inv
 
     def __eq__(self, other):
         return (isinstance(other, ExtField) and other.p == self.p
@@ -310,19 +324,11 @@ def field_from_cardinality(q: int):
     """Field context for GF(q), factoring q = p^e."""
     if q < 2:
         raise ValueError("field cardinality must be >= 2")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    e = 0
-    v = q
-    while v % p == 0 and v > 1:
-        v //= p
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    e = 1
+    while p**e < q:
         e += 1
-    if v != 1 or p**e != q:
+    if p**e != q:
         raise ValueError(f"{q} is not a prime power")
     return field_make(p, e)
 

@@ -50,12 +50,12 @@ def generator_digits(ctx, count: int):
                      for c in range(ctx.e)], dtype=np.int64)
 
 
-def det_identity_minus_mu(m, zero, one):
+def det_identity_minus_mu(m, one):
     """U-coefficient list (little-endian) of det(I - M U); leading entry 1.
 
     This is the Berkowitz coefficient vector v of det(xI - M), with
     v[i] the coefficient of x^(k-i) and v[0] = 1.  ``m`` is a k x k matrix
-    of ``Poly`` over GF(p^e); ``zero`` and ``one`` are that ring's 0 and 1.
+    of ``Poly`` over GF(p^e); ``one`` is that ring's 1.
     """
     k = len(m)
     if k == 0:

@@ -144,8 +144,7 @@ def l_function(tp: TwistedPower) -> LFun:
     """det(I - M U) at the minimal stable size, division-free."""
     ctx = tp.ctx
     rows = _matrix_rows(tp, tp.k_min)
-    vec = det_identity_minus_mu([list(r) for r in rows],
-                                Poly.zero(ctx), Poly.one(ctx))
+    vec = det_identity_minus_mu([list(r) for r in rows], Poly.one(ctx))
     return LFun(ctx, vec)
 
 

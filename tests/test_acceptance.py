@@ -270,8 +270,7 @@ def test_criterion8_property_suites():
         dets = []
         for k in (t.k_min, t.k_min + 1, t.k_min + 2):
             rows = [list(r) for r in _matrix_rows(t, k)]
-            dets.append(LFun(ctx, det_identity_minus_mu(
-                rows, Poly.zero(ctx), Poly.one(ctx))))
+            dets.append(LFun(ctx, det_identity_minus_mu(rows, Poly.one(ctx))))
         if not dets[0] == dets[1] == dets[2]:
             failures.append(("stability", coeffs, q, n))
 

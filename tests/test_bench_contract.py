@@ -4,7 +4,9 @@
 unpacks the first seven arguments of ``scan._scan_chunk`` as
 ``(q, n, m, lead, mode, start, end)``.  The scan workloads call
 ``scan._engines_for`` with ``ScanSpec.use_batch_screen`` and read
-``ScanSpec.audit_k_cap``.  Renaming, deleting or reordering one of those
+``ScanSpec.audit_k_cap``.  The verify workload's set-up calls
+``ExtField.mul_table``, ``add_table``, ``neg_table`` and ``inv_table`` on
+its extension fields.  Renaming, deleting or reordering one of those
 breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py`` without
 failing any other test, so these tests load the benchmark's own modules by
 path and use them as it does.
@@ -88,3 +90,18 @@ def test_scan_chunk_arguments(bench, monkeypatch):
     assert seen == [(3, 1, 6, 2, "squarefree", s, min(s + 100, 3**6))
                     for s in range(0, 3**6, 100)]
     assert scan.ScanSpec.audit_k_cap == spec.audit_k_cap == 12
+
+
+def test_ext_field_table_accessors(bench):
+    # the verify set-up calls these four accessors in its field-tables span:
+    # they return the lists of the field's tables up to the cap, None above
+    _, workloads = bench
+    ff = workloads.import_carlitz()["ff"]
+    f9, f512 = ff.field_make(3, 2), ff.field_make(2, 9)
+    t = f9.tables()
+    assert f9.mul_table() is t.mul and f9.add_table() is t.add
+    assert f9.neg_table() is t.neg and f9.inv_table() is t.inv
+    assert len(t.mul) == 81 and len(t.inv) == 9
+    assert f512.tables() is None
+    for acc in ("mul_table", "add_table", "neg_table", "inv_table"):
+        assert getattr(f512, acc)() is None

@@ -211,6 +211,18 @@ def test_scan_resume(capsys, tmp_path):
     assert json.loads(out1.splitlines()[-1]) == json.loads(out2.splitlines()[-1])
 
 
+def test_scan_checkpoint_default_fingerprint(capsys, tmp_path):
+    # without --chunk-size and --witnesses the scan runs ScanSpec's defaults,
+    # so the checkpoint header has the fingerprint of the plain spec
+    from carlitz.scan import ScanSpec
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = run_cli(capsys, "scan", "--q", "3", "--m", "4", "--lead",
+                         "2", "--workers", "1", "--checkpoint", str(ck))
+    assert code == 0
+    header = json.loads(ck.read_text().splitlines()[0])
+    assert header["fingerprint"] == ScanSpec(3, 1, 4, 2).fingerprint()
+
+
 def test_scan_resume_needs_checkpoint(capsys):
     code, out, err = run_cli(capsys, "scan", "--q", "3", "--m", "3",
                              "--lead", "1", "--resume")

@@ -6,7 +6,7 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank
-from carlitz.fastrank import RankEngine, BatchScreen
+from carlitz.fastrank import RankEngine, BatchScreen, _Tables
 from carlitz.motive import on_coset, reduced_block_size
 
 
@@ -81,8 +81,17 @@ def test_points_put_prime_field_last():
 
 
 def test_engine_rejects_non_prime_q():
-    with pytest.raises(ValueError):
-        RankEngine(4, 1, 3)
+    # prime powers too: the engine's digits are prime-field coefficients
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match="engine requires prime q"):
+            RankEngine(p, 1, 3)
+
+
+def test_point_field_table_cap():
+    # flat q*q tables stop at ff._TABLE_LIMIT = 256: GF(2^9) has none
+    with pytest.raises(ValueError, match="above table cap"):
+        _Tables(2, 9)
+    assert _Tables(2, 8).q == 256
 
 
 def test_reduced_block_composition(rng):

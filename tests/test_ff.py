@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carlitz import field_make, binom_mod_p, ExtField, ResidueCtx, Poly
+from carlitz import (field_make, field_from_cardinality, binom_mod_p, ExtField,
+                     ResidueCtx, Poly)
 from carlitz.ff import is_prime
 
 
@@ -70,6 +73,42 @@ def test_pinned_field_moduli():
         for e in range(2, 9) if p**e <= 256)
     for (p, e), mod in PINNED_MODULI.items():
         assert field_make(p, e).modulus == mod, (p, e)
+
+
+# sha256 of (q, mul, add, sub, inv, frob) of every GF(p^e) <= 256, prime
+# fields included, under the default modulus; recorded with the scalar-op
+# table builds that the log/antilog builder replaced.  The point engine's
+# arithmetic and ExtField's are read from these tables.
+_PINNED_TABLES_SHA256 = (
+    "8372e269d62d83a18ba3e0ad81c57d7fe2be2081834756164eb688f6466d1069")
+
+
+def test_field_tables_pinned():
+    h = hashlib.sha256()
+    qs = sorted(p**e for p in range(2, 257) if is_prime(p)
+                for e in range(1, 9) if p**e <= 256)
+    for q in qs:
+        t = field_from_cardinality(q).tables()
+        assert t.q == q and t.p**t.e == q
+        assert [t.add[a * q + t.neg[a]] for a in range(q)] == [0] * q
+        h.update(json.dumps([q, t.mul, t.add, t.sub, t.inv, t.frob]).encode())
+    assert h.hexdigest() == _PINNED_TABLES_SHA256
+
+
+def test_caller_modulus_gets_own_tables():
+    # the encoding depends on the modulus: x^2 + x + 2 gets tables of its
+    # own, every entry its residue op's
+    f = ExtField(3, 2, modulus=(2, 1, 1))
+    t = f.tables()
+    assert t.mul != field_make(3, 2).tables().mul
+    for a in range(9):
+        assert t.neg[a] == f._residue(f._rc.neg, a)
+        assert t.inv[a] == (a and f._residue(f._rc.inv, a))
+        assert t.frob[a] == f._residue(f._rc.frobenius, a)
+        for b in range(9):
+            for op in ("mul", "add", "sub"):
+                assert (getattr(t, op)[a * 9 + b]
+                        == f._residue(getattr(f._rc, op), a, b))
 
 
 def test_frobenius_prime_field_fixed():
@@ -168,9 +207,11 @@ def _oracle_pow(a, k, mod):
     return r
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (5, 2), (3, 3), (2, 9), (3, 6)])
+@pytest.mark.parametrize("p,e", [(2, 2), (5, 2), (3, 3), (2, 8), (3, 5),
+                                 (2, 9), (3, 6)])
 def test_ext_field_against_poly_oracle(p, e):
-    # GF(4), GF(25), GF(27) through their tables; GF(512), GF(729) without
+    # GF(4), GF(25), GF(27), GF(256), GF(243) through their tables; GF(512),
+    # GF(729) without
     fp = field_make(p)
     f = field_make(p, e)
     assert (f.mul_table() is None) == (f.order > 256)

@@ -125,7 +125,7 @@ def test_stability_of_determinant(rng):
         dets = []
         for k in (t.k_min, t.k_min + 1, t.k_min + 2):
             rows = [list(r) for r in _matrix_rows(t, k)]
-            vec = det_identity_minus_mu(rows, Poly.zero(ctx), Poly.one(ctx))
+            vec = det_identity_minus_mu(rows, Poly.one(ctx))
             dets.append(LFun(ctx, vec))
         assert dets[0] == dets[1] == dets[2]
 
@@ -141,7 +141,7 @@ def test_berkowitz_matches_cofactor_expansion(rng):
             rows = [[Poly(ctx, [ctx.rand(rng)
                                 for _ in range(rng.randrange(0, 4))])
                      for _ in range(k)] for _ in range(k)]
-            vec = det_identity_minus_mu([list(r) for r in rows], zero, one)
+            vec = det_identity_minus_mu([list(r) for r in rows], one)
             assert len(vec) == k + 1 and vec[0] == one
             for t0 in ctx.elements():
                 vals = [[r.evaluate(t0) for r in row] for row in rows]
@@ -265,7 +265,7 @@ def test_boundary_determinant_identity(rng):
         if kstar < 1:
             continue
         rows = [list(r) for r in _matrix_rows(t, kstar)]
-        small = LFun(f3, det_identity_minus_mu(rows, Poly.zero(f3), Poly.one(f3)))
+        small = LFun(f3, det_identity_minus_mu(rows, Poly.one(f3)))
         assert small.mul(infinity_factor(t, -(m + n) // 2)) == l_function(t)
 
 
