@@ -224,6 +224,10 @@ def cmd_scan(args) -> int:
         table = run_scan(spec, checkpoint=args.checkpoint, resume=args.resume)
     except ScanCapError as exc:
         raise UsageError(str(exc)) from None
+    if spec.shift_orbit > 1:
+        print(f"ranked {spec.total // spec.shift_orbit} rows for "
+              f"{spec.total} polynomials (one per θ-shift orbit)",
+              file=sys.stderr)
     skipped = audit_skip_reason(spec.q, spec.n, spec.m)
     if skipped:
         print(f"audit skipped: {skipped}", file=sys.stderr)

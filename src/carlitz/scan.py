@@ -26,6 +26,22 @@ sets each cell's ``squarefree`` from it.  In shift-stable mode the formula
 counts F at degree m/q, where P = F(θ^q - θ): then P' = -F'(θ^q - θ), so
 gcd(P, P') = 1 exactly when gcd(F, F') = 1.
 
+Generic scans with p ∤ m rank one P per θ-shift orbit.  The shift
+P -> P(θ + d) keeps the analytic rank (the ``Mu`` identity
+L(P(θ+d))(T - d) = L(P), see symmetry), the degree, the lead and
+squarefreeness, and it moves a_(m-1) to a_(m-1) + m·d·a_m.  With p ∤ m the
+q shifts of P are therefore distinct, and exactly one has a_(m-1) = 0: the
+representatives are the odometer indices below q^(m-1).  A chunk ranks only
+its rows below q^(m-1) and counts each of them q times
+(``ScanSpec.shift_orbit``); a chunk past them ranks nothing, but keeps its
+bounds and its ``scanned`` count.  The witness lists come out as the full
+enumeration's, because every representative's index lies below every other
+P's: a list that reached ``witness_cap`` is already right, and a shorter one
+holds every representative of its rank, so ``run_scan`` replaces it with
+the first ``witness_cap`` of their q shifts in odometer order.  Shift-stable
+scans are left alone (the shifts fix P), and so are cells with p | m, where
+the shift leaves a_(m-1) unchanged.
+
 The squarefree test itself is one numpy kernel (``_squarefree_mask``):
 Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
 It reads the free digits, since P is squarefree iff F is.  The mode picks
@@ -41,8 +57,9 @@ dropping the odometer indices with the rows, because at degree m/q the
 kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk on the free digits, with the basis in shift-stable
-mode; the engine computes P's rows only for the few it counts.  The engine
+batched call per chunk on the free digits of the ranked rows, with the
+basis in shift-stable mode; the engine computes P's rows only for the few
+it counts.  The engine
 certifies first, settling the bulk "order 0" outcome at the first point
 where det(M(t) - I) != 0.  Rows in odometer order share their high digits
 in runs of up to q^s, and the low digits reach only a few top rows of
@@ -60,6 +77,9 @@ restores the early exit that the forced (1-U) factor would otherwise deny.
 
 A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
 audited against the full division-free determinant plus synthetic division.
+The picks are the same with or without the orbit reduction: the hash runs
+over the chunk's whole index range, and a squarefree pick past the
+representatives gets its rank from one more engine call per chunk.
 The audit is skipped when the stable matrix size k_min exceeds
 ``_AUDIT_K_CAP`` (``audit_skip_reason``); ``carlitz scan`` and
 ``scripts/rank_count_tables.py`` say so.
@@ -168,10 +188,21 @@ class ScanSpec:
     def total(self) -> int:
         return self.q**self.free_coeffs
 
+    @property
+    def shift_orbit(self) -> int:
+        """Polynomials counted per ranked row: q when the scan ranks one P
+        per θ-shift orbit (squarefree mode, p ∤ m), else 1."""
+        if self.mode == "squarefree" and self.m % self.q:
+            return self.q
+        return 1
+
     def fingerprint(self) -> str:
+        # the orbit token keeps checkpoints of full enumerations, whose
+        # chunks count every row, from resuming a reduced scan
+        orbit = f"o{self.shift_orbit}" if self.shift_orbit > 1 else ""
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
                 f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
-                f"r{_AUDIT_RATE}ac{_AUDIT_CAP}ak{_AUDIT_K_CAP}")
+                f"r{_AUDIT_RATE}ac{_AUDIT_CAP}ak{_AUDIT_K_CAP}{orbit}")
 
 
 @dataclass
@@ -352,12 +383,16 @@ def shift_stable_expand(c, q: int) -> Poly:
                 (digits @ _stable_basis(q, len(c) - 1) % q).tolist())
 
 
-def _odometer(q, mfree, lead, start, end):
-    """Rows for odometer indices start..end-1: free coefficients, then lead."""
+def _odometer(q, mfree, lead, start, end=None):
+    """Rows for odometer indices start..end-1, or for the index array start
+    when end is None: free coefficients, then lead."""
     import numpy as np
 
-    idxs = np.arange(start, end, dtype=np.int64)
-    rows = np.empty((end - start, mfree + 1), dtype=np.int64)
+    if end is None:
+        idxs = np.array(start, dtype=np.int64)  # a copy: divmod overwrites it
+    else:
+        idxs = np.arange(start, end, dtype=np.int64)
+    rows = np.empty((len(idxs), mfree + 1), dtype=np.int64)
     for j in range(mfree):  # digit j is the remainder, idxs the carry
         np.divmod(idxs, q, out=(idxs, rows[:, j]))
     rows[:, mfree] = lead
@@ -380,14 +415,18 @@ def _scan_chunk(args):
     q, n, m, lead, mode, start, end, witness_cap = args
     import numpy as np
 
+    spec = ScanSpec(q, n, m, lead, mode)
     shift = mode == "shift-stable"
     coset = on_coset(q, n, m, lead)
     base = 1 if coset else 0
     eng = _engines_for(q, n, m, mode, coset)
+    # the ranked rows: the whole range, or with an orbit of q shifts, the
+    # part of it below q^(m-1), where a_(m-1) = 0 (module doc)
+    ranked_end = max(start, min(end, spec.total // spec.shift_orbit))
     # the free digits: P's coefficients, or F's where P = F(θ^q - θ), and
     # their odometer indices, kept in step with them
-    digits = _odometer(q, m // q if shift else m, lead, start, end)
-    idxs = np.arange(start, end, dtype=np.uint64)
+    digits = _odometer(q, spec.free_coeffs, lead, start, ranked_end)
+    idxs = np.arange(start, ranked_end, dtype=np.int64)
     basis = None
     if shift:
         # filter first: at degree m/q the kernel costs little next to the
@@ -400,13 +439,13 @@ def _scan_chunk(args):
         # P is squarefree iff F is, so the test reads the free digits
         return sel[_squarefree_mask(digits[sel], q)]
 
-    def coeffs(sel):
-        # P's coefficient rows, as lists
-        rows = digits[sel] if basis is None else digits[sel] @ basis % q
-        return rows.tolist()
+    def coeffs(rows):
+        # P's coefficient rows from digit rows, as lists
+        return (rows if basis is None else rows @ basis % q).tolist()
 
-    # rank first in generic mode: the engine sees every row, and only the
-    # rows that a tally, a witness or the audit reads get the squarefree test
+    # rank first in generic mode: the engine sees every ranked row, and only
+    # the rows that a tally, a witness or the audit reads get the squarefree
+    # test
     ranks = base + eng.vanishing_orders(digits, basis)
 
     witnesses: dict = {}
@@ -423,29 +462,42 @@ def _scan_chunk(args):
             lo += size
             size *= 2
         if len(first):
-            witnesses[1] = list(map(_row_str, coeffs(first[:witness_cap])))
+            witnesses[1] = list(map(_row_str,
+                                    coeffs(digits[first[:witness_cap]])))
     high = squarefree(np.nonzero(ranks > base)[0])
     hist: dict = {}
     found, counts = np.unique(ranks[high], return_counts=True)
     for r, c in zip(found.tolist(), counts.tolist()):
-        hist[r] = c
+        hist[r] = c * spec.shift_orbit
         first = high[ranks[high] == r][:witness_cap]
-        witnesses[r] = list(map(_row_str, coeffs(first)))
+        witnesses[r] = list(map(_row_str, coeffs(digits[first])))
 
     audit_failures = []
     picks = np.zeros(0, dtype=np.int64)
+    pick_digits = digits[:0]
     if audit_skip_reason(q, n, m) is None:
-        # Knuth hash of the odometer index; uint64 products wrap mod 2^64,
-        # which keeps the low 32 bits exact
-        hashed = idxs * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
-        picks = squarefree(
-            np.nonzero(hashed < int(_AUDIT_RATE * 2**32))[0])[:_AUDIT_CAP]
+        # Knuth hash of every odometer index of the chunk, ranked or not;
+        # uint64 products wrap mod 2^64, which keeps the low 32 bits exact
+        every = np.arange(start, end, dtype=np.uint64)
+        hashed = every * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
+        picks = start + np.nonzero(hashed < int(_AUDIT_RATE * 2**32))[0]
+        pick_digits = _odometer(q, spec.free_coeffs, lead, picks)
+        keep = np.nonzero(_squarefree_mask(pick_digits, q))[0][:_AUDIT_CAP]
+        picks, pick_digits = picks[keep], pick_digits[keep]
+    # a pick among the ranked rows reads its rank from them (in shift-stable
+    # mode idxs holds every squarefree index); the rest, past the shift
+    # representatives, take theirs from one more engine call
+    fast = np.empty(len(picks), dtype=np.int64)
+    inside = picks < ranked_end
+    fast[inside] = ranks[np.searchsorted(idxs, picks[inside])]
+    if not inside.all():
+        fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside], basis)
     ctx = field_make(q)
-    for row, fast in zip(coeffs(picks), ranks[picks].tolist()):
+    for row, rank in zip(coeffs(pick_digits), fast.tolist()):
         slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
-        if slow != fast:
+        if slow != rank:
             audit_failures.append(
-                {"poly": _row_str(row), "fast": fast, "symbolic": slow})
+                {"poly": _row_str(row), "fast": rank, "symbolic": slow})
 
     return {
         "hist": hist,
@@ -562,7 +614,30 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
         ones = squarefree - sum(cell.values())
         if ones:
             cell[1] = ones
+    if spec.shift_orbit > 1:
+        _expand_witnesses(table, spec)
     return table
+
+
+def _expand_witnesses(table: RankTable, spec: ScanSpec):
+    """The full enumeration's witness lists from the representatives' lists.
+
+    A representative has a_(m-1) = 0, so its index lies below q^(m-1) and
+    below every other P's.  A full list therefore is already the full
+    enumeration's, and a short one holds every representative of its rank:
+    the first ``witness_cap`` of their q shifts P(θ + d), in odometer order,
+    are the full enumeration's list.
+    """
+    ctx = field_make(spec.q)
+    shifts = [Poly(ctx, (d, 1)) for d in range(spec.q)]  # θ + d
+    for key, ws in table.witnesses.items():
+        if len(ws) >= spec.witness_cap:
+            continue
+        rows = [[int(c) for c in Poly(ctx, list(map(int, w.split(","))))
+                 .compose(s).coeffs] for w in ws for s in shifts]
+        # equal leads: the reversed row orders by odometer index
+        rows.sort(key=lambda row: row[::-1])
+        table.witnesses[key] = list(map(_row_str, rows[:spec.witness_cap]))
 
 
 # -- distinguished-coset audit ------------------------------------------------

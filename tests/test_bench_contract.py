@@ -13,6 +13,7 @@ path and use them as it does.
 """
 
 import importlib.util
+import json
 import pathlib
 import sys
 
@@ -90,6 +91,34 @@ def test_scan_chunk_arguments(bench, monkeypatch):
     assert seen == [(3, 1, 6, 2, "squarefree", s, min(s + 100, 3**6))
                     for s in range(0, 3**6, 100)]
     assert scan.ScanSpec.audit_k_cap == spec.audit_k_cap == 12
+
+
+def test_reduced_chunks_report_their_whole_range(bench, tmp_path):
+    # a scan with p ∤ m ranks only the rows below q^(m-1), yet every chunk
+    # reports scanned = end - start (the tracer's items for the chunk span)
+    # and writes one checkpoint record (the pool and checkpoint checks count
+    # them); a chunk past the representatives tallies nothing
+    _, workloads = bench
+    M = workloads.import_carlitz()
+    past = 0
+    for w in (workloads.SMOKE["scan-n2-pool"],
+              workloads.WORKLOADS["scan-n2-pool"],
+              workloads.WORKLOADS["scan-generic"]):
+        for spec in w.specs(M):
+            assert spec.shift_orbit == spec.q
+            ck = tmp_path / f"ck-{spec.m}-{spec.lead}.jsonl"
+            M["scan"].run_scan(spec, checkpoint=str(ck))
+            records = [json.loads(line)
+                       for line in ck.read_text().splitlines()[1:]]
+            starts = range(0, spec.total, spec.chunk_size)
+            assert [r["chunk"] for r in records] == list(range(len(starts)))
+            for start, rec in zip(starts, records):
+                end = min(start + spec.chunk_size, spec.total)
+                assert rec["payload"]["scanned"] == end - start
+                if start >= spec.total // spec.shift_orbit:
+                    assert rec["payload"]["hist"] == {}
+                    past += 1
+    assert past > 0
 
 
 def test_ext_field_table_accessors(bench):

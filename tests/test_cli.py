@@ -240,8 +240,26 @@ def test_scan_reports_skipped_audit(capsys):
     assert json.loads(out)["audits"] == 0
     code, out, err = run_cli(capsys, "scan", "--q", "2", "--m", "11",
                              "--lead", "1", "--workers", "1")
-    assert code == 0 and err == ""
+    assert code == 0
+    assert err.splitlines() == [
+        "ranked 1024 rows for 2048 polynomials (one per θ-shift orbit)"]
     assert json.loads(out)["audits"] > 0
+
+
+def test_scan_reports_shift_orbit_reduction(capsys):
+    # p ∤ m: one row ranked per θ-shift orbit, said on stderr; the JSON
+    # still counts every polynomial
+    code, out, err = run_cli(capsys, "scan", "--q", "3", "--m", "5",
+                             "--lead", "1", "--workers", "1")
+    assert code == 0
+    assert err.splitlines() == [
+        "ranked 81 rows for 243 polynomials (one per θ-shift orbit)"]
+    assert json.loads(out)["cells"][0]["scanned"] == 243
+    # p | m, and shift-stable mode: every row is ranked, nothing is said
+    for extra in (["--m", "6"], ["--m", "9", "--shift-stable"]):
+        code, out, err = run_cli(capsys, "scan", "--q", "3", "--lead", "1",
+                                 "--workers", "1", *extra)
+        assert code == 0 and err == ""
 
 
 def test_scan_rejects_non_prime_q(capsys):

@@ -15,6 +15,7 @@ from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           equation_count, _squarefree_ints, _squarefree_mask,
                           _squarefree_count, _odometer, _engines_for,
                           _stable_basis)
+from carlitz.fastrank import RankEngine
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -74,6 +75,42 @@ def test_counts_match_direct_enumeration():
         table = run_scan(ScanSpec(q=3, n=1, m=m, lead=lead, workers=1,
                                   chunk_size=50))
         assert table.hist[(m, lead)] == want, m
+
+
+def _brute_cell(q, n, m, lead, cap):
+    # rank >= 1 histogram and the first ``cap`` witnesses of each rank, over
+    # every squarefree P of the cell in odometer order, by the symbolic route
+    ctx = field_make(q)
+    hist, witnesses = {}, {}
+    for free in itertools.product(range(q), repeat=m):
+        coeffs = list(free[::-1]) + [lead]
+        p = Poly(ctx, coeffs)
+        if not is_squarefree(p):
+            continue
+        r = analytic_rank(TwistedPower(p, n))
+        if r >= 1:
+            hist[r] = hist.get(r, 0) + 1
+            ws = witnesses.setdefault(r, [])
+            if len(ws) < cap:
+                ws.append(",".join(map(str, coeffs)))
+    return hist, witnesses
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
+                                 (5, 2)])
+def test_counts_and_witnesses_match_brute_force(q, n):
+    # with p ∤ m the scan ranks one P per θ-shift orbit and expands the
+    # witness lists; both must equal the full symbolic enumeration's
+    m_max = {2: 9, 3: 7, 5: 4}[q]
+    for m in range(1, m_max + 1):
+        for lead in range(1, q):
+            spec = ScanSpec(q=q, n=n, m=m, lead=lead, workers=1,
+                            chunk_size=-(-q**m // 3), witness_cap=16)
+            table = run_scan(spec)
+            hist, witnesses = _brute_cell(q, n, m, lead, 16)
+            assert table.hist[(m, lead)] == hist, (m, lead)
+            assert {r: ws for (_, _, r), ws in table.witnesses.items()} == \
+                witnesses, (m, lead)
 
 
 def test_worker_and_chunk_independence():
@@ -563,10 +600,11 @@ def test_rank_first_matches_filter_first(q, n, monkeypatch):
     assert picked > 0
 
 
-@pytest.mark.parametrize("m,lead", [(7, 2), (7, 1)])
+@pytest.mark.parametrize("m,lead", [(9, 2), (9, 1)])
 def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
     # checkpoints of the filter-first pipeline carry a per-chunk squarefree
-    # count and, on the coset (m=7, lead 2), per-chunk rank-1 counts
+    # count and, on the coset (m=9, lead 2), per-chunk rank-1 counts; with
+    # p | m the scan ranks every row, as that pipeline did
     spec = ScanSpec(q=3, n=1, m=m, lead=lead, workers=1, chunk_size=300)
     fresh = run_scan(spec).to_json_obj()
     ck = tmp_path / "scan.ckpt"
@@ -584,6 +622,72 @@ def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
     lines = [json.loads(line) for line in ck.read_text().splitlines()]
     assert [r["chunk"] for r in lines[1:]] == list(range(len(starts)))
     assert all("squarefree" not in r["payload"] for r in lines[-2:])
+
+
+@pytest.mark.parametrize("lead", [1, 2])
+def test_resume_refuses_checkpoint_of_full_enumeration(tmp_path, lead):
+    # a checkpoint written while m=7 scans ranked every row carries the
+    # fingerprint without the orbit token; its chunks count every P, which
+    # the reduced scan would count again q times, so it must not resume
+    spec = ScanSpec(q=3, n=1, m=7, lead=lead, workers=1, chunk_size=300)
+    old = f"q3n1m7a{lead}squarefreec300w16r0.001ac16ak12"
+    assert spec.fingerprint() == old + "o3"
+    records = [{"fingerprint": old, "spec": {}}]
+    for i, start in enumerate(range(0, spec.total, spec.chunk_size)):
+        payload = _filter_first_chunk(
+            spec, start, min(start + spec.chunk_size, spec.total), [])
+        records.append({"chunk": i, "payload": payload})
+    ck = tmp_path / "scan.ckpt"
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError,
+                       match="checkpoint belongs to a different scan"):
+        run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+@pytest.mark.parametrize("q,n,m,lead,mode,chunk", [
+    (3, 1, 7, 1, "squarefree", 300), (3, 1, 7, 2, "squarefree", 300),
+    (2, 2, 9, 1, "squarefree", 100), (5, 1, 4, 3, "squarefree", 100),
+    (3, 1, 6, 2, "squarefree", 100), (2, 1, 8, 1, "squarefree", 100),
+    (3, 1, 18, 1, "shift-stable", 10), (3, 1, 18, 2, "shift-stable", 10)])
+def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
+                                         chunk):
+    # a reduced cell (squarefree mode, p ∤ m) ranks its q^(m-1)
+    # representatives plus the audit picks past them; cells with p | m rank
+    # every row and shift-stable cells every squarefree F, as before
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+    monkeypatch.setattr(scan, "_AUDIT_CAP", 4)
+    rows = []
+    orders = RankEngine.vanishing_orders
+
+    def counted(self, digits, basis=None):
+        rows.append(len(digits))
+        return orders(self, digits, basis)
+
+    monkeypatch.setattr(RankEngine, "vanishing_orders", counted)
+    spec = ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode, workers=1,
+                    chunk_size=chunk)
+    table = run_scan(spec)
+    assert table.audits > 0 and table.audit_failures == []
+    if mode == "shift-stable":
+        assert spec.shift_orbit == 1
+        assert sum(rows) == _squarefree_count(q, m // q)
+    elif m % q == 0:
+        assert spec.shift_orbit == 1
+        assert sum(rows) == q**m
+    else:
+        assert spec.shift_orbit == q
+        ctx = field_make(q)
+        thresh = int(0.05 * 2**32)
+        past = 0
+        for start in range(0, spec.total, chunk):
+            picked = [i for i in range(start, min(start + chunk, spec.total))
+                      if i * 2654435761 % 2**32 < thresh
+                      and is_squarefree(Poly(ctx, [i // q**j % q
+                                                   for j in range(m)]
+                                             + [lead]))][:4]
+            past += sum(i >= q**(m - 1) for i in picked)
+        assert past > 0
+        assert sum(rows) == q**(m - 1) + past
 
 
 def test_scan_outputs_pinned():
