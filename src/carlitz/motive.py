@@ -19,8 +19,15 @@ coefficients of P(θ) (T - θ)^n, with the weights (-1)^l C(n, l) mod p from
 ``band_signs``; ``band_index`` gives the k x k positions the matrix reads,
 entry [i][j] (0-based) reading b_{(i+1)q-(j+1)} and a position outside
 0..m+n reading a zero slot.  The symbolic rows here (tuples of tuples of
-``Poly``, the one form of the matrix and its finite windows) and both point
-engines of ``fastrank`` (the band at T = t) gather through that one index.
+``Poly``, the one form of the matrix and its finite windows), the code
+arrays that ``analytic_ranks`` stacks for many twists at once and both
+point engines of ``fastrank`` (the band at T = t) gather through that one
+index.
+
+Ranks have one implementation, ``analytic_ranks``: the order at U = 1 of
+det(I - M U) for a batch of coefficient rows, read from the Hasse
+derivatives of one ``berkowitz_stack`` call; ``analytic_rank`` is its
+one-row case.
 
 The distinguished coset is q-1 | m+n with a_m = (-1)^n (``on_coset``); there
 det(I - M U) has the factor (1 - U), left by the leading principal block of
@@ -32,8 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ff import binom_mod_p
-from .lfun import LFun, lfun_order_at
-from .linalg import det_identity_minus_mu
+# lfun_order_at is not used here since analytic_rank reads Hasse
+# derivatives; it stays importable from this module while the benchmark's
+# tracer patches motive.lfun_order_at (ROADMAP item 2)
+from .lfun import LFun, lfun_order_at  # noqa: F401
+from .linalg import berkowitz_stack, det_identity_minus_mu
 from .poly import Poly
 
 __all__ = [
@@ -41,6 +51,7 @@ __all__ = [
     "build_matrix",
     "l_function",
     "analytic_rank",
+    "analytic_ranks",
     "infinity_factor",
     "d_coefficients",
     "band_signs",
@@ -148,9 +159,54 @@ def l_function(tp: TwistedPower) -> LFun:
     return LFun(ctx, vec)
 
 
+def analytic_ranks(rows, n: int, ctx):
+    """Order of vanishing at U = 1 of L(P, n) for every coefficient row P.
+
+    ``rows`` is an (N, m+1) integer array of little-endian coefficient codes
+    over ``ctx`` = GF(p^e), every row of degree m (nonzero last entry).  The
+    rows' k_min x k_min matrices are gathered through ``band_index`` as one
+    code array and go through ``berkowitz_stack`` together.  With c_i the
+    U^i coefficient of L, L = sum_j D_j (U - 1)^j with the Hasse
+    derivatives D_j = sum_i C(i, j) c_i.  C(i, j) mod p lies in GF(p), so
+    it acts on the base-p digits of c_i one by one, over GF(p^e) as over
+    GF(p); the order is the first j with D_j != 0.  The band's weights
+    (-1)^l C(n, l) lie in GF(p) too and scale the digits the same way.
+    Returns an int64 array of N ranks.
+    """
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64)
+    count, width = rows.shape
+    m = width - 1
+    q, p, e = ctx.order, ctx.char, ctx.e
+    if n < 1:
+        raise ValueError("tensor exponent must be >= 1")
+    if m < 0 or not rows[:, m].all():
+        raise ValueError("every row needs a nonzero last coefficient")
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    if rows.min() < 0 or rows.max() >= q:
+        raise ValueError(f"coefficients must be codes in [0, {q})")
+    k = stable_size(q, n, m)
+    powers = p ** np.arange(e, dtype=np.int64)
+    # band[r, x, n-l, c]: digit c of (-1)^l C(n, l) a_(x-l), the T^(n-l)
+    # coefficient of b_x; x = m+n+1 is the zero slot
+    digits = rows[:, :, None] // powers % p
+    band = np.zeros((count, m + n + 2, n + 1, e), dtype=np.int64)
+    for l, sign in enumerate(band_signs(n, p)):
+        band[:, l : l + m + 1, n - l] = digits * sign % p
+    codes = (band @ powers)[:, np.array(band_index(q, k, m + n + 1))]
+    vec = berkowitz_stack(codes, ctx).reshape(count, k + 1, -1)
+    hasse = np.array([[binom_mod_p(i, j, p) for i in range(k + 1)]
+                      for j in range(k + 1)], dtype=np.int64)
+    nonzero = (hasse @ vec % p).any(axis=2)
+    # D_j != 0 for some j <= k, as c_0 = 1
+    return nonzero.argmax(axis=1)
+
+
 def analytic_rank(tp: TwistedPower) -> int:
     """Order of vanishing of the L-function at U = 1."""
-    return lfun_order_at(l_function(tp), tp.ctx.one)
+    return int(analytic_ranks([tp.P.coeffs], tp.n, tp.ctx)[0])
 
 
 def infinity_factor(tp: TwistedPower, nfrak: int) -> LFun:

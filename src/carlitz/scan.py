@@ -76,7 +76,10 @@ distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
 restores the early exit that the forced (1-U) factor would otherwise deny.
 
 A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
-audited against the full division-free determinant plus synthetic division.
+audited against the full division-free determinant, a second route that
+does not touch the engine: ``motive.analytic_ranks`` takes a chunk's picks
+as one stack of k_min x k_min matrices through one Berkowitz call and reads
+each order at U = 1 from the Hasse derivatives of its L-function.
 The picks are the same with or without the orbit reduction: the hash runs
 over the chunk's whole index range, and a squarefree pick past the
 representatives gets its rank from one more engine call per chunk.
@@ -101,8 +104,10 @@ from typing import ClassVar
 
 from .ff import binom_mod_p, field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine
-from .motive import (TwistedPower, analytic_rank, on_coset,
-                     reduced_block_size, stable_size)
+from .motive import analytic_ranks, on_coset, reduced_block_size, stable_size
+# unused since the audit went batched; importable here while the benchmark's
+# tracer patches scan.analytic_rank (ROADMAP item 2)
+from .motive import analytic_rank  # noqa: F401
 from .poly import Poly
 
 __all__ = [
@@ -297,10 +302,11 @@ def audit_skip_reason(q: int, n: int, m: int) -> str | None:
     """Why a scan of degree m runs no symbolic audit, or None if it runs one.
 
     Cells with a stable matrix size k_min above ``_AUDIT_K_CAP`` are not
-    audited.  The audit's division-free determinant costs about 2-5 ms per
-    twist at k_min = 13-19 (q = 2, 3; median of 5 random twists on a
-    2-core Xeon), so the cap guards the scans' run time, not the audit's
-    feasibility.
+    audited.  The audit's batched division-free determinant costs about
+    0.3-1.9 ms per twist at k_min = 13-19 in a stack of 16 picks, and
+    0.5-2.4 ms in a stack of 5 (q = 2, 3, n = 1, random twists, median of 5
+    on a 2-core Xeon), so the cap guards the scans' run time, not the
+    audit's feasibility.
     """
     k_min = stable_size(q, n, m)
     if k_min > _AUDIT_K_CAP:
@@ -492,12 +498,14 @@ def _scan_chunk(args):
     fast[inside] = ranks[np.searchsorted(idxs, picks[inside])]
     if not inside.all():
         fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside], basis)
-    ctx = field_make(q)
-    for row, rank in zip(coeffs(pick_digits), fast.tolist()):
-        slow = analytic_rank(TwistedPower(Poly(ctx, row), n))
-        if slow != rank:
-            audit_failures.append(
-                {"poly": _row_str(row), "fast": rank, "symbolic": slow})
+    if len(picks):
+        # the second route: every pick's determinant in one batched call
+        rows = coeffs(pick_digits)
+        slow = analytic_ranks(rows, n, field_make(q))
+        for row, rank, sym in zip(rows, fast.tolist(), slow.tolist()):
+            if sym != rank:
+                audit_failures.append(
+                    {"poly": _row_str(row), "fast": rank, "symbolic": sym})
 
     return {
         "hist": hist,

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from carlitz import (field_make, field_from_cardinality, Poly, LFun,
                      lfun_order_at, TwistedPower, build_matrix, l_function,
                      analytic_rank, infinity_factor, d_coefficients)
-from carlitz.motive import _matrix_rows
-from carlitz.linalg import det_identity_minus_mu, det_cofactor
+from carlitz.motive import _matrix_rows, analytic_ranks
+from carlitz.linalg import berkowitz_stack, det_identity_minus_mu, det_cofactor
 
 
 def tp3(coeffs, n=1):
@@ -155,6 +156,109 @@ def test_berkowitz_matches_cofactor_expansion(rng):
                     for c in reversed(vec):
                         got = ctx.add(ctx.mul(got, u0), c.evaluate(t0))
                     assert want == Poly.constant(ctx, got)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_berkowitz_stack_matches_single_matrices(q):
+    # member b of a stack gives what det_identity_minus_mu gives for M_b
+    # alone; members have their own T-degrees 0..2, padded to the stack's
+    rng = random.Random(q)
+    ctx = field_from_cardinality(q)
+    one = Poly.one(ctx)
+    powers = ctx.char ** np.arange(ctx.e)
+    for k in range(1, 15):
+        for count in (1, 2, 16):
+            degs = [rng.randrange(3) for _ in range(count)]
+            deg = max(degs)
+            codes = np.zeros((count, k, k, deg + 1), dtype=np.int64)
+            for b, d in enumerate(degs):
+                codes[b, ..., : d + 1] = [[[rng.randrange(q)
+                                            for _ in range(d + 1)]
+                                           for _ in range(k)]
+                                          for _ in range(k)]
+            got = berkowitz_stack(codes, ctx)
+            assert got.shape == (count, k + 1, ctx.e, k * deg + 1)
+            for b in range(count):
+                m = [[Poly(ctx, codes[b, i, j].tolist()) for j in range(k)]
+                     for i in range(k)]
+                want = det_identity_minus_mu(m, one)
+                vec = (got[b] * powers[:, None]).sum(axis=1).tolist()
+                assert [Poly(ctx, c) for c in vec] == want, (k, count, b)
+
+
+def _shift_stable_rows(ctx, d):
+    # every P = F(θ^q - θ) with deg F = d
+    q = ctx.order
+    s = Poly(ctx, [0, ctx.neg(ctx.one)] + [0] * (q - 2) + [1])
+    return [list(Poly(ctx, [c // q**j % q for j in range(d)] + [lead])
+                 .compose(s).coeffs)
+            for lead in range(1, q) for c in range(q**d)]
+
+
+def _rank_grid():
+    # (q, n, rows) batches: every twist of degree <= 4 over GF(3); whole
+    # shift-stable cells with ranks up to 2 (GF(3), GF(4), GF(5)); the
+    # rank-4 twist θ + θ^16 over GF(4), the rank-3 twist θ^2 + θ^10 + θ^18
+    # over GF(9) with n = 6 and the rank-5 shift-stable witness of degree 21
+    # over GF(3); seeded random twists up to k_min = 12 over GF(2), GF(3),
+    # GF(4), GF(5) and GF(9)
+    for n in (1, 3):
+        for m in range(5):
+            yield 3, n, [[c // 3**j % 3 for j in range(m)] + [lead]
+                         for lead in (1, 2) for c in range(3**m)]
+    for q, n, d in ((3, 1, 3), (4, 2, 2), (5, 2, 2), (9, 6, 1)):
+        yield q, n, _shift_stable_rows(field_from_cardinality(q), d)
+    yield 4, 2, [[0, 1] + [0] * 14 + [1]]
+    yield 9, 6, [[0, 0, 1] + [0] * 7 + [1] + [0] * 7 + [1]]
+    yield 3, 1, [[0, 1, 0, 1, 0, 2, 0, 1, 0, 1, 0, 1, 0, 0, 0, 2, 0, 0, 0,
+                  2, 0, 1]]
+    rng = random.Random(11)
+    for q in (2, 3, 4, 5, 9):
+        for n in (1, 2, 3):
+            for k in range(1, 13, 3):
+                m = max(0, k * (q - 1) - n)
+                yield q, n, [[rng.randrange(q) for _ in range(m)]
+                             + [rng.randrange(1, q)] for _ in range(3)]
+
+
+def test_analytic_ranks_match_synthetic_division():
+    seen = {}
+    for q, n, rows in _rank_grid():
+        ctx = field_from_cardinality(q)
+        got = analytic_ranks(np.array(rows), n, ctx)
+        assert got.dtype == np.int64 and got.shape == (len(rows),)
+        for row, r in zip(rows, got.tolist()):
+            tp = TwistedPower(Poly(ctx, row), n)
+            assert r == lfun_order_at(l_function(tp), ctx.one), (q, n, row)
+            assert analytic_rank(tp) == r
+            seen[q] = max(seen.get(q, 0), r)
+    # orders past 1 read Hasse derivatives past D_1, over GF(p^e) too
+    assert seen == {2: 1, 3: 5, 4: 4, 5: 2, 9: 3}
+
+
+def test_analytic_ranks_input_checks(f3):
+    assert analytic_ranks(np.zeros((0, 4), dtype=np.int64), 1, f3).shape == (0,)
+    with pytest.raises(ValueError, match="nonzero last coefficient"):
+        analytic_ranks([[1, 2, 0]], 1, f3)
+    with pytest.raises(ValueError, match="nonzero last coefficient"):
+        analytic_ranks(np.zeros((2, 0), dtype=np.int64), 1, f3)
+    with pytest.raises(ValueError, match="tensor exponent"):
+        analytic_ranks([[1, 2]], 0, f3)
+    for bad in ([[1, 3]], [[-1, 2]]):
+        with pytest.raises(ValueError, match=r"codes in \[0, 3\)"):
+            analytic_ranks(bad, 1, f3)
+
+
+def test_analytic_rank_of_the_affine_rank8_twist():
+    # P = 2θ + 2θ^3 + θ^9 + θ^15 + 2θ^33 + θ^39 + 2θ^57 + θ^63 over GF(3),
+    # the rank-8 member of the affine-invariant family (ROADMAP item 10):
+    # k_min = 32, and orders up to 8 read Hasse derivatives D_0..D_8
+    coeffs = [0] * 64
+    for i, c in {1: 2, 3: 2, 9: 1, 15: 1, 33: 2, 39: 1, 57: 2, 63: 1}.items():
+        coeffs[i] = c
+    tp = tp3(coeffs)
+    assert tp.k_min == 32
+    assert analytic_rank(tp) == 8
 
 
 # l_function on a seeded grid, recorded with the Poly-object Berkowitz loop

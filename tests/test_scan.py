@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from carlitz import field_make, Poly, is_squarefree
-from carlitz.motive import TwistedPower, analytic_rank
+from carlitz.lfun import lfun_order_at
+from carlitz.motive import TwistedPower, analytic_rank, l_function
 from carlitz import scan
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
@@ -392,6 +393,47 @@ def test_audit_failure_reporting_structure(monkeypatch):
     assert table.audit_failures == []
 
 
+@pytest.mark.parametrize("lead", [1, 2])
+def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
+    # the engine answers one too high for two rows: the first squarefree
+    # index, ranked among the shift representatives (below 3^4 = 81), and
+    # the first squarefree index of the second chunk, past them, which the
+    # extra engine call ranks; the audit must name both with both ranks
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 1.0)
+    monkeypatch.setattr(scan, "_AUDIT_CAP", 5)
+    spec = ScanSpec(q=3, n=1, m=5, lead=lead, workers=1, chunk_size=100)
+    assert spec.total // spec.shift_orbit == 81
+
+    def row(i):
+        return [i // 3**j % 3 for j in range(5)] + [lead]
+
+    targets = [next(i for i in range(lo, spec.total)
+                    if _squarefree_ints(row(i), 3)) for lo in (0, 100)]
+    assert targets[0] < 81 <= 100 <= targets[1] < 200
+    wrong = np.array([row(i) for i in targets])
+    calls = []
+    orders = RankEngine.vanishing_orders
+
+    def off_by_one(self, digits, basis=None):
+        out = orders(self, digits, basis)
+        hit = (np.asarray(digits)[:, None] == wrong).all(axis=2).any(axis=1)
+        calls.append((len(out), int(hit.sum())))
+        return out + hit
+
+    monkeypatch.setattr(RankEngine, "vanishing_orders", off_by_one)
+    table = run_scan(spec)
+    # chunk 0's call on its 81 ranked rows, then chunk 1's on its 5 picks
+    assert [c for c in calls if c[1]] == [(81, 1), (5, 1)]
+    want = []
+    for i in targets:
+        tp = TwistedPower(Poly(field_make(3), row(i)), 1)
+        r = lfun_order_at(l_function(tp), 1)
+        want.append({"poly": ",".join(map(str, row(i))), "fast": r + 1,
+                     "symbolic": r})
+    assert table.audits == 15
+    assert table.audit_failures == want
+
+
 @pytest.mark.parametrize("content", [b"", b'{"fingerprint": "q3n1m6'])
 def test_resume_from_checkpoint_without_complete_record(tmp_path, content):
     # a crash before the header is flushed leaves an empty or torn file
@@ -577,12 +619,13 @@ def test_rank_first_matches_filter_first(q, n, monkeypatch):
     # full JSON and CSV, witness order, audit picks and counts included
     audited = []
 
-    def audit(tp):
-        row = ",".join(str(int(c)) for c in tp.P.coeffs)
-        audited.append(row)
-        return ranks[row]
+    def audit(rows, n, ctx):
+        # the batched symbolic route: one call per chunk on its picks
+        strs = [",".join(map(str, row)) for row in np.asarray(rows).tolist()]
+        audited.extend(strs)
+        return np.array([ranks[row] for row in strs], dtype=np.int64)
 
-    monkeypatch.setattr(scan, "analytic_rank", audit)
+    monkeypatch.setattr(scan, "analytic_ranks", audit)
     monkeypatch.setattr(scan, "_AUDIT_RATE", 0.1)
     monkeypatch.setattr(scan, "_AUDIT_CAP", 2)
     picked = 0
