@@ -224,9 +224,9 @@ def cmd_scan(args) -> int:
         table = run_scan(spec, checkpoint=args.checkpoint, resume=args.resume)
     except ScanCapError as exc:
         raise UsageError(str(exc)) from None
-    if spec.shift_orbit > 1:
-        print(f"ranked {spec.total // spec.shift_orbit} rows for "
-              f"{spec.total} polynomials (one per θ-shift orbit)",
+    if spec.representatives < spec.total:
+        print(f"kept {spec.representatives} of {spec.total} rows, one per "
+              f"orbit (shifts {spec.shift_orbit}, scales {len(spec.scales)})",
               file=sys.stderr)
     skipped = audit_skip_reason(spec.q, spec.n, spec.m)
     if skipped:

@@ -26,35 +26,42 @@ sets each cell's ``squarefree`` from it.  In shift-stable mode the formula
 counts F at degree m/q, where P = F(θ^q - θ): then P' = -F'(θ^q - θ), so
 gcd(P, P') = 1 exactly when gcd(F, F') = 1.
 
-Generic scans with p ∤ m rank one P per θ-shift orbit.  The shift
-P -> P(θ + d) keeps the analytic rank (the ``Mu`` identity
-L(P(θ+d))(T - d) = L(P), see symmetry), the degree, the lead and
-squarefreeness, and it moves a_(m-1) to a_(m-1) + m·d·a_m.  With p ∤ m the
-q shifts of P are therefore distinct, and exactly one has a_(m-1) = 0: the
-representatives are the odometer indices below q^(m-1).  A chunk ranks only
-its rows below q^(m-1) and counts each of them q times
-(``ScanSpec.shift_orbit``); a chunk past them ranks nothing, but keeps its
-bounds and its ``scanned`` count.  The witness lists come out as the full
-enumeration's, because every representative's index lies below every other
-P's: a list that reached ``witness_cap`` is already right, and a shorter one
-holds every representative of its rank, so ``run_scan`` replaces it with
-the first ``witness_cap`` of their q shifts in odometer order.  Shift-stable
-scans are left alone (the shifts fix P), and so are cells with p | m, where
-the shift leaves a_(m-1) unchanged.
+Scans rank one row per orbit of P -> c^n·P(cθ + d), which keeps the
+analytic rank (``Mu`` and ``Tau(c^-n)∘Nu(c)``, see symmetry), the degree
+and squarefreeness.  The shift d moves a_(m-1) to a_(m-1) + m·d·a_m, so in
+generic scans with p ∤ m each orbit of q shifts has exactly one member with
+a_(m-1) = 0, at an odometer index below q^(m-1) and below every other P's:
+a chunk ranks only its rows below q^(m-1) (``ScanSpec.shift_orbit`` = q; a
+chunk past them ranks nothing, but keeps its bounds and its ``scanned``
+count).  Shift-stable P and cells with p | m get no shift cut.  The scale c
+multiplies a_i by c^(n+i) and so sends cell (m, a) to (m, a·c^(m+n)):
+H = {c : c^(m+n) = 1}, of order gcd(m+n, q-1), maps each cell onto itself
+(``ScanSpec.scales``).  It scales digit i by c^(n+i) in both modes
+(S(cθ) = c·S for S = θ^q - θ) and keeps a_(m-1) = 0.  A row is ranked iff
+no H-image has a smaller index (``_scale_orbits``, before the shift-stable
+squarefree filter) and counts shift_orbit·|H|/|Stab(row)| times (Burnside
+weights; the odd P at q=3, n=1 have |Stab| = 2).  The witness lists come
+out as the full enumeration's: a P among the first ``witness_cap`` of its
+rank has its representative, of no larger index, among the first
+``witness_cap`` representatives, so ``run_scan`` replaces each list with the
+first ``witness_cap`` of its H-images in odometer order (F's order in
+shift-stable mode, which P's reversed row does not give, because of carries
+mod q); a list still short then holds every row of its rank with
+a_(m-1) = 0, and their q shifts P(θ + d) give the rest.
 
 The squarefree test itself is one numpy kernel (``_squarefree_mask``):
 Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
 It reads the free digits, since P is squarefree iff F is.  The mode picks
 one of two policies, each the faster on its own workload.  Generic scans
-rank first and test squarefreeness last: the engine ranks every row of the
-chunk, and the kernel runs only on the rows that a tally, a witness or the
-audit reads.  Those are the rows of rank above the base (1 on the
-distinguished coset, 0 off it), on the coset a prefix of the rank-1 rows
-long enough for the witnesses, and the audit's hash candidates.  On the
-coset every squarefree P has rank >= 1, so the rank-1 count is the closed
-form minus the counts of rank >= 2.  Shift-stable scans filter F first,
-dropping the odometer indices with the rows, because at degree m/q the
-kernel costs little next to the engine.
+rank first and test squarefreeness last: the engine ranks every
+representative of the chunk, and the kernel runs only on the rows that a
+tally, a witness or the audit reads.  Those are the rows of rank above the
+base (1 on the distinguished coset, 0 off it), on the coset a prefix of the
+rank-1 rows long enough for the witnesses, and the audit's hash candidates.
+On the coset every squarefree P has rank >= 1, so the rank-1 count is the
+closed form minus the counts of rank >= 2.  Shift-stable scans filter F
+first, dropping the odometer indices with the rows, because at degree m/q
+the kernel costs little next to the engine.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
 batched call per chunk on the free digits of the ranked rows, with the
@@ -81,8 +88,8 @@ does not touch the engine: ``motive.analytic_ranks`` takes a chunk's picks
 as one stack of k_min x k_min matrices through one Berkowitz call and reads
 each order at U = 1 from the Hasse derivatives of its L-function.
 The picks are the same with or without the orbit reduction: the hash runs
-over the chunk's whole index range, and a squarefree pick past the
-representatives gets its rank from one more engine call per chunk.
+over the chunk's whole index range, and a squarefree pick that is not a
+ranked representative gets its rank from one more engine call per chunk.
 The audit is skipped when the stable matrix size k_min exceeds
 ``_AUDIT_K_CAP`` (``audit_skip_reason``); ``carlitz scan`` and
 ``scripts/rank_count_tables.py`` say so.
@@ -201,10 +208,28 @@ class ScanSpec:
             return self.q
         return 1
 
+    @property
+    def scales(self) -> tuple:
+        """The scale group H = {c : c^(m+n) = 1} of GF(q)*, 1 first: the c
+        for which P -> c^n·P(cθ) maps the cell onto itself (module doc)."""
+        return tuple(c for c in range(1, self.q)
+                     if pow(c, self.m + self.n, self.q) == 1)
+
+    @property
+    def representatives(self) -> int:
+        """Rows kept, one per orbit (in shift-stable mode the engine ranks
+        their squarefree ones): (1/|H|)·Σ_c q^(#ranked digits c fixes)."""
+        digits = self.free_coeffs - (self.shift_orbit > 1)
+        return sum(self.q ** sum(pow(c, self.n + i, self.q) == 1
+                                 for i in range(digits))
+                   for c in self.scales) // len(self.scales)
+
     def fingerprint(self) -> str:
-        # the orbit token keeps checkpoints of full enumerations, whose
-        # chunks count every row, from resuming a reduced scan
+        # the orbit tokens keep checkpoints of scans that ranked more rows,
+        # and counted each fewer times, from resuming a reduced scan
         orbit = f"o{self.shift_orbit}" if self.shift_orbit > 1 else ""
+        if len(self.scales) > 1:
+            orbit += f"h{len(self.scales)}"
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
                 f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
                 f"r{_AUDIT_RATE}ac{_AUDIT_CAP}ak{_AUDIT_K_CAP}{orbit}")
@@ -409,6 +434,25 @@ def _row_str(row):
     return ",".join(map(str, row))
 
 
+def _scale_orbits(digits, q, n, scales):
+    """Rows of least index in their orbit under the scales (digit i times
+    c^(n+i)), and |H|/|Stab(row)|, the rows each stands for."""
+    import numpy as np
+
+    least = np.zeros(len(digits), dtype=np.int64)  # image index - index
+    stab = np.ones(len(digits), dtype=np.int64)
+    for c in scales[1:]:
+        diff = np.zeros(len(digits), dtype=np.int64)
+        for i in range(digits.shape[1] - 1):
+            f = pow(c, n + i, q)
+            if f != 1:
+                diff += (digits[:, i] * f % q - digits[:, i]) * q**i
+        least = np.minimum(least, diff)
+        stab += diff == 0
+    # with H trivial, a slice keeps every row without a copy
+    return least >= 0 if len(scales) > 1 else slice(None), len(scales) // stab
+
+
 def _squarefree_count(q, m):
     """Squarefree polynomials over GF(q) of degree m with a fixed lead.
 
@@ -433,12 +477,16 @@ def _scan_chunk(args):
     # their odometer indices, kept in step with them
     digits = _odometer(q, spec.free_coeffs, lead, start, ranked_end)
     idxs = np.arange(start, ranked_end, dtype=np.int64)
+    # of those, one per scale orbit, weighted by its orbit's size
+    keep, weight = _scale_orbits(digits, q, n, spec.scales)
+    digits, idxs = digits[keep], idxs[keep]
+    weight = weight[keep] * spec.shift_orbit
     basis = None
     if shift:
         # filter first: at degree m/q the kernel costs little next to the
         # engine
         keep = _squarefree_mask(digits, q)
-        digits, idxs = digits[keep], idxs[keep]
+        digits, idxs, weight = digits[keep], idxs[keep], weight[keep]
         basis = _stable_basis(q, m // q)
 
     def squarefree(sel):
@@ -472,9 +520,10 @@ def _scan_chunk(args):
                                     coeffs(digits[first[:witness_cap]])))
     high = squarefree(np.nonzero(ranks > base)[0])
     hist: dict = {}
-    found, counts = np.unique(ranks[high], return_counts=True)
-    for r, c in zip(found.tolist(), counts.tolist()):
-        hist[r] = c * spec.shift_orbit
+    # bincount, not np.unique, which imports numpy.ma in each fresh worker
+    tally = np.bincount(ranks[high], weights=weight[high])
+    for r in np.nonzero(tally)[0].tolist():
+        hist[r] = int(tally[r])
         first = high[ranks[high] == r][:witness_cap]
         witnesses[r] = list(map(_row_str, coeffs(digits[first])))
 
@@ -490,12 +539,13 @@ def _scan_chunk(args):
         pick_digits = _odometer(q, spec.free_coeffs, lead, picks)
         keep = np.nonzero(_squarefree_mask(pick_digits, q))[0][:_AUDIT_CAP]
         picks, pick_digits = picks[keep], pick_digits[keep]
-    # a pick among the ranked rows reads its rank from them (in shift-stable
-    # mode idxs holds every squarefree index); the rest, past the shift
-    # representatives, take theirs from one more engine call
+    # a pick among the ranked rows reads its rank from them; the rest, not
+    # orbit representatives, take theirs from one more engine call
     fast = np.empty(len(picks), dtype=np.int64)
-    inside = picks < ranked_end
-    fast[inside] = ranks[np.searchsorted(idxs, picks[inside])]
+    at = np.searchsorted(idxs, picks)
+    inside = at < len(idxs)
+    inside[inside] = idxs[at[inside]] == picks[inside]
+    fast[inside] = ranks[at[inside]]
     if not inside.all():
         fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside], basis)
     if len(picks):
@@ -622,7 +672,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
         ones = squarefree - sum(cell.values())
         if ones:
             cell[1] = ones
-    if spec.shift_orbit > 1:
+    if spec.shift_orbit > 1 or len(spec.scales) > 1:
         _expand_witnesses(table, spec)
     return table
 
@@ -630,21 +680,37 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
 def _expand_witnesses(table: RankTable, spec: ScanSpec):
     """The full enumeration's witness lists from the representatives' lists.
 
-    A representative has a_(m-1) = 0, so its index lies below q^(m-1) and
-    below every other P's.  A full list therefore is already the full
-    enumeration's, and a short one holds every representative of its rank:
-    the first ``witness_cap`` of their q shifts P(θ + d), in odometer order,
-    are the full enumeration's list.
+    The first ``witness_cap`` H-images of a list, in odometer order, are the
+    full list (module doc), or with an orbit of q shifts the list among the
+    rows with a_(m-1) = 0, which lie below every other P; a list still short
+    holds all of those, and their q shifts P(θ + d) give the rest.
     """
-    ctx = field_make(spec.q)
-    shifts = [Poly(ctx, (d, 1)) for d in range(spec.q)]  # θ + d
+    q, ctx = spec.q, field_make(spec.q)
+    factors = [[pow(c, spec.n + j, q) for j in range(spec.m + 1)]
+               for c in spec.scales]
+    basis = (_stable_basis(q, spec.m // q).tolist()
+             if spec.mode == "shift-stable" else None)
+
+    def index(row):
+        # the digits, most significant first: P's, or F's top down, as the
+        # basis row of (θ^q - θ)^i ends in 1·θ^(qi)
+        if basis is None:
+            return row[::-1]
+        top = []
+        for i in range(len(basis) - 1, -1, -1):
+            top.append(row[q * i])
+            row = [(x - top[-1] * b) % q for x, b in zip(row, basis[i])]
+        return top
+
+    shifts = [Poly(ctx, (d, 1)) for d in range(q)]  # θ + d
     for key, ws in table.witnesses.items():
-        if len(ws) >= spec.witness_cap:
-            continue
-        rows = [[int(c) for c in Poly(ctx, list(map(int, w.split(","))))
-                 .compose(s).coeffs] for w in ws for s in shifts]
-        # equal leads: the reversed row orders by odometer index
-        rows.sort(key=lambda row: row[::-1])
+        rows = sorted({tuple(x * f % q for x, f in zip(row, fs))
+                       for row in [list(map(int, w.split(","))) for w in ws]
+                       for fs in factors}, key=index)
+        if spec.shift_orbit > 1 and len(rows) < spec.witness_cap:
+            rows = [[int(c) for c in Poly(ctx, row).compose(s).coeffs]
+                    for row in rows for s in shifts]
+            rows.sort(key=lambda row: row[::-1])
         table.witnesses[key] = list(map(_row_str, rows[:spec.witness_cap]))
 
 

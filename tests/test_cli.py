@@ -242,21 +242,27 @@ def test_scan_reports_skipped_audit(capsys):
                              "--lead", "1", "--workers", "1")
     assert code == 0
     assert err.splitlines() == [
-        "ranked 1024 rows for 2048 polynomials (one per θ-shift orbit)"]
+        "kept 1024 of 2048 rows, one per orbit (shifts 2, scales 1)"]
     assert json.loads(out)["audits"] > 0
 
 
 def test_scan_reports_shift_orbit_reduction(capsys):
-    # p ∤ m: one row ranked per θ-shift orbit, said on stderr; the JSON
-    # still counts every polynomial
+    # p ∤ m and m + n even: one row kept per orbit of the 3 θ-shifts and the
+    # scales c = 1, 2, said on stderr; the JSON still counts every polynomial
     code, out, err = run_cli(capsys, "scan", "--q", "3", "--m", "5",
                              "--lead", "1", "--workers", "1")
     assert code == 0
     assert err.splitlines() == [
-        "ranked 81 rows for 243 polynomials (one per θ-shift orbit)"]
+        "kept 45 of 243 rows, one per orbit (shifts 3, scales 2)"]
     assert json.loads(out)["cells"][0]["scanned"] == 243
-    # p | m, and shift-stable mode: every row is ranked, nothing is said
-    for extra in (["--m", "6"], ["--m", "9", "--shift-stable"]):
+    # shift-stable mode with m + n even: the scales alone
+    code, out, err = run_cli(capsys, "scan", "--q", "3", "--m", "9",
+                             "--lead", "1", "--workers", "1", "--shift-stable")
+    assert code == 0
+    assert err.splitlines() == [
+        "kept 15 of 27 rows, one per orbit (shifts 1, scales 2)"]
+    # p | m and m + n odd, in both modes: every row is kept, nothing is said
+    for extra in (["--m", "6"], ["--m", "6", "--shift-stable"]):
         code, out, err = run_cli(capsys, "scan", "--q", "3", "--lead", "1",
                                  "--workers", "1", *extra)
         assert code == 0 and err == ""

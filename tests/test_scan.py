@@ -8,7 +8,8 @@ import pytest
 
 from carlitz import field_make, Poly, is_squarefree
 from carlitz.lfun import lfun_order_at
-from carlitz.motive import TwistedPower, analytic_rank, l_function
+from carlitz.motive import (TwistedPower, analytic_rank, analytic_ranks,
+                            l_function)
 from carlitz import scan
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
@@ -80,9 +81,11 @@ def test_counts_match_direct_enumeration():
 
 def _brute_cell(q, n, m, lead, cap):
     # rank >= 1 histogram and the first ``cap`` witnesses of each rank, over
-    # every squarefree P of the cell in odometer order, by the symbolic route
+    # every squarefree P of the cell in odometer order, by the symbolic route;
+    # also how many of those P some scale c != 1 with c^(m+n) = 1 fixes
     ctx = field_make(q)
-    hist, witnesses = {}, {}
+    hist, witnesses, fixed = {}, {}, 0
+    scales = [c for c in range(2, q) if pow(c, m + n, q) == 1]
     for free in itertools.product(range(q), repeat=m):
         coeffs = list(free[::-1]) + [lead]
         p = Poly(ctx, coeffs)
@@ -94,21 +97,60 @@ def _brute_cell(q, n, m, lead, cap):
             ws = witnesses.setdefault(r, [])
             if len(ws) < cap:
                 ws.append(",".join(map(str, coeffs)))
-    return hist, witnesses
+            fixed += any(all(pow(c, n + i, q) * a % q == a
+                             for i, a in enumerate(coeffs)) for c in scales)
+    return hist, witnesses, fixed
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1),
-                                 (5, 2)])
+                                 (5, 2), (7, 1), (7, 2)])
 def test_counts_and_witnesses_match_brute_force(q, n):
-    # with p ∤ m the scan ranks one P per θ-shift orbit and expands the
-    # witness lists; both must equal the full symbolic enumeration's
-    m_max = {2: 9, 3: 7, 5: 4}[q]
+    # with p ∤ m the scan ranks one P per θ-shift orbit, and where
+    # c^(m+n) = 1 has roots c != 1 (|H| = 2, 4 at q=5; 2, 3, 6 at q=7) one
+    # per scale orbit, weighting rows with a stabiliser (at q=3, n=1 the odd
+    # P) by their orbit's size; counts and expanded witness lists must equal
+    # the full symbolic enumeration's
+    m_max = {2: 9, 3: 7, 5: 4, 7: 3}[q]
+    fixed = 0
     for m in range(1, m_max + 1):
         for lead in range(1, q):
             spec = ScanSpec(q=q, n=n, m=m, lead=lead, workers=1,
                             chunk_size=-(-q**m // 3), witness_cap=16)
             table = run_scan(spec)
-            hist, witnesses = _brute_cell(q, n, m, lead, 16)
+            hist, witnesses, stabilised = _brute_cell(q, n, m, lead, 16)
+            fixed += stabilised
+            assert table.hist[(m, lead)] == hist, (m, lead)
+            assert {r: ws for (_, _, r), ws in table.witnesses.items()} == \
+                witnesses, (m, lead)
+    # rows of rank >= 1 with a stabiliser occur at q = 3, 5 (at q = 7,
+    # m <= 3 none has rank >= 1)
+    assert (fixed > 0) == (q in (3, 5))
+
+
+@pytest.mark.parametrize("q,n,m_max", [(3, 1, 18), (3, 2, 18), (5, 2, 10)])
+def test_shift_stable_counts_and_witnesses_match_brute_force(q, n, m_max):
+    # P = F(θ^q - θ), and P -> c^n·P(cθ) is F -> c^n·F(cS); cells with
+    # c^(m+n) = 1 for some c != 1 (q=3: m+n even; q=5, n=2, m=10: |H| = 4)
+    # rank one F per scale orbit.  Oracle: the symbolic ranks of every
+    # squarefree P, listed in F's odometer order
+    ctx = field_make(q)
+    for m in range(q, m_max + 1, q):
+        for lead in range(1, q):
+            spec = ScanSpec(q=q, n=n, m=m, lead=lead, mode="shift-stable",
+                            workers=1, chunk_size=-(-q**(m // q) // 3),
+                            witness_cap=16)
+            table = run_scan(spec)
+            rows = [[int(c) for c in shift_stable_expand(
+                list(free[::-1]) + [lead], q).coeffs]
+                for free in itertools.product(range(q), repeat=m // q)]
+            rows = [row for row in rows if is_squarefree(Poly(ctx, row))]
+            hist, witnesses = {}, {}
+            for row, r in zip(rows, analytic_ranks(rows, n, ctx).tolist()):
+                if r >= 1:
+                    hist[r] = hist.get(r, 0) + 1
+                    ws = witnesses.setdefault(r, [])
+                    if len(ws) < 16:
+                        ws.append(",".join(map(str, row)))
             assert table.hist[(m, lead)] == hist, (m, lead)
             assert {r: ws for (_, _, r), ws in table.witnesses.items()} == \
                 witnesses, (m, lead)
@@ -189,9 +231,10 @@ def test_checkpoint_resume_after_torn_final_line(tmp_path):
 
 def test_fingerprint_unchanged():
     # checkpoint headers carry this string, so it must not move: checkpoints
-    # written while the audit policy was a set of ScanSpec fields resume
-    assert ScanSpec(q=3, n=1, m=9, lead=2).fingerprint() == (
-        "q3n1m9a2squarefreec8192w16r0.001ac16ak12")
+    # written while the audit policy was a set of ScanSpec fields resume.
+    # The cell is one no orbit reduction touches (p | m, m + n odd)
+    assert ScanSpec(q=3, n=2, m=9, lead=2).fingerprint() == (
+        "q3n2m9a2squarefreec8192w16r0.001ac16ak12")
     assert [f.name for f in dataclasses.fields(ScanSpec)] == [
         "q", "n", "m", "lead", "mode", "workers", "chunk_size", "force",
         "witness_cap"]
@@ -395,21 +438,30 @@ def test_audit_failure_reporting_structure(monkeypatch):
 
 @pytest.mark.parametrize("lead", [1, 2])
 def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
-    # the engine answers one too high for two rows: the first squarefree
-    # index, ranked among the shift representatives (below 3^4 = 81), and
-    # the first squarefree index of the second chunk, past them, which the
-    # extra engine call ranks; the audit must name both with both ranks
+    # the engine answers one too high for three rows: the first squarefree
+    # index, 1, ranked as an orbit representative (below 3^4 = 81, and the
+    # least index of its orbit under the scale c = 2), the next, 2, an audit
+    # pick of the same chunk that is not a representative (its image 1 under
+    # c = 2 is smaller), and the first squarefree index of the second chunk,
+    # past the shift representatives; the extra engine call ranks the last
+    # two, and the audit must name all three with both ranks
     monkeypatch.setattr(scan, "_AUDIT_RATE", 1.0)
     monkeypatch.setattr(scan, "_AUDIT_CAP", 5)
     spec = ScanSpec(q=3, n=1, m=5, lead=lead, workers=1, chunk_size=100)
-    assert spec.total // spec.shift_orbit == 81
+    assert spec.scales == (1, 2) and spec.representatives == 45
 
     def row(i):
         return [i // 3**j % 3 for j in range(5)] + [lead]
 
-    targets = [next(i for i in range(lo, spec.total)
-                    if _squarefree_ints(row(i), 3)) for lo in (0, 100)]
-    assert targets[0] < 81 <= 100 <= targets[1] < 200
+    def representative(i):
+        return i < 81 and i <= sum(2**(1 + j) * d % 3 * 3**j
+                                   for j, d in enumerate(row(i)[:5]))
+
+    squarefree = [i for i in range(spec.total) if _squarefree_ints(row(i), 3)]
+    picks = [i for i in squarefree if i < 100][:5]
+    targets = [1, 2, next(i for i in squarefree if i >= 100)]
+    assert targets[:2] == picks[:2] and targets[2] < 200
+    assert representative(1) and not representative(2)
     wrong = np.array([row(i) for i in targets])
     calls = []
     orders = RankEngine.vanishing_orders
@@ -422,8 +474,10 @@ def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
 
     monkeypatch.setattr(RankEngine, "vanishing_orders", off_by_one)
     table = run_scan(spec)
-    # chunk 0's call on its 81 ranked rows, then chunk 1's on its 5 picks
-    assert [c for c in calls if c[1]] == [(81, 1), (5, 1)]
+    # chunk 0's call on its 45 representatives and its call on its picks
+    # that are not among them, then chunk 1's on its 5 picks
+    others = sum(not representative(i) for i in picks)
+    assert [c for c in calls if c[1]] == [(45, 1), (others, 1), (5, 1)]
     want = []
     for i in targets:
         tp = TwistedPower(Poly(field_make(3), row(i)), 1)
@@ -643,12 +697,15 @@ def test_rank_first_matches_filter_first(q, n, monkeypatch):
     assert picked > 0
 
 
-@pytest.mark.parametrize("m,lead", [(9, 2), (9, 1)])
-def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
+@pytest.mark.parametrize("q,n,m,lead", [(3, 2, 9, 1), (3, 2, 9, 2),
+                                        (2, 1, 10, 1)])
+def test_resume_from_filter_first_checkpoint(tmp_path, q, n, m, lead):
     # checkpoints of the filter-first pipeline carry a per-chunk squarefree
-    # count and, on the coset (m=9, lead 2), per-chunk rank-1 counts; with
-    # p | m the scan ranks every row, as that pipeline did
-    spec = ScanSpec(q=3, n=1, m=m, lead=lead, workers=1, chunk_size=300)
+    # count and, on the coset (q=2, lead 1), per-chunk rank-1 counts; in
+    # cells with p | m and no scale c != 1 (c^(m+n) = 1 only for c = 1) the
+    # scan ranks every row, as that pipeline did
+    spec = ScanSpec(q=q, n=n, m=m, lead=lead, workers=1, chunk_size=300)
+    assert spec.shift_orbit == 1 and spec.scales == (1,)
     fresh = run_scan(spec).to_json_obj()
     ck = tmp_path / "scan.ckpt"
     starts = list(range(0, spec.total, spec.chunk_size))
@@ -657,7 +714,7 @@ def test_resume_from_filter_first_checkpoint(tmp_path, m, lead):
         payload = _filter_first_chunk(
             spec, start, min(start + spec.chunk_size, spec.total), [])
         records.append({"chunk": i, "payload": payload})
-    if lead == 2:
+    if q == 2:
         assert all(1 in r["payload"]["hist"] for r in records[1:])
     ck.write_text("".join(json.dumps(r) + "\n" for r in records))
     resumed = run_scan(spec, checkpoint=str(ck), resume=True)
@@ -672,8 +729,9 @@ def test_resume_refuses_checkpoint_of_full_enumeration(tmp_path, lead):
     # a checkpoint written while m=7 scans ranked every row carries the
     # fingerprint without the orbit token; its chunks count every P, which
     # the reduced scan would count again q times, so it must not resume
-    spec = ScanSpec(q=3, n=1, m=7, lead=lead, workers=1, chunk_size=300)
-    old = f"q3n1m7a{lead}squarefreec300w16r0.001ac16ak12"
+    # (n=2: m + n is odd, so no scale c != 1 reduces the cell further)
+    spec = ScanSpec(q=3, n=2, m=7, lead=lead, workers=1, chunk_size=300)
+    old = f"q3n2m7a{lead}squarefreec300w16r0.001ac16ak12"
     assert spec.fingerprint() == old + "o3"
     records = [{"fingerprint": old, "spec": {}}]
     for i, start in enumerate(range(0, spec.total, spec.chunk_size)):
@@ -687,16 +745,58 @@ def test_resume_refuses_checkpoint_of_full_enumeration(tmp_path, lead):
         run_scan(spec, checkpoint=str(ck), resume=True)
 
 
+@pytest.mark.parametrize("mode,lead", [("squarefree", 1),
+                                       ("shift-stable", 1)])
+def test_resume_refuses_checkpoint_without_scale_token(tmp_path, mode, lead):
+    # q=3, n=1, m=7 (m=9 shift-stable): m + n is even, so c = 2 halves the
+    # ranked rows.  A checkpoint written before the scale reduction carries
+    # the fingerprint without its token, and its chunks count each ranked
+    # row once per shift orbit only, so it must not resume
+    m = 9 if mode == "shift-stable" else 7
+    spec = ScanSpec(q=3, n=1, m=m, lead=lead, mode=mode, workers=1,
+                    chunk_size=10)
+    old = (f"q3n1m{m}a{lead}{mode}c10w16r0.001ac16ak12"
+           + ("o3" if mode == "squarefree" else ""))
+    assert spec.fingerprint() == old + "h2"
+    records = [{"fingerprint": old, "spec": {}}]
+    for i, start in enumerate(range(0, spec.total, spec.chunk_size)):
+        payload = _filter_first_chunk(
+            spec, start, min(start + spec.chunk_size, spec.total), [])
+        records.append({"chunk": i, "payload": payload})
+    ck = tmp_path / "scan.ckpt"
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError,
+                       match="checkpoint belongs to a different scan"):
+        run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+def _representative(spec, i):
+    # whether odometer index i is ranked, from the definitions alone: with
+    # an orbit of q shifts it lies below q^(m-1), and no image under a scale
+    # c (c^(m+n) = 1, digit j times c^(n+j)) has a smaller index
+    q = spec.q
+    digits = [i // q**j % q for j in range(spec.free_coeffs)]
+    if spec.shift_orbit > 1 and digits[-1]:
+        return False
+    return all(i <= sum(pow(c, spec.n + j, q) * d % q * q**j
+                        for j, d in enumerate(digits))
+               for c in range(1, q) if pow(c, spec.m + spec.n, q) == 1)
+
+
 @pytest.mark.parametrize("q,n,m,lead,mode,chunk", [
     (3, 1, 7, 1, "squarefree", 300), (3, 1, 7, 2, "squarefree", 300),
     (2, 2, 9, 1, "squarefree", 100), (5, 1, 4, 3, "squarefree", 100),
     (3, 1, 6, 2, "squarefree", 100), (2, 1, 8, 1, "squarefree", 100),
-    (3, 1, 18, 1, "shift-stable", 10), (3, 1, 18, 2, "shift-stable", 10)])
+    (3, 1, 18, 1, "shift-stable", 10), (3, 1, 18, 2, "shift-stable", 10),
+    (5, 1, 3, 4, "squarefree", 40), (5, 1, 5, 1, "squarefree", 500),
+    (7, 1, 2, 3, "squarefree", 20), (7, 2, 4, 1, "squarefree", 500),
+    (3, 1, 15, 1, "shift-stable", 30), (3, 1, 15, 2, "shift-stable", 30),
+    (5, 1, 15, 2, "shift-stable", 30)])
 def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
                                          chunk):
-    # a reduced cell (squarefree mode, p ∤ m) ranks its q^(m-1)
-    # representatives plus the audit picks past them; cells with p | m rank
-    # every row and shift-stable cells every squarefree F, as before
+    # the engine ranks the orbit representatives, the squarefree ones in
+    # shift-stable mode, plus the audit picks that are not among them;
+    # ScanSpec.representatives counts the representatives in closed form
     monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
     monkeypatch.setattr(scan, "_AUDIT_CAP", 4)
     rows = []
@@ -711,26 +811,25 @@ def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
                     chunk_size=chunk)
     table = run_scan(spec)
     assert table.audits > 0 and table.audit_failures == []
-    if mode == "shift-stable":
-        assert spec.shift_orbit == 1
-        assert sum(rows) == _squarefree_count(q, m // q)
-    elif m % q == 0:
-        assert spec.shift_orbit == 1
-        assert sum(rows) == q**m
-    else:
-        assert spec.shift_orbit == q
-        ctx = field_make(q)
-        thresh = int(0.05 * 2**32)
-        past = 0
-        for start in range(0, spec.total, chunk):
-            picked = [i for i in range(start, min(start + chunk, spec.total))
-                      if i * 2654435761 % 2**32 < thresh
-                      and is_squarefree(Poly(ctx, [i // q**j % q
-                                                   for j in range(m)]
-                                             + [lead]))][:4]
-            past += sum(i >= q**(m - 1) for i in picked)
-        assert past > 0
-        assert sum(rows) == q**(m - 1) + past
+    ctx = field_make(q)
+
+    def squarefree(i):
+        digits = [i // q**j % q for j in range(spec.free_coeffs)] + [lead]
+        return is_squarefree(shift_stable_expand(digits, q)
+                             if mode == "shift-stable" else Poly(ctx, digits))
+
+    reps = [i for i in range(spec.total) if _representative(spec, i)]
+    assert spec.representatives == len(reps)
+    ranked = set(reps if mode == "squarefree" else filter(squarefree, reps))
+    thresh = int(0.05 * 2**32)
+    off = 0
+    for start in range(0, spec.total, chunk):
+        picked = [i for i in range(start, min(start + chunk, spec.total))
+                  if i * 2654435761 % 2**32 < thresh and squarefree(i)][:4]
+        off += sum(i not in ranked for i in picked)
+    assert sum(rows) == len(ranked) + off
+    # a reduced cell's audit reaches the extra engine call
+    assert (off > 0) == (len(reps) < spec.total)
 
 
 def test_scan_outputs_pinned():
