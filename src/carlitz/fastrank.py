@@ -48,12 +48,15 @@ it serves single twists and is the oracle for the batched form.  It walks
 the points taking the charpoly multiplicity, and stops at multiplicity 0 or
 once its running minimum reaches a known lower bound.
 
-``vanishing_orders`` takes an (N, w) array of digits and an optional
-(w, m+1) basis: the coefficient rows are digits @ basis mod p, or the
-digits themselves without a basis (a scan passes F's digits and the rows of
-(θ^p - θ)^x for shift-stable P = F(θ^p - θ)).  It runs the live rows in
-lockstep with numpy, in two phases, over uint16 copies of the point
-field's lookup tables.
+``vanishing_orders`` takes an (N, w) array of the engine's digits: P's
+coefficients, or in shift-stable mode F's, where P = F(θ^p - θ).  The
+digits' basis is the engine's: ``rows`` maps digits to P's coefficient rows,
+digits @ basis mod p, with the identity for a basis or the rows of
+(θ^p - θ)^i (``_stable_basis``, in closed form).  So the ``shift_stable``
+flag alone fixes what a digit row means and which point rule applies.  The
+engine builds the basis and its certify plan on its first batched call, and
+runs the live rows in lockstep with numpy, in two phases, over uint16 copies
+of the point field's lookup tables.
 
 Certify: at every point, a nonzero det(M(t) - I) settles order 0 and the
 row leaves.  Rows run in groups: runs of consecutive rows with equal digits
@@ -65,7 +68,7 @@ band slots up to n above them, and row i of M(t) reads slots
 rows of M(t) - I, and the other k - r rows, B, are the same for the whole
 group.  Write the top rows as A0 + sum_x d_x A_x: A0 those of the group's
 row with digits 0..s-1 set to 0, A_x those of the pure band of basis row x
-(fixed per point and basis).  Row operations that eliminate the first k - r
+(fixed per point).  Row operations that eliminate the first k - r
 columns of N = [B^T | A0^T | A_0^T .. A_(s-1)^T] bring [B^T | A^T] to the
 form [[U, *], [0, S]], and being linear they send A to
 S = S0 + sum_x d_x S_x, with S0 and S_x the trailing r rows of the A0 and
@@ -80,7 +83,7 @@ det 0 at t; otherwise each row tests its own r x r matrix.  One kernel,
 oracle.  The rule for s: a group's elimination (k - r columns over
 k + s*r) is shared by up to p^s rows, and a row pays for its combination
 (s blocks of r x r) and an r x r elimination, while r(s) grows with s.  The
-engine estimates the cost per row in table lookups, once per basis, for s
+engine estimates the cost per row in table lookups, once, for s
 = 0 and every s with r(s) < k, and takes the cheapest (``_Plan``).  s = 0
 (r = 0, one row per group) is plain elimination of every row; an engine
 takes it when digit 0 already reaches all k rows (k <= 2 and small q = 2
@@ -100,10 +103,27 @@ themselves).
 
 from __future__ import annotations
 
-from .ff import _TABLE_LIMIT, field_make, is_prime
+from functools import cached_property
+
+from .ff import _TABLE_LIMIT, binom_mod_p, field_make, is_prime
 from .motive import band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
+
+
+def _stable_basis(p, m_st):
+    """Coefficient rows of (θ^p - θ)^i for i = 0..m_st, an int64 array.
+
+    (θ^p - θ)^i = sum_j C(i, j) (-1)^(i-j) θ^(i + (p-1)j), mod p.
+    """
+    import numpy as np
+
+    basis = np.zeros((m_st + 1, p * m_st + 1), dtype=np.int64)
+    for i in range(m_st + 1):
+        for j in range(i + 1):
+            basis[i, i + (p - 1) * j] = (
+                (-1) ** (i - j) * binom_mod_p(i, j, p) % p)
+    return basis
 
 
 class _Tables:
@@ -148,7 +168,7 @@ class _Tables:
 
 
 class _Plan:
-    """How the certify phase splits M(t) - I for one basis (module doc).
+    """How the certify phase splits M(t) - I for the engine (module doc).
 
     Digit x of a row moves the coefficients in the support of basis row x,
     and so the band slots up to n above them; ``r`` is one more than the
@@ -173,9 +193,9 @@ class _Plan:
 
     __slots__ = ("s", "r", "nidx", "diag", "blocks", "pack", "unpack")
 
-    def __init__(self, eng, basis):
+    def __init__(self, eng):
         import numpy as np
-        k, p = eng.k, eng.p
+        k, p, basis = eng.k, eng.p, eng._basis
         q, e = eng.tables.q, eng.tables.e  # the point field is GF(p^e)
         idx = np.asarray(eng._idx)
         reach = [0]
@@ -229,7 +249,7 @@ class RankEngine:
             k = stable_size(p, n, m)
         self.k = k
         self._idx = band_index(p, k, m + n + 1)  # M(t) from the band at t
-        self._plans = {}  # basis -> _Plan, built on first use
+        self.shift_stable = shift_stable
         if k == 0:
             self.points = self.point_weights = []
             return
@@ -298,30 +318,26 @@ class RankEngine:
                     return best
         return best
 
-    def vanishing_orders(self, digits, basis=None):
-        """``vanishing_order`` of every row of ``digits @ basis % p``.
+    def vanishing_orders(self, digits):
+        """``vanishing_order`` of the P of every row of ``digits``.
 
-        ``digits`` is an (N, w) integer array and ``basis`` a (w, m+1) one;
-        without a basis the digits are the coefficient rows.  Certify, then
-        count (module doc); the certify phase groups the rows by their
-        digits from position s up.
+        ``digits`` is an (N, w) integer array of the engine's digits
+        (``rows``).  Certify, then count (module doc); the certify phase
+        groups the rows by their digits from position s up.
         """
         import numpy as np
         digits = np.asarray(digits)
         best = np.full(len(digits), self.k, dtype=np.int64)
         if self.k == 0:
             return best
-        plan = self._plan(basis, digits.shape[1])
         live = np.arange(len(digits))
         for i in range(len(self.points)):
             if live.size == 0:
                 break
-            nz = self._certify(digits[live], basis, plan, i)
+            nz = self._certify(digits[live], i)
             best[live[nz]] = 0
             live = live[~nz]
-        rows = digits[live]
-        if basis is not None:
-            rows = rows @ basis % self.p
+        rows = self.rows(digits[live])
         for ws in self.point_weights:
             if live.size == 0:
                 break
@@ -331,25 +347,31 @@ class RankEngine:
             live, rows = live[more], rows[more]
         return best
 
-    def _plan(self, basis, width):
-        # the certify plan of a basis (None: the identity), built once
-        import numpy as np
-        if basis is not None:
-            basis = np.asarray(basis, dtype=np.int64)
-        key = (width, None if basis is None else basis.tobytes())
-        plan = self._plans.get(key)
-        if plan is None:
-            if basis is None:
-                basis = np.eye(width, self.m + 1, dtype=np.int64)
-            plan = self._plans[key] = _Plan(self, basis)
-        return plan
+    def rows(self, digits):
+        """P's coefficient rows, an (N, m+1) array, of an (N, w) array of
+        the engine's digits: P's coefficients, or in shift-stable mode F's,
+        where P = F(θ^p - θ)."""
+        return digits @ self._basis % self.p
 
-    def _certify(self, digits, basis, plan, i):
-        # det(M(t) - I) != 0 at the i-th point for every row of
-        # digits @ basis, by one elimination of the shared rows per group
-        # (module doc)
+    @cached_property
+    def _basis(self):
+        # the rows of the digits' unit vectors, built on first use (numpy
+        # stays out of construction)
+        import numpy as np
+        if self.shift_stable:
+            return _stable_basis(self.p, self.m // self.p)
+        return np.eye(self.m + 1, dtype=np.int64)
+
+    @cached_property
+    def _plan(self):
+        return _Plan(self)
+
+    def _certify(self, digits, i):
+        # det(M(t) - I) != 0 at the i-th point for every row of digits, by
+        # one elimination of the shared rows per group (module doc)
         import numpy as np
         _, _, sub, _ = self.tables.ops()
+        plan = self._plan
         k, s, r = self.k, plan.s, plan.r
         # groups: runs of rows with equal digits from position s up
         hi = digits[:, s:]
@@ -358,11 +380,10 @@ class RankEngine:
         sizes = np.diff(np.append(np.flatnonzero(new), len(digits)))
         heads = digits[new]
         heads[:, :s] = 0
-        if basis is not None:
-            heads = heads @ basis % self.p
         # N = [B^T | A0^T | A_0^T .. A_(s-1)^T] per group
         a = np.empty((k, k + s * r, len(heads)), dtype=np.uint16)
-        a[:, :k] = self._band(heads, self.point_weights[i])[plan.nidx]
+        a[:, :k] = self._band(self.rows(heads),
+                              self.point_weights[i])[plan.nidx]
         a[plan.diag] = sub(a[plan.diag], 1)
         a[:, k:] = plan.blocks[i][:, :, None]
         ok = self._eliminate(a, k - r)

@@ -8,13 +8,12 @@ keeping a bounded list of witnesses per exact rank.
 Enumeration is a little-endian odometer over the free digits: index c maps
 to digits (c % q, (c//q) % q, ...), the leading coefficient appended.  The
 digits are P's coefficients, or in shift-stable mode F's, where
-P = F(θ^q - θ); there P's coefficient rows are the digits times the basis
-of the powers (θ^q - θ)^i (``_stable_basis``, in closed form).  Beyond the
-digits, the basis and the squarefree policy below, a chunk does not branch
-on the mode; the engine takes its points from it (see fastrank).  Work is
-split into fixed-size chunks merged in chunk order, so the result is
-identical for any worker count.  Long scans can checkpoint per-chunk
-tallies to a JSONL file and resume.
+P = F(θ^q - θ).  The rank engine owns what they mean: its ``shift_stable``
+flag fixes both its point rule and the basis that maps digits to P's
+coefficient rows (``RankEngine.rows``; see fastrank), and a chunk does
+not branch on the mode.  Work is split into fixed-size chunks merged in
+chunk order, so the result is identical for any worker count.  Long scans
+can checkpoint per-chunk tallies to a JSONL file and resume.
 
 Scans need prime q: coefficient rows and the shift-stable expansion are
 computed mod q as integers, and the rank engine works over GF(q) = Z/q.
@@ -38,9 +37,9 @@ multiplies a_i by c^(n+i) and so sends cell (m, a) to (m, a·c^(m+n)):
 H = {c : c^(m+n) = 1}, of order gcd(m+n, q-1), maps each cell onto itself
 (``ScanSpec.scales``).  It scales digit i by c^(n+i) in both modes
 (S(cθ) = c·S for S = θ^q - θ) and keeps a_(m-1) = 0.  A row is ranked iff
-no H-image has a smaller index (``_scale_orbits``, before the shift-stable
-squarefree filter) and counts shift_orbit·|H|/|Stab(row)| times (Burnside
-weights; the odd P at q=3, n=1 have |Stab| = 2).  The witness lists come
+no H-image has a smaller index (``_scale_orbits``) and counts
+shift_orbit·|H|/|Stab(row)| times (Burnside weights; the odd P at q=3,
+n=1 have |Stab| = 2).  The witness lists come
 out as the full enumeration's: a P among the first ``witness_cap`` of its
 rank has its representative, of no larger index, among the first
 ``witness_cap`` representatives, so ``run_scan`` replaces each list with the
@@ -51,22 +50,19 @@ a_(m-1) = 0, and their q shifts P(θ + d) give the rest.
 
 The squarefree test itself is one numpy kernel (``_squarefree_mask``):
 Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
-It reads the free digits, since P is squarefree iff F is.  The mode picks
-one of two policies, each the faster on its own workload.  Generic scans
-rank first and test squarefreeness last: the engine ranks every
+It reads the free digits, since P is squarefree iff F is.  Scans rank
+first and test squarefreeness last, in both modes: the engine ranks every
 representative of the chunk, and the kernel runs only on the rows that a
 tally, a witness or the audit reads.  Those are the rows of rank above the
 base (1 on the distinguished coset, 0 off it), on the coset a prefix of the
 rank-1 rows long enough for the witnesses, and the audit's hash candidates.
 On the coset every squarefree P has rank >= 1, so the rank-1 count is the
-closed form minus the counts of rank >= 2.  Shift-stable scans filter F
-first, dropping the odometer indices with the rows, because at degree m/q
-the kernel costs little next to the engine.
+closed form minus the counts of rank >= 2.
 
 Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk on the free digits of the ranked rows, with the
-basis in shift-stable mode; the engine computes P's rows only for the few
-it counts.  The engine
+batched call per chunk on the free digits of the ranked rows; the engine
+computes P's rows only for its groups' heads and the few rows it counts.
+The engine
 certifies first, settling the bulk "order 0" outcome at the first point
 where det(M(t) - I) != 0.  Rows in odometer order share their high digits
 in runs of up to q^s, and the low digits reach only a few top rows of
@@ -109,8 +105,8 @@ import os
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
-from .ff import binom_mod_p, field_from_cardinality, field_make, is_prime
-from .fastrank import RankEngine
+from .ff import field_from_cardinality, field_make, is_prime
+from .fastrank import RankEngine, _stable_basis
 from .motive import analytic_ranks, on_coset, reduced_block_size, stable_size
 # unused since the audit went batched; importable here while the benchmark's
 # tracer patches scan.analytic_rank (ROADMAP item 2)
@@ -217,8 +213,8 @@ class ScanSpec:
 
     @property
     def representatives(self) -> int:
-        """Rows kept, one per orbit (in shift-stable mode the engine ranks
-        their squarefree ones): (1/|H|)·Σ_c q^(#ranked digits c fixes)."""
+        """Rows the engine ranks, one per orbit, in both modes:
+        (1/|H|)·Σ_c q^(#ranked digits c fixes)."""
         digits = self.free_coeffs - (self.shift_orbit > 1)
         return sum(self.q ** sum(pow(c, self.n + i, self.q) == 1
                                  for i in range(digits))
@@ -387,21 +383,6 @@ def _squarefree_ints(coeffs, p) -> bool:
     return bool(_squarefree_mask([coeffs], p)[0])
 
 
-def _stable_basis(q, m_st):
-    """Coefficient rows of (θ^q - θ)^i for i = 0..m_st, an int64 array.
-
-    (θ^q - θ)^i = sum_j C(i, j) (-1)^(i-j) θ^(i + (q-1)j), mod q.
-    """
-    import numpy as np
-
-    basis = np.zeros((m_st + 1, q * m_st + 1), dtype=np.int64)
-    for i in range(m_st + 1):
-        for j in range(i + 1):
-            basis[i, i + (q - 1) * j] = (
-                (-1) ** (i - j) * binom_mod_p(i, j, q) % q)
-    return basis
-
-
 def shift_stable_expand(c, q: int) -> Poly:
     """P = sum_i c[i] (θ^q - θ)^i from a little-endian coefficient sequence."""
     import numpy as np
@@ -466,28 +447,20 @@ def _scan_chunk(args):
     import numpy as np
 
     spec = ScanSpec(q, n, m, lead, mode)
-    shift = mode == "shift-stable"
     coset = on_coset(q, n, m, lead)
     base = 1 if coset else 0
     eng = _engines_for(q, n, m, mode, coset)
     # the ranked rows: the whole range, or with an orbit of q shifts, the
     # part of it below q^(m-1), where a_(m-1) = 0 (module doc)
     ranked_end = max(start, min(end, spec.total // spec.shift_orbit))
-    # the free digits: P's coefficients, or F's where P = F(θ^q - θ), and
-    # their odometer indices, kept in step with them
+    # the engine's digits: P's coefficients, or F's where P = F(θ^q - θ),
+    # and their odometer indices, kept in step with them
     digits = _odometer(q, spec.free_coeffs, lead, start, ranked_end)
     idxs = np.arange(start, ranked_end, dtype=np.int64)
     # of those, one per scale orbit, weighted by its orbit's size
     keep, weight = _scale_orbits(digits, q, n, spec.scales)
     digits, idxs = digits[keep], idxs[keep]
     weight = weight[keep] * spec.shift_orbit
-    basis = None
-    if shift:
-        # filter first: at degree m/q the kernel costs little next to the
-        # engine
-        keep = _squarefree_mask(digits, q)
-        digits, idxs, weight = digits[keep], idxs[keep], weight[keep]
-        basis = _stable_basis(q, m // q)
 
     def squarefree(sel):
         # P is squarefree iff F is, so the test reads the free digits
@@ -495,12 +468,11 @@ def _scan_chunk(args):
 
     def coeffs(rows):
         # P's coefficient rows from digit rows, as lists
-        return (rows if basis is None else rows @ basis % q).tolist()
+        return eng.rows(rows).tolist()
 
-    # rank first in generic mode: the engine sees every ranked row, and only
-    # the rows that a tally, a witness or the audit reads get the squarefree
-    # test
-    ranks = base + eng.vanishing_orders(digits, basis)
+    # rank first: the engine sees every ranked row, and only the rows that a
+    # tally, a witness or the audit reads get the squarefree test
+    ranks = base + eng.vanishing_orders(digits)
 
     witnesses: dict = {}
     if coset:
@@ -547,7 +519,7 @@ def _scan_chunk(args):
     inside[inside] = idxs[at[inside]] == picks[inside]
     fast[inside] = ranks[at[inside]]
     if not inside.all():
-        fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside], basis)
+        fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside])
     if len(picks):
         # the second route: every pick's determinant in one batched call
         rows = coeffs(pick_digits)

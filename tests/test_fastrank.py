@@ -6,7 +6,7 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank
-from carlitz.fastrank import RankEngine, BatchScreen, _Tables
+from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _stable_basis
 from carlitz.motive import on_coset, reduced_block_size
 
 
@@ -215,16 +215,15 @@ _BATCH_CELLS = [
 
 
 def _batch_cell(p, n, m, kind, rng, count=30):
-    from carlitz.scan import shift_stable_expand
+    # an engine and random rows of its digits: P's coefficients, or F's for
+    # the shift-stable engine (P = F(θ^p - θ), read through eng.rows)
     coset_lead = (-1) ** n % p
     if kind == "stable":
         eng = RankEngine(p, n, m, shift_stable=True)
-        rows = []
-        for _ in range(count):
-            c = ([rng.randrange(p) for _ in range(m // p)]
-                 + [rng.randrange(1, p)])
-            rows.append([int(x) for x in shift_stable_expand(c, p).coeffs])
-        return eng, np.array(rows)
+        digits = [[rng.randrange(p) for _ in range(m // p)]
+                  + [rng.randrange(1, p)] for _ in range(count)]
+        return eng, np.array(digits, dtype=np.int64).reshape(count,
+                                                             m // p + 1)
     if kind == "reduced":
         eng = RankEngine(p, n, m, k=reduced_block_size(p, n, m))
         leads = [coset_lead]
@@ -245,6 +244,19 @@ def test_batch_cells_cover_fields_and_small_k(rng):
             fields.add((p, eng.tables.q))
     assert {(p, p**s) for p in (2, 3, 5) for s in (1, 2, 3)} <= fields
     assert {0, 1, 2} <= ks
+
+
+def test_engine_rows_expand_stable_digits(rng):
+    # a shift-stable engine reads its digits as F, P = F(θ^p - θ); every
+    # other engine reads them as P's coefficients
+    from carlitz.scan import shift_stable_expand
+    for p, n, m, kind in _BATCH_CELLS:
+        eng, digits = _batch_cell(p, n, m, kind, rng, count=8)
+        want = digits.tolist()
+        if kind == "stable":
+            want = [[int(c) for c in shift_stable_expand(f, p).coeffs]
+                    for f in want]
+        assert eng.rows(digits).tolist() == want
 
 
 # the benchmark's scan cells (q=3): m=11, shift-stable m=27 and n=2 m=10,
@@ -322,9 +334,9 @@ def test_mult_at_is_frobenius_invariant(rng):
     # eigenvalue 1 agrees at t and t^p, over every point of the field
     fields = {}
     for cell in _BATCH_CELLS:
-        eng, rows = _batch_cell(*cell, rng, count=12)
+        eng, digits = _batch_cell(*cell, rng, count=12)
         if eng.k and eng.tables.q in (8, 9, 25, 27):
-            fields.setdefault(eng.tables.q, (eng, rows))
+            fields.setdefault(eng.tables.q, (eng, eng.rows(digits)))
     assert sorted(fields) == [8, 9, 25, 27]
     for eng, rows in fields.values():
         mults = set()
@@ -339,7 +351,8 @@ def test_mult_at_is_frobenius_invariant(rng):
 
 @pytest.mark.parametrize("p,n,m,kind", _BATCH_CELLS)
 def test_batched_orders_match_scalar(p, n, m, kind, rng):
-    eng, rows = _batch_cell(p, n, m, kind, rng)
+    eng, digits = _batch_cell(p, n, m, kind, rng)
+    rows = eng.rows(digits)
     for ws in eng.point_weights:
         # per point, where the minimum over points cannot mask an error
         want = [eng._mult_at(r, ws) for r in rows.tolist()]
@@ -351,12 +364,12 @@ def test_batched_orders_match_scalar(p, n, m, kind, rng):
             assert eng._charpoly_mults(eng._matrices(rows, ws)).tolist() \
                 == want
     want = [eng.vanishing_order(tuple(r)) for r in rows.tolist()]
-    assert eng.vanishing_orders(rows).tolist() == want
+    assert eng.vanishing_orders(digits).tolist() == want
     if eng.k <= 5:
         # and against the symbolic determinant on a sample
         shift = 1 if kind == "reduced" else 0
         ctx = field_make(p)
-        got = eng.vanishing_orders(rows[:6])
+        got = eng.vanishing_orders(digits[:6])
         for row, order in zip(rows[:6].tolist(), got.tolist()):
             assert shift + order == analytic_rank(
                 TwistedPower(Poly(ctx, row), n))
@@ -390,7 +403,8 @@ def test_matrices_match_symbolic_matrix(p, n, m, kind, rng):
     # entry by entry at every engine point; the reduced block is the leading
     # principal block of the stable matrix
     from carlitz.motive import build_matrix
-    eng, rows = _batch_cell(p, n, m, kind, rng, count=5)
+    eng, digits = _batch_cell(p, n, m, kind, rng, count=5)
+    rows = eng.rows(digits)
     ctx = field_make(p)
     k = eng.k
     syms = []
@@ -409,14 +423,11 @@ def test_matrices_match_symbolic_matrix(p, n, m, kind, rng):
             assert got[:, :, r].tolist() == want
 
 
-def _cell_rows(q, m, lead, mode):
-    # every engine row of a scan cell, in odometer order
-    from carlitz.scan import _odometer, shift_stable_expand
-    if mode == "squarefree":
-        return _odometer(q, m, lead, 0, q**m)
-    fs = _odometer(q, m // q, lead, 0, q ** (m // q))
-    return np.array([[int(c) for c in shift_stable_expand(f, q).coeffs]
-                     for f in fs.tolist()])
+def _cell_digits(q, m, lead, mode):
+    # every engine digit row of a scan cell, in odometer order
+    from carlitz.scan import _odometer
+    free = m // q if mode == "shift-stable" else m
+    return _odometer(q, free, lead, 0, q**free)
 
 
 @pytest.mark.parametrize("m,mode", [(9, "squarefree"), (18, "shift-stable")])
@@ -454,8 +465,11 @@ def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
             assert analytic_rank(TwistedPower(Poly(ctx, row), n)) >= 1 + on
         # det(M(t) - I) = 0 at the first point with order 0, order exactly
         # 1, and the scan's witnesses of rank >= 2
+        digits = _cell_digits(q, m, lead, mode)
+        rows = eng.rows(digits).tolist()
+        of_row = {tuple(r): d for r, d in zip(rows, digits.tolist())}
         kinds = {0: [], 1: []}
-        for row in _cell_rows(q, m, lead, mode).tolist():
+        for row in rows:
             if eng._mult_at(row, eng.point_weights[0]):
                 group = kinds.get(eng.vanishing_order(row))
                 if group is not None and len(group) < 20:
@@ -466,8 +480,9 @@ def test_charpoly_sees_only_certified_rows(m, mode, monkeypatch):
         assert all(eng.vanishing_order(r) >= 2 - on for r in high)
         for group in (kinds[0], kinds[1], high):
             assert group
-            assert eng.vanishing_orders(np.array(group)).tolist() == \
-                [eng.vanishing_order(r) for r in group]
+            got = eng.vanishing_orders(np.array([of_row[tuple(r)]
+                                                 for r in group]))
+            assert got.tolist() == [eng.vanishing_order(r) for r in group]
 
 
 def _window(p, w, start, count, rng):
@@ -485,31 +500,23 @@ def _window(p, w, start, count, rng):
     return np.hstack([low, np.tile(high, (end - start, 1))])
 
 
-def _certify_mask(eng, digits, basis, i):
-    return eng._certify(digits, basis, eng._plan(basis, digits.shape[1]), i)
-
-
 def test_schur_certify_matches_elimination(rng):
     # the per-group Schur form against plain elimination of M(t) - I, on
     # every engine and point: aligned odometer blocks of p^s rows, ragged
-    # windows, every 7th row of a window, and shift-stable digits with their
-    # basis
-    from carlitz.scan import _stable_basis
+    # windows, every 7th row of a window, and shift-stable engines' digits
     cases = 0
     for eng, shift in _engines_under_test(rng):
         p, m = eng.p, eng.m
-        basis = _stable_basis(p, m // p) if shift else None
         w = m // p + 1 if shift else m + 1
-        block = p ** eng._plan(basis, w).s
+        block = p ** eng._plan.s
         windows = [_window(p, w, 2 * block, 3 * block, rng),
                    _window(p, w, 2 * block + 1, 3 * block - 2, rng),
                    _window(p, w, block + 3, 21 * block, rng)[::7]]
         for digits in windows:
-            rows = digits if basis is None else digits @ basis % p
+            rows = eng.rows(digits)
             for i, ws in enumerate(eng.point_weights):
                 want = eng._det_nonzero(eng._matrices(rows, ws))
-                assert _certify_mask(eng, digits, basis, i).tolist() == \
-                    want.tolist()
+                assert eng._certify(digits, i).tolist() == want.tolist()
                 cases += 1
     assert cases > 300
 
@@ -522,7 +529,7 @@ def test_schur_certify_rank_deficient_prefix(monkeypatch):
     from carlitz.scan import _odometer
     eng = RankEngine(3, 1, 5)
     digits = _odometer(3, 5, 2, 0, 243)
-    plan = eng._plan(None, 6)
+    plan = eng._plan
     assert 0 < plan.r < eng.k
     groups = []
     eliminate = RankEngine._eliminate
@@ -536,7 +543,7 @@ def test_schur_certify_rank_deficient_prefix(monkeypatch):
     monkeypatch.setattr(RankEngine, "_eliminate", spy)
     for i, ws in enumerate(eng.point_weights):
         groups.clear()
-        got = _certify_mask(eng, digits, None, i)
+        got = eng._certify(digits, i)
         assert len(groups) == 1 and not groups[0].all()
         want = eng._det_nonzero(eng._matrices(digits, ws))
         assert got.tolist() == want.tolist()
@@ -547,7 +554,6 @@ def test_schur_certify_s0_engines(rng):
     # every s >= 1) takes s = 0, plain elimination of every row; so do
     # engines where the cost estimate finds no s that pays.  Either way the
     # answers are the scalar ones
-    from carlitz.scan import _stable_basis
     forced, zero = [], []
     for p in (2, 3, 5):
         for n in (1, 2, 3):
@@ -556,14 +562,14 @@ def test_schur_certify_s0_engines(rng):
                     if shift and (m == 0 or m % p):
                         continue
                     eng = RankEngine(p, n, m, shift_stable=shift)
-                    basis = _stable_basis(p, m // p) if shift else None
-                    row0 = basis[0] if shift else np.eye(m + 1, dtype=int)[0]
+                    row0 = (_stable_basis(p, m // p)[0] if shift
+                            else np.eye(m + 1, dtype=int)[0])
                     slots = {x + l for x in np.flatnonzero(row0).tolist()
                              for l in range(n + 1)}
                     reached = [i for i, idx in enumerate(eng._idx)
                                if slots & set(idx)]
                     w = m // p + 1 if shift else m + 1
-                    s = eng._plan(basis, w).s
+                    s = eng._plan.s
                     if max(reached, default=-1) + 1 >= eng.k:
                         assert s == 0
                         forced.append((p, eng.k))
@@ -573,8 +579,8 @@ def test_schur_certify_s0_engines(rng):
                     digits = np.array(
                         [[rng.randrange(p) for _ in range(w - 1)]
                          + [rng.randrange(1, p)] for _ in range(20)])
-                    rows = digits if basis is None else digits @ basis % p
-                    assert eng.vanishing_orders(digits, basis).tolist() == \
+                    rows = eng.rows(digits)
+                    assert eng.vanishing_orders(digits).tolist() == \
                         [eng.vanishing_order(r) for r in rows.tolist()]
     assert {(2, 3), (3, 1)} <= set(forced)
     assert len(zero) > len(forced) and (2, 8) in zero

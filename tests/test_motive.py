@@ -1,11 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,11 +284,10 @@ def test_l_function_pinned_grid_digest():
     assert digest == _PINNED_GRID_SHA256
 
 
-def test_import_leaves_numpy_unloaded():
+def test_import_leaves_numpy_unloaded(fresh_python):
     # numpy costs about 0.14 s to import; the determinant and the Euler
     # batch load it lazily, and field tables, Poly arithmetic and the prime
     # lists (which the benchmark's verify set-up builds) never load it
-    src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, carlitz, carlitz.motive, carlitz.linalg; "
             "import carlitz.euler as euler; "
             "from carlitz import Poly, field_make; "
@@ -301,12 +296,7 @@ def test_import_leaves_numpy_unloaded():
             "f9 = field_make(3, 2); Poly(f9, [1, 5, 7]) * Poly(f9, [8, 2]); "
             "euler.primes_of_degree(field_make(5), 3); "
             "print('numpy' in sys.modules)")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_python(code) == "False"
 
 
 def test_l_at_zero_is_one_and_degree_bound(rng):

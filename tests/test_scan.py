@@ -14,10 +14,9 @@ from carlitz import scan
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
                           default_workers, audit_skip_reason,
-                          equation_count, _squarefree_ints, _squarefree_mask,
-                          _squarefree_count, _odometer, _engines_for,
-                          _stable_basis)
-from carlitz.fastrank import RankEngine
+                          equation_count, _squarefree_mask,
+                          _squarefree_count, _odometer, _engines_for)
+from carlitz.fastrank import RankEngine, _stable_basis
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -302,7 +301,8 @@ def test_squarefree_int_helper_matches_poly(rng):
     for _ in range(300):
         m = rng.randrange(0, 9)
         coeffs = [rng.randrange(3) for _ in range(m)] + [rng.randrange(1, 3)]
-        assert _squarefree_ints(coeffs, 3) == is_squarefree(Poly(f3, coeffs))
+        assert _squarefree_mask([coeffs], 3)[0] == is_squarefree(
+            Poly(f3, coeffs))
 
 
 def _all_rows(p, m):
@@ -457,7 +457,8 @@ def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
         return i < 81 and i <= sum(2**(1 + j) * d % 3 * 3**j
                                    for j, d in enumerate(row(i)[:5]))
 
-    squarefree = [i for i in range(spec.total) if _squarefree_ints(row(i), 3)]
+    squarefree = [i for i in range(spec.total)
+                  if _squarefree_mask([row(i)], 3)[0]]
     picks = [i for i in squarefree if i < 100][:5]
     targets = [1, 2, next(i for i in squarefree if i >= 100)]
     assert targets[:2] == picks[:2] and targets[2] < 200
@@ -466,8 +467,8 @@ def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
     calls = []
     orders = RankEngine.vanishing_orders
 
-    def off_by_one(self, digits, basis=None):
-        out = orders(self, digits, basis)
+    def off_by_one(self, digits):
+        out = orders(self, digits)
         hit = (np.asarray(digits)[:, None] == wrong).all(axis=2).any(axis=1)
         calls.append((len(out), int(hit.sum())))
         return out + hit
@@ -546,8 +547,8 @@ def test_audit_picks_follow_index_hash(monkeypatch):
         picked = [i for i in range(start, min(start + spec.chunk_size,
                                               spec.total))
                   if i * 2654435761 % 2**32 < thresh
-                  and _squarefree_ints([i // 3**j % 3 for j in range(7)] + [2],
-                                       3)]
+                  and _squarefree_mask(
+                      [[i // 3**j % 3 for j in range(7)] + [2]], 3)[0]]
         want += min(len(picked), 7)
     table = run_scan(spec)
     assert table.audits == want > 0
@@ -609,13 +610,13 @@ def _filter_first_chunk(spec, start, end, audited):
     on_coset = (m + n) % (q - 1) == 0 and lead == (-1) ** n % q
     free = _odometer(q, spec.free_coeffs, lead, start, end)
     sf_mask = _squarefree_mask(free, q)
-    rows = free[sf_mask]
+    digits = rows = free[sf_mask]
     if spec.mode == "shift-stable":
         rows = np.array([[int(c) for c in shift_stable_expand(row, q).coeffs]
-                         for row in rows.tolist()],
+                         for row in digits.tolist()],
                         dtype=np.int64).reshape(len(rows), m + 1)
     eng = _engines_for(q, n, m, spec.mode, on_coset)
-    ranks = (1 if on_coset else 0) + eng.vanishing_orders(rows)
+    ranks = (1 if on_coset else 0) + eng.vanishing_orders(digits)
     strs = [",".join(map(str, row)) for row in rows.tolist()]
     hist, witnesses = {}, {}
     for r in sorted(set(ranks.tolist()) - {0}):
@@ -794,17 +795,17 @@ def _representative(spec, i):
     (5, 1, 15, 2, "shift-stable", 30)])
 def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
                                          chunk):
-    # the engine ranks the orbit representatives, the squarefree ones in
-    # shift-stable mode, plus the audit picks that are not among them;
-    # ScanSpec.representatives counts the representatives in closed form
+    # the engine ranks the orbit representatives, in both modes, plus the
+    # audit picks that are not among them; ScanSpec.representatives counts
+    # the representatives in closed form
     monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
     monkeypatch.setattr(scan, "_AUDIT_CAP", 4)
     rows = []
     orders = RankEngine.vanishing_orders
 
-    def counted(self, digits, basis=None):
+    def counted(self, digits):
         rows.append(len(digits))
-        return orders(self, digits, basis)
+        return orders(self, digits)
 
     monkeypatch.setattr(RankEngine, "vanishing_orders", counted)
     spec = ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode, workers=1,
@@ -820,7 +821,7 @@ def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
 
     reps = [i for i in range(spec.total) if _representative(spec, i)]
     assert spec.representatives == len(reps)
-    ranked = set(reps if mode == "squarefree" else filter(squarefree, reps))
+    ranked = set(reps)
     thresh = int(0.05 * 2**32)
     off = 0
     for start in range(0, spec.total, chunk):
@@ -855,3 +856,35 @@ def test_scan_outputs_pinned():
                  + b"\n")
     assert h.hexdigest() == (
         "55cb99010e7b069d27a12faf6ff6d01941c5b2a9efd9d590dbb7dc99df64d59e")
+
+
+def test_engine_setup_leaves_numpy_unloaded(fresh_python):
+    # the benchmark's set-up builds the engines of its scan cells, and
+    # numpy's import (about 0.14 s) would swamp its setup_s (about 0.05 s):
+    # the engine builds the digits' basis and its certify plan on its first
+    # batched call, not at construction
+    code = ("import sys; from carlitz import scan; "
+            "from carlitz.fastrank import RankEngine; "
+            "from carlitz.motive import on_coset; "
+            "RankEngine(3, 1, 27, shift_stable=True); RankEngine(3, 1, 11); "
+            "[scan._engines_for(3, n, m, mode, on_coset(3, n, m, a), False) "
+            "for n, m, mode in [(1, 11, 'squarefree'), "
+            "(1, 27, 'shift-stable'), (2, 10, 'squarefree')] "
+            "for a in (1, 2)]; "
+            "print('numpy' in sys.modules)")
+    assert fresh_python(code) == "False"
+
+
+def test_scans_leave_numpy_ma_unloaded(fresh_python):
+    # numpy.ma costs 16-33 ms on its first import (np.unique without counts
+    # reaches it), which every fresh fork-pool worker would pay inside its
+    # first chunk; neither scan mode nor the coset audit may load it
+    code = ("import sys; "
+            "from carlitz.scan import ScanSpec, run_scan, coset_audit; "
+            "t = run_scan(ScanSpec(q=3, n=1, m=7, lead=2, workers=1)); "
+            "u = run_scan(ScanSpec(q=3, n=1, m=18, lead=1, "
+            "mode='shift-stable', workers=1)); "
+            "coset_audit(3, 1, 5); "
+            "print(t.audits > 0, 'numpy' in sys.modules, "
+            "'numpy.ma' in sys.modules)")
+    assert fresh_python(code) == "True True False"
