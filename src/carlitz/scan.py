@@ -55,7 +55,8 @@ first and test squarefreeness last, in both modes: the engine ranks every
 representative of the chunk, and the kernel runs only on the rows that a
 tally, a witness or the audit reads.  Those are the rows of rank above the
 base (1 on the distinguished coset, 0 off it), on the coset a prefix of the
-rank-1 rows long enough for the witnesses, and the audit's hash candidates.
+rank-1 rows long enough for the witnesses, and, in the audit stage, the
+hash candidates.
 On the coset every squarefree P has rank >= 1, so the rank-1 count is the
 closed form minus the counts of rank >= 2.
 
@@ -80,12 +81,19 @@ restores the early exit that the forced (1-U) factor would otherwise deny.
 
 A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
 audited against the full division-free determinant, a second route that
-does not touch the engine: ``motive.analytic_ranks`` takes a chunk's picks
-as one stack of k_min x k_min matrices through one Berkowitz call and reads
-each order at U = 1 from the Hasse derivatives of its L-function.
-The picks are the same with or without the orbit reduction: the hash runs
-over the chunk's whole index range, and a squarefree pick that is not a
-ranked representative gets its rank from one more engine call per chunk.
+does not touch the engine: ``motive.analytic_ranks`` takes the picks as one
+stack of k_min x k_min matrices through one Berkowitz call and reads each
+order at U = 1 from the Hasse derivatives of its L-function.  The audit is
+a stage of its own after the chunk loop (``_audit_chunks``), in the pool
+when the scan has one: a chunk hands on only its hash hits among the
+ranked rows with their ranks, so a chunk past the ranked rows does no work
+at all.  The stage takes the chunks in runs of about ``_AUDIT_RUN`` picks.
+Per run it hashes each chunk's index range, tests the hits for
+squarefreeness in one kernel call and keeps each chunk's first
+``_AUDIT_CAP`` squarefree hits.  So the picks are the same with or without
+the orbit reduction, and for any run size.  A pick that is not a ranked
+representative gets its rank from one engine call per run, and every pick
+its determinant from one Berkowitz stack per run.
 The audit is skipped when the stable matrix size k_min exceeds
 ``_AUDIT_K_CAP`` (``audit_skip_reason``); ``carlitz scan`` and
 ``scripts/rank_count_tables.py`` say so.
@@ -124,6 +132,9 @@ _AUDIT_MIX = 2654435761  # Knuth multiplicative hash
 _AUDIT_RATE = 1e-3
 _AUDIT_CAP = 16
 _AUDIT_K_CAP = 12
+# picks per audit run: run_scan audits a cell's chunks in runs of about this
+# many picks, one engine call and one determinant stack each
+_AUDIT_RUN = 1024
 # odometer rows per scan chunk (the default) and per coset-audit block
 _CHUNK = 8192
 # largest enumeration a scan runs without force=True
@@ -326,8 +337,10 @@ def audit_skip_reason(q: int, n: int, m: int) -> str | None:
     audited.  The audit's batched division-free determinant costs about
     0.3-1.9 ms per twist at k_min = 13-19 in a stack of 16 picks, and
     0.5-2.4 ms in a stack of 5 (q = 2, 3, n = 1, random twists, median of 5
-    on a 2-core Xeon), so the cap guards the scans' run time, not the
-    audit's feasibility.
+    on a 2-core Xeon).  The audit stage stacks up to about ``_AUDIT_RUN``
+    picks per Berkowitz call, and in stacks of 128 and 512 a twist costs
+    0.25-1.7 ms at k_min = 13-19 (same machine, median of 3).  So the cap
+    guards the scans' run time, not the audit's feasibility.
     """
     k_min = stable_size(q, n, m)
     if k_min > _AUDIT_K_CAP:
@@ -355,8 +368,8 @@ def _squarefree_mask(rows, p):
     rows = np.asarray(rows, dtype=np.int64)
     count, width = rows.shape
     m = width - 1
-    if m == 0:
-        return np.ones(count, dtype=bool)  # nonzero constants
+    if not count or m == 0:
+        return np.ones(count, dtype=bool)  # no rows, or nonzero constants
     dtype = np.int16 if 2 * (p - 1) ** 2 < 2**15 else np.int64
     # coefficient index first, so f[j] is the θ^j coefficient of every row
     f = np.ascontiguousarray(rows.T[::-1] % p, dtype=dtype)
@@ -442,17 +455,31 @@ def _squarefree_count(q, m):
     return q**m - q**(m - 1) if m >= 2 else q**m
 
 
-def _scan_chunk(args):
-    q, n, m, lead, mode, start, end, witness_cap = args
+def _audit_mask(idxs):
+    """Which odometer indices the symbolic audit samples: their Knuth hash
+    falls below _AUDIT_RATE * 2^32.  uint64 products wrap mod 2^64, which
+    keeps the low 32 bits exact."""
     import numpy as np
 
+    hashed = (np.asarray(idxs).astype(np.uint64, copy=False)
+              * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1))
+    return hashed < int(_AUDIT_RATE * 2**32)
+
+
+def _scan_chunk(args):
+    q, n, m, lead, mode, start, end, witness_cap = args
     spec = ScanSpec(q, n, m, lead, mode)
+    # the ranked rows: the whole range, or with an orbit of q shifts, the
+    # part of it below q^(m-1), where a_(m-1) = 0 (module doc)
+    ranked_end = min(end, spec.total // spec.shift_orbit)
+    if ranked_end <= start:
+        return {"hist": {}, "witnesses": {}, "scanned": end - start,
+                "picks": []}
+    import numpy as np
+
     coset = on_coset(q, n, m, lead)
     base = 1 if coset else 0
     eng = _engines_for(q, n, m, mode, coset)
-    # the ranked rows: the whole range, or with an orbit of q shifts, the
-    # part of it below q^(m-1), where a_(m-1) = 0 (module doc)
-    ranked_end = max(start, min(end, spec.total // spec.shift_orbit))
     # the engine's digits: P's coefficients, or F's where P = F(θ^q - θ),
     # and their odometer indices, kept in step with them
     digits = _odometer(q, spec.free_coeffs, lead, start, ranked_end)
@@ -471,7 +498,7 @@ def _scan_chunk(args):
         return eng.rows(rows).tolist()
 
     # rank first: the engine sees every ranked row, and only the rows that a
-    # tally, a witness or the audit reads get the squarefree test
+    # tally or a witness reads get the squarefree test
     ranks = base + eng.vanishing_orders(digits)
 
     witnesses: dict = {}
@@ -499,48 +526,92 @@ def _scan_chunk(args):
         first = high[ranks[high] == r][:witness_cap]
         witnesses[r] = list(map(_row_str, coeffs(digits[first])))
 
-    audit_failures = []
-    picks = np.zeros(0, dtype=np.int64)
-    pick_digits = digits[:0]
+    # the audit's hash hits among the ranked rows, squarefree or not, with
+    # the rank their tally used; _audit_chunks picks from them
+    picks = []
     if audit_skip_reason(q, n, m) is None:
-        # Knuth hash of every odometer index of the chunk, ranked or not;
-        # uint64 products wrap mod 2^64, which keeps the low 32 bits exact
-        every = np.arange(start, end, dtype=np.uint64)
-        hashed = every * np.uint64(_AUDIT_MIX) & np.uint64(2**32 - 1)
-        picks = start + np.nonzero(hashed < int(_AUDIT_RATE * 2**32))[0]
-        pick_digits = _odometer(q, spec.free_coeffs, lead, picks)
-        keep = np.nonzero(_squarefree_mask(pick_digits, q))[0][:_AUDIT_CAP]
-        picks, pick_digits = picks[keep], pick_digits[keep]
-    # a pick among the ranked rows reads its rank from them; the rest, not
-    # orbit representatives, take theirs from one more engine call
-    fast = np.empty(len(picks), dtype=np.int64)
-    at = np.searchsorted(idxs, picks)
-    inside = at < len(idxs)
-    inside[inside] = idxs[at[inside]] == picks[inside]
-    fast[inside] = ranks[at[inside]]
-    if not inside.all():
-        fast[~inside] = base + eng.vanishing_orders(pick_digits[~inside])
-    if len(picks):
-        # the second route: every pick's determinant in one batched call
-        rows = coeffs(pick_digits)
-        slow = analytic_ranks(rows, n, field_make(q))
-        for row, rank, sym in zip(rows, fast.tolist(), slow.tolist()):
-            if sym != rank:
-                audit_failures.append(
-                    {"poly": _row_str(row), "fast": rank, "symbolic": sym})
+        hit = _audit_mask(idxs)
+        picks = np.column_stack([idxs[hit], ranks[hit]]).tolist()
 
     return {
         "hist": hist,
         "witnesses": witnesses,
         "scanned": end - start,
-        "audits": len(picks),
-        "audit_failures": audit_failures,
+        "picks": picks,
     }
 
 
+def _audit_chunks(args):
+    """The symbolic audit of a run of consecutive chunks of one cell.
+
+    ``chunks`` holds (start, end, picks) per chunk, where picks is the
+    chunk payload's [index, rank] list, or None for a payload that carries
+    none (checkpoints of older versions).  A chunk's audit picks are its
+    first ``_AUDIT_CAP`` squarefree hash hits: each chunk's index range is
+    hashed on its own, and one squarefree test runs over the run's hits.
+    A pick among the ranked rows reads its rank from the payload; the rest,
+    not orbit representatives, take theirs from one engine call, and every
+    pick's determinant goes through one batched ``analytic_ranks`` call.
+    Returns the audit count and the failures, in index order.
+    """
+    q, n, m, lead, mode, chunks = args
+    import numpy as np
+
+    spec = ScanSpec(q, n, m, lead, mode)
+    coset = on_coset(q, n, m, lead)
+    hits = []
+    for start, end, _ in chunks:  # each chunk's index range on its own
+        every = np.arange(start, end, dtype=np.uint64)
+        hits.append(start + np.nonzero(_audit_mask(every))[0])
+    idxs = np.concatenate(hits)
+    digits = _odometer(q, spec.free_coeffs, lead, idxs)
+    squarefree = _squarefree_mask(digits, q)
+    keep, at = [], 0
+    for h in hits:  # per chunk, its first _AUDIT_CAP squarefree hits
+        mine = np.nonzero(squarefree[at:at + len(h)])[0][:_AUDIT_CAP]
+        keep.append(at + mine)
+        at += len(h)
+    keep = np.concatenate(keep)
+    idxs, digits = idxs[keep], digits[keep]
+    if not len(idxs):
+        return {"audits": 0, "audit_failures": []}
+
+    known = {}
+    for _, _, picks in chunks:
+        known.update(picks or ())
+    fast = np.array([known.get(i, -1) for i in idxs.tolist()], dtype=np.int64)
+    rest = fast < 0
+    eng = _engines_for(q, n, m, mode, coset)
+    if rest.any():
+        fast[rest] = (1 if coset else 0) + eng.vanishing_orders(digits[rest])
+    # the second route: every pick's determinant in one batched call
+    rows = eng.rows(digits).tolist()
+    slow = analytic_ranks(rows, n, field_make(q))
+    failures = [{"poly": _row_str(row), "fast": rank, "symbolic": sym}
+                for row, rank, sym in zip(rows, fast.tolist(), slow.tolist())
+                if sym != rank]
+    return {"audits": len(idxs), "audit_failures": failures}
+
+
+def _audit_runs(chunks):
+    """The chunks' indices in runs of consecutive chunks, each expecting at
+    most about ``_AUDIT_RUN`` picks (at least one chunk per run).  The hash
+    hits of a range of L indices number about _AUDIT_RATE * L."""
+    runs, size = [], 0
+    for i, (start, end) in enumerate(chunks):
+        expect = min(_AUDIT_CAP, _AUDIT_RATE * (end - start))
+        if not runs or size + expect > _AUDIT_RUN:
+            runs.append([])
+            size = 0
+        runs[-1].append(i)
+        size += expect
+    return runs
+
+
 def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
-    # a payload's "squarefree" (checkpoints of older versions) is ignored:
-    # run_scan sets the cell's count from the closed form
+    # a payload's "squarefree", "audits" and "audit_failures" (checkpoints
+    # of older versions) are ignored: run_scan sets the cell's count from
+    # the closed form and audits every chunk after the chunk loop
     key = (spec.m, spec.lead)
     cell = table.hist.setdefault(key, {})
     for r, c in payload["hist"].items():
@@ -554,8 +625,6 @@ def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
         if room > 0:
             mine.extend(ws[:room])
     table.scanned[key] = table.scanned.get(key, 0) + payload["scanned"]
-    table.audits += payload["audits"]
-    table.audit_failures.extend(payload["audit_failures"])
 
 
 def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
@@ -620,6 +689,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
             if done is None:
                 _write_record(ck, {"fingerprint": spec.fingerprint(),
                                    "spec": asdict(spec)})
+        pool = None
         if workers > 1 and len(args) > 1:
             pool = stack.enter_context(mp.get_context("fork").Pool(workers))
             payloads = pool.imap(_scan_chunk, args)
@@ -629,10 +699,22 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
             results[chunk_i] = payload
             if ck:
                 _write_record(ck, {"chunk": chunk_i, "payload": payload})
+        audits = []
+        if audit_skip_reason(spec.q, spec.n, spec.m) is None:
+            # one audit stage per run of chunks, in the pool when there is
+            # one: a parent that did numpy work would make every forked
+            # worker of a later scan larger
+            runs = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
+                     [(*chunks[i], results[i].get("picks")) for i in run])
+                    for run in _audit_runs(chunks)]
+            audits = (pool.map if pool else map)(_audit_chunks, runs)
 
     table = RankTable(q=spec.q, n=spec.n, mode=spec.mode)
     for i in range(len(chunks)):
         _merge_chunk(table, spec, results[i])
+    for audit in audits:
+        table.audits += audit["audits"]
+        table.audit_failures.extend(audit["audit_failures"])
     key = (spec.m, spec.lead)
     table.squarefree[key] = squarefree = _squarefree_count(
         spec.q, spec.free_coeffs)

@@ -349,6 +349,18 @@ def test_squarefree_mask_large_p(p, rng):
     assert True in flags and False in flags
 
 
+@pytest.mark.parametrize("p", [3, 131])
+def test_squarefree_mask_of_no_rows(p, monkeypatch):
+    # zero rows return an empty mask before the divsteps set up their arrays
+    def boom(*args, **kwargs):
+        raise AssertionError("divsteps ran on zero rows")
+
+    monkeypatch.setattr(np, "zeros_like", boom)
+    for width in (1, 2, 9):
+        got = _squarefree_mask(np.zeros((0, width), dtype=np.int64), p)
+        assert got.dtype == bool and got.shape == (0,)
+
+
 def test_shift_stable_squarefree_follows_f():
     # P = F(θ^3 - θ) is squarefree exactly when F is
     for m_st in range(7):
@@ -475,10 +487,11 @@ def test_audit_reports_a_wrong_engine_rank(monkeypatch, lead):
 
     monkeypatch.setattr(RankEngine, "vanishing_orders", off_by_one)
     table = run_scan(spec)
-    # chunk 0's call on its 45 representatives and its call on its picks
-    # that are not among them, then chunk 1's on its 5 picks
+    # chunk 0's call on its 45 representatives, then the audit's one call
+    # on every pick that is not among them: chunk 0's, and the 5 picks
+    # each of chunks 1 and 2
     others = sum(not representative(i) for i in picks)
-    assert [c for c in calls if c[1]] == [(45, 1), (others, 1), (5, 1)]
+    assert [c for c in calls if c[1]] == [(45, 1), (others + 10, 2)]
     want = []
     for i in targets:
         tp = TwistedPower(Poly(field_make(3), row(i)), 1)
@@ -553,6 +566,140 @@ def test_audit_picks_follow_index_hash(monkeypatch):
     table = run_scan(spec)
     assert table.audits == want > 0
     assert table.audit_failures == []
+
+
+def _off_by_one_on(hit_rows):
+    # RankEngine.vanishing_orders, one too high on the digit rows that
+    # hit_rows marks
+    orders = RankEngine.vanishing_orders
+
+    def off_by_one(self, digits):
+        return orders(self, digits) + hit_rows(np.asarray(digits))
+    return off_by_one
+
+
+def test_audit_independent_of_worker_count(monkeypatch):
+    # audits and audit failures included, which the test above pops; the
+    # wrong engine hits the third of the rows with constant coefficient 1
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+
+    def scans():
+        out = []
+        for workers in (1, 2, 4):
+            spec = ScanSpec(q=3, n=1, m=7, lead=2, workers=workers,
+                            chunk_size=100)
+            out.append(run_scan(spec).to_json_obj())
+        return out
+
+    right = scans()
+    assert right[0]["audits"] > 0 and right[0]["audit_failures"] == []
+    assert right[1] == right[0] and right[2] == right[0]
+    monkeypatch.setattr(RankEngine, "vanishing_orders", _off_by_one_on(
+        lambda d: d[:, 0] == 1))
+    wrong = scans()
+    assert wrong[1] == wrong[0] and wrong[2] == wrong[0]
+    failures = wrong[0]["audit_failures"]
+    assert failures and wrong[0]["audits"] == right[0]["audits"]
+    index = [sum(int(d) * 3**j for j, d in enumerate(f["poly"].split(",")[:7]))
+             for f in failures]
+    assert index == sorted(index) and len(set(index)) == len(index)
+    assert all(f["fast"] == f["symbolic"] + 1 for f in failures)
+
+
+def test_chunk_past_ranked_rows_does_no_work(monkeypatch):
+    # q=3, m=7: an orbit of 3 shifts, so only the rows below 3^6 are ranked
+    calls = []
+    orders, mask = RankEngine.vanishing_orders, scan._squarefree_mask
+
+    def counted_orders(self, digits):
+        calls.append("engine")
+        return orders(self, digits)
+
+    def counted_mask(rows, p):
+        calls.append("squarefree")
+        return mask(rows, p)
+
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+    monkeypatch.setattr(RankEngine, "vanishing_orders", counted_orders)
+    monkeypatch.setattr(scan, "_squarefree_mask", counted_mask)
+    assert ScanSpec(q=3, n=1, m=7, lead=2).shift_orbit == 3
+    payload = scan._scan_chunk((3, 1, 7, 2, "squarefree", 729, 829, 16))
+    assert payload == {"hist": {}, "witnesses": {}, "scanned": 100,
+                       "picks": []}
+    assert calls == []
+    # a chunk of ranked rows calls both and hands its hash hits on
+    payload = scan._scan_chunk((3, 1, 7, 2, "squarefree", 0, 100, 16))
+    assert "engine" in calls and "squarefree" in calls
+    hits = [i for i, _ in payload["picks"]]
+    assert hits and all(i * 2654435761 % 2**32 < int(0.05 * 2**32)
+                        for i in hits)
+
+
+def test_audit_split_into_runs_matches_one_run(monkeypatch):
+    # about 5 picks per chunk of 100 at rate 0.05: runs of at most 12
+    # expected picks hold two chunks each
+    stacks = []
+
+    def counted(rows, n, ctx):
+        stacks.append(len(rows))
+        return analytic_ranks(rows, n, ctx)
+
+    monkeypatch.setattr(scan, "analytic_ranks", counted)
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+    monkeypatch.setattr(RankEngine, "vanishing_orders", _off_by_one_on(
+        lambda d: d[:, 0] == 1))
+    spec = ScanSpec(q=3, n=1, m=7, lead=1, workers=1, chunk_size=100)
+    one = run_scan(spec).to_json_obj()
+    assert len(stacks) == 1 and stacks[0] == one["audits"] > 0
+    assert one["audit_failures"]
+    stacks.clear()
+    monkeypatch.setattr(scan, "_AUDIT_RUN", 12)
+    split = run_scan(spec).to_json_obj()
+    assert split == one
+    assert len(stacks) == -(-spec.total // 200) and sum(stacks) == one["audits"]
+
+
+def _head_payload(spec, payload, start, end):
+    # a chunk record as written before the audit left the chunks: the
+    # chunk's audit count and failures, and no hash hits
+    audits = 0
+    if audit_skip_reason(spec.q, spec.n, spec.m) is None:
+        thresh = int(scan._AUDIT_RATE * 2**32)
+        hits = [i for i in range(start, end)
+                if i * 2654435761 % 2**32 < thresh]
+        rows = _odometer(spec.q, spec.free_coeffs, spec.lead, hits)
+        audits = min(int(_squarefree_mask(rows, spec.q).sum()),
+                     scan._AUDIT_CAP)
+    old = {k: v for k, v in payload.items() if k != "picks"}
+    old.update(audits=audits, audit_failures=[])
+    return old
+
+
+@pytest.mark.parametrize("q,n,m,lead", [(3, 1, 7, 2), (3, 2, 6, 1)])
+def test_resume_from_checkpoint_with_chunk_audits(tmp_path, monkeypatch,
+                                                   q, n, m, lead):
+    # chunk records that carry their audit count and failures but no picks:
+    # their audit runs again from the engine, and counts once
+    monkeypatch.setattr(scan, "_AUDIT_RATE", 0.05)
+    spec = ScanSpec(q=q, n=n, m=m, lead=lead, workers=1, chunk_size=100)
+    fresh = run_scan(spec).to_json_obj()
+    assert fresh["audits"] > 0
+    ck = tmp_path / "scan.ckpt"
+    run_scan(spec, checkpoint=str(ck))
+    records = [json.loads(line) for line in ck.read_text().splitlines()]
+    for rec in records[1:]:
+        start = rec["chunk"] * spec.chunk_size
+        end = min(start + spec.chunk_size, spec.total)
+        rec["payload"] = _head_payload(spec, rec["payload"], start, end)
+    assert sum(r["payload"]["audits"] for r in records[1:]) == \
+        fresh["audits"]
+    # the last two chunks run again, with the current payload
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records[:-2]))
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == fresh
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    assert all("picks" not in r["payload"] for r in lines[1:-2])
+    assert all("picks" in r["payload"] for r in lines[-2:])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -675,7 +822,7 @@ def test_rank_first_matches_filter_first(q, n, monkeypatch):
     audited = []
 
     def audit(rows, n, ctx):
-        # the batched symbolic route: one call per chunk on its picks
+        # the batched symbolic route: one call per run of chunks
         strs = [",".join(map(str, row)) for row in np.asarray(rows).tolist()]
         audited.extend(strs)
         return np.array([ranks[row] for row in strs], dtype=np.int64)
