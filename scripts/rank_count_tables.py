@@ -3,7 +3,8 @@
 
 Tiers:
   core      q=3, n=1, squarefree twists, degrees 3..11
-  extended  q=3, n=1, degrees 12..15 (hour-scale)
+  extended  q=3, n=1, degrees 12..15 (23-25 s with --workers 2 on a
+            2-core Xeon)
   stable    q=3, n=1, shift-stable squarefree twists, degrees 3..27
   n2        q=3, n=2, degrees 1..12
 

@@ -225,9 +225,7 @@ def cmd_scan(args) -> int:
     except ScanCapError as exc:
         raise UsageError(str(exc)) from None
     if spec.representatives < spec.total:
-        print(f"kept {spec.representatives} of {spec.total} rows, one per "
-              f"orbit (shifts {spec.shift_orbit}, scales {len(spec.scales)})",
-              file=sys.stderr)
+        print(spec.reduction, file=sys.stderr)
     skipped = audit_skip_reason(spec.q, spec.n, spec.m)
     if skipped:
         print(f"audit skipped: {skipped}", file=sys.stderr)

@@ -25,28 +25,28 @@ sets each cell's ``squarefree`` from it.  In shift-stable mode the formula
 counts F at degree m/q, where P = F(θ^q - θ): then P' = -F'(θ^q - θ), so
 gcd(P, P') = 1 exactly when gcd(F, F') = 1.
 
-Scans rank one row per orbit of P -> c^n·P(cθ + d), which keeps the
-analytic rank (``Mu`` and ``Tau(c^-n)∘Nu(c)``, see symmetry), the degree
-and squarefreeness.  The shift d moves a_(m-1) to a_(m-1) + m·d·a_m, so in
-generic scans with p ∤ m each orbit of q shifts has exactly one member with
-a_(m-1) = 0, at an odometer index below q^(m-1) and below every other P's:
-a chunk ranks only its rows below q^(m-1) (``ScanSpec.shift_orbit`` = q; a
-chunk past them ranks nothing, but keeps its bounds and its ``scanned``
+Scans rank one row per orbit of P -> c^n·P(cθ + d), which keeps the analytic
+rank (``Mu`` and ``Tau(c^-n)∘Nu(c)``, see symmetry), the degree and
+squarefreeness; ``ScanSpec`` owns this reduction.  The shift d moves a_(m-1)
+to a_(m-1) + m·d·a_m, so in generic scans with p ∤ m each orbit of q shifts
+has exactly one member with a_(m-1) = 0, at an odometer index below q^(m-1)
+and below every other P's: only those rows are ranked (``shift_orbit`` = q;
+a chunk past them ranks nothing, but keeps its bounds and its ``scanned``
 count).  Shift-stable P and cells with p | m get no shift cut.  The scale c
 multiplies a_i by c^(n+i) and so sends cell (m, a) to (m, a·c^(m+n)):
 H = {c : c^(m+n) = 1}, of order gcd(m+n, q-1), maps each cell onto itself
-(``ScanSpec.scales``).  It scales digit i by c^(n+i) in both modes
-(S(cθ) = c·S for S = θ^q - θ) and keeps a_(m-1) = 0.  A row is ranked iff
-no H-image has a smaller index (``_scale_orbits``) and counts
-shift_orbit·|H|/|Stab(row)| times (Burnside weights; the odd P at q=3,
-n=1 have |Stab| = 2).  The witness lists come
-out as the full enumeration's: a P among the first ``witness_cap`` of its
-rank has its representative, of no larger index, among the first
-``witness_cap`` representatives, so ``run_scan`` replaces each list with the
-first ``witness_cap`` of its H-images in odometer order (F's order in
-shift-stable mode, which P's reversed row does not give, because of carries
-mod q); a list still short then holds every row of its rank with
-a_(m-1) = 0, and their q shifts P(θ + d) give the rest.
+(``scales``).  It multiplies digit i by c^(n+i) in both modes (S(cθ) = c·S
+for S = θ^q - θ), which keeps the lead and a_(m-1) = 0.  A row is ranked iff
+no H-image has a smaller index, and counts shift_orbit·|H|/|Stab(row)| times
+(``ranked``; Burnside weights, and the odd P at q=3, n=1 have |Stab| = 2).
+Witnesses stay the engine's digit rows, in payloads and checkpoints, until
+``run_scan`` writes P's rows (``RankEngine.rows``), and come out as the full
+enumeration's: a P among the first ``witness_cap`` of its rank has its
+representative, of no larger index, among the first ``witness_cap``
+representatives, so each list becomes the first ``witness_cap`` of its
+H-images in odometer order (reversed digits, in both modes); a list still
+short then holds every row of its rank with a_(m-1) = 0, and their q shifts
+P(θ + d) give the rest.
 
 The squarefree test itself is one numpy kernel (``_squarefree_mask``):
 Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
@@ -223,20 +223,74 @@ class ScanSpec:
                      if pow(c, self.m + self.n, self.q) == 1)
 
     @property
+    def _factors(self) -> list:
+        # H on digit rows: digit i times c^(n+i), the lead fixed (module doc)
+        return [[pow(c, self.n + i, self.q)
+                 for i in range(self.free_coeffs + 1)] for c in self.scales]
+
+    @property
     def representatives(self) -> int:
         """Rows the engine ranks, one per orbit, in both modes:
         (1/|H|)·Σ_c q^(#ranked digits c fixes)."""
         digits = self.free_coeffs - (self.shift_orbit > 1)
-        return sum(self.q ** sum(pow(c, self.n + i, self.q) == 1
-                                 for i in range(digits))
-                   for c in self.scales) // len(self.scales)
+        return sum(self.q ** fs[:digits].count(1)
+                   for fs in self._factors) // len(self.scales)
+
+    @property
+    def reduction(self) -> str:
+        """The orbit reduction in words, as ``carlitz scan`` reports it."""
+        return (f"kept {self.representatives} of {self.total} rows, one per "
+                f"orbit (shifts {self.shift_orbit}, "
+                f"scales {len(self.scales)})")
+
+    def ranked(self, start: int, end: int):
+        """Digits, odometer indices and weights of the rows of start..end-1
+        that the scan ranks; None, before numpy's import, if there are none."""
+        stop = min(end, self.total // self.shift_orbit)
+        if stop <= start:
+            return None
+        import numpy as np
+
+        q, factors = self.q, self._factors
+        digits = _odometer(q, self.free_coeffs, self.lead, start, stop)
+        idxs = np.arange(start, stop, dtype=np.int64)
+        least = np.zeros(len(idxs), dtype=np.int64)  # image index - index
+        stab = np.ones(len(idxs), dtype=np.int64)
+        for fs in factors[1:]:
+            diff = np.zeros(len(idxs), dtype=np.int64)
+            for i, f in enumerate(fs):
+                if f != 1:
+                    diff += (digits[:, i] * f % q - digits[:, i]) * q**i
+            least = np.minimum(least, diff)
+            stab += diff == 0
+        weight = len(factors) // stab
+        if len(factors) > 1:  # with H trivial every row is kept, uncopied
+            keep = least >= 0
+            digits, idxs, weight = digits[keep], idxs[keep], weight[keep]
+        return digits, idxs, weight * self.shift_orbit
+
+    def expand_witnesses(self, rows) -> list:
+        """The full enumeration's first ``witness_cap`` digit rows of a rank
+        from the ranked rows' (module doc)."""
+        q, factors = self.q, self._factors
+        rows = {tuple(x * f % q for x, f in zip(row, fs))
+                for row in rows for fs in factors}
+        if self.shift_orbit > 1 and len(rows) < self.witness_cap:
+            # squarefree mode, where the digits are P's coefficients
+            ctx = field_make(q)
+            rows = [tuple(Poly(ctx, row).compose(Poly(ctx, (d, 1))).coeffs)
+                    for row in rows for d in range(q)]  # P(θ + d)
+        return sorted(rows, key=lambda row: row[::-1])[:self.witness_cap]
 
     def fingerprint(self) -> str:
         # the orbit tokens keep checkpoints of scans that ranked more rows,
-        # and counted each fewer times, from resuming a reduced scan
+        # and counted each fewer times, from resuming a reduced scan; "dF"
+        # marks shift-stable chunk witnesses as F's digits, not P's rows
         orbit = f"o{self.shift_orbit}" if self.shift_orbit > 1 else ""
         if len(self.scales) > 1:
             orbit += f"h{len(self.scales)}"
+        if self.mode == "shift-stable":
+            orbit += "dF"
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
                 f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
                 f"r{_AUDIT_RATE}ac{_AUDIT_CAP}ak{_AUDIT_K_CAP}{orbit}")
@@ -428,25 +482,6 @@ def _row_str(row):
     return ",".join(map(str, row))
 
 
-def _scale_orbits(digits, q, n, scales):
-    """Rows of least index in their orbit under the scales (digit i times
-    c^(n+i)), and |H|/|Stab(row)|, the rows each stands for."""
-    import numpy as np
-
-    least = np.zeros(len(digits), dtype=np.int64)  # image index - index
-    stab = np.ones(len(digits), dtype=np.int64)
-    for c in scales[1:]:
-        diff = np.zeros(len(digits), dtype=np.int64)
-        for i in range(digits.shape[1] - 1):
-            f = pow(c, n + i, q)
-            if f != 1:
-                diff += (digits[:, i] * f % q - digits[:, i]) * q**i
-        least = np.minimum(least, diff)
-        stab += diff == 0
-    # with H trivial, a slice keeps every row without a copy
-    return least >= 0 if len(scales) > 1 else slice(None), len(scales) // stab
-
-
 def _squarefree_count(q, m):
     """Squarefree polynomials over GF(q) of degree m with a fixed lead.
 
@@ -468,34 +503,21 @@ def _audit_mask(idxs):
 
 def _scan_chunk(args):
     q, n, m, lead, mode, start, end, witness_cap = args
-    spec = ScanSpec(q, n, m, lead, mode)
-    # the ranked rows: the whole range, or with an orbit of q shifts, the
-    # part of it below q^(m-1), where a_(m-1) = 0 (module doc)
-    ranked_end = min(end, spec.total // spec.shift_orbit)
-    if ranked_end <= start:
+    # the rows the chunk ranks (ScanSpec.ranked); past them it does no work
+    ranked = ScanSpec(q, n, m, lead, mode).ranked(start, end)
+    if ranked is None:
         return {"hist": {}, "witnesses": {}, "scanned": end - start,
                 "picks": []}
     import numpy as np
 
+    digits, idxs, weight = ranked
     coset = on_coset(q, n, m, lead)
     base = 1 if coset else 0
     eng = _engines_for(q, n, m, mode, coset)
-    # the engine's digits: P's coefficients, or F's where P = F(θ^q - θ),
-    # and their odometer indices, kept in step with them
-    digits = _odometer(q, spec.free_coeffs, lead, start, ranked_end)
-    idxs = np.arange(start, ranked_end, dtype=np.int64)
-    # of those, one per scale orbit, weighted by its orbit's size
-    keep, weight = _scale_orbits(digits, q, n, spec.scales)
-    digits, idxs = digits[keep], idxs[keep]
-    weight = weight[keep] * spec.shift_orbit
 
     def squarefree(sel):
         # P is squarefree iff F is, so the test reads the free digits
         return sel[_squarefree_mask(digits[sel], q)]
-
-    def coeffs(rows):
-        # P's coefficient rows from digit rows, as lists
-        return eng.rows(rows).tolist()
 
     # rank first: the engine sees every ranked row, and only the rows that a
     # tally or a witness reads get the squarefree test
@@ -516,7 +538,7 @@ def _scan_chunk(args):
             size *= 2
         if len(first):
             witnesses[1] = list(map(_row_str,
-                                    coeffs(digits[first[:witness_cap]])))
+                                    digits[first[:witness_cap]].tolist()))
     high = squarefree(np.nonzero(ranks > base)[0])
     hist: dict = {}
     # bincount, not np.unique, which imports numpy.ma in each fresh worker
@@ -524,7 +546,7 @@ def _scan_chunk(args):
     for r in np.nonzero(tally)[0].tolist():
         hist[r] = int(tally[r])
         first = high[ranks[high] == r][:witness_cap]
-        witnesses[r] = list(map(_row_str, coeffs(digits[first])))
+        witnesses[r] = list(map(_row_str, digits[first].tolist()))
 
     # the audit's hash hits among the ranked rows, squarefree or not, with
     # the rank their tally used; _audit_chunks picks from them
@@ -634,8 +656,9 @@ def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
     leave only the final line torn.  A final line that is unterminated or
     does not parse is cut from the file, so its chunk runs again and the next
     record starts on a fresh line.  A bad line anywhere else raises, and so
-    does a header of another scan.  None means the file holds no complete
-    record, not even the header (a crash before its first flush).
+    do a header of another scan and a chunk record short of its index or of
+    ``hist``, ``witnesses`` and ``scanned``.  None means the file holds no
+    complete record, not even the header (a crash before its first flush).
     """
     records = []
     with open(path, "r+b") as fh:
@@ -653,10 +676,18 @@ def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
             offset += len(line)
         if not records:
             return None
-        if records[0].get("fingerprint") != fingerprint:
+        header, *chunks = records
+        if (not isinstance(header, dict)
+                or header.get("fingerprint") != fingerprint):
             raise ValueError("checkpoint belongs to a different scan")
+        for rec in chunks:
+            payload = rec.get("payload") if isinstance(rec, dict) else None
+            if not (isinstance(payload, dict)
+                    and isinstance(rec.get("chunk"), int)
+                    and {"hist", "witnesses", "scanned"} <= payload.keys()):
+                raise ValueError("malformed checkpoint record")
         fh.truncate(offset)
-    return {rec["chunk"]: rec["payload"] for rec in records[1:]}
+    return {rec["chunk"]: rec["payload"] for rec in chunks}
 
 
 def _write_record(fh, record):
@@ -690,8 +721,9 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
                 _write_record(ck, {"fingerprint": spec.fingerprint(),
                                    "spec": asdict(spec)})
         pool = None
-        if workers > 1 and len(args) > 1:
-            pool = stack.enter_context(mp.get_context("fork").Pool(workers))
+        if workers > 1 and len(args) > 1:  # at most one worker per chunk
+            pool = stack.enter_context(
+                mp.get_context("fork").Pool(min(workers, len(args))))
             payloads = pool.imap(_scan_chunk, args)
         else:
             payloads = map(_scan_chunk, args)
@@ -718,7 +750,8 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     key = (spec.m, spec.lead)
     table.squarefree[key] = squarefree = _squarefree_count(
         spec.q, spec.free_coeffs)
-    if on_coset(spec.q, spec.n, spec.m, spec.lead):
+    coset = on_coset(spec.q, spec.n, spec.m, spec.lead)
+    if coset:
         # every squarefree P has rank >= 1 on the coset; set rather than
         # add, since older checkpoints carry per-chunk rank-1 counts
         cell = table.hist[key]
@@ -726,46 +759,14 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
         ones = squarefree - sum(cell.values())
         if ones:
             cell[1] = ones
-    if spec.shift_orbit > 1 or len(spec.scales) > 1:
-        _expand_witnesses(table, spec)
+    # the witnesses are digit rows until here (module doc)
+    eng = _engines_for(spec.q, spec.n, spec.m, spec.mode, coset)
+    for wkey, ws in table.witnesses.items():
+        rows = [list(map(int, w.split(","))) for w in ws]
+        if rows:  # none with witness_cap = 0
+            rows = eng.rows(spec.expand_witnesses(rows)).tolist()
+        table.witnesses[wkey] = list(map(_row_str, rows))
     return table
-
-
-def _expand_witnesses(table: RankTable, spec: ScanSpec):
-    """The full enumeration's witness lists from the representatives' lists.
-
-    The first ``witness_cap`` H-images of a list, in odometer order, are the
-    full list (module doc), or with an orbit of q shifts the list among the
-    rows with a_(m-1) = 0, which lie below every other P; a list still short
-    holds all of those, and their q shifts P(θ + d) give the rest.
-    """
-    q, ctx = spec.q, field_make(spec.q)
-    factors = [[pow(c, spec.n + j, q) for j in range(spec.m + 1)]
-               for c in spec.scales]
-    basis = (_stable_basis(q, spec.m // q).tolist()
-             if spec.mode == "shift-stable" else None)
-
-    def index(row):
-        # the digits, most significant first: P's, or F's top down, as the
-        # basis row of (θ^q - θ)^i ends in 1·θ^(qi)
-        if basis is None:
-            return row[::-1]
-        top = []
-        for i in range(len(basis) - 1, -1, -1):
-            top.append(row[q * i])
-            row = [(x - top[-1] * b) % q for x, b in zip(row, basis[i])]
-        return top
-
-    shifts = [Poly(ctx, (d, 1)) for d in range(q)]  # θ + d
-    for key, ws in table.witnesses.items():
-        rows = sorted({tuple(x * f % q for x, f in zip(row, fs))
-                       for row in [list(map(int, w.split(","))) for w in ws]
-                       for fs in factors}, key=index)
-        if spec.shift_orbit > 1 and len(rows) < spec.witness_cap:
-            rows = [[int(c) for c in Poly(ctx, row).compose(s).coeffs]
-                    for row in rows for s in shifts]
-            rows.sort(key=lambda row: row[::-1])
-        table.witnesses[key] = list(map(_row_str, rows[:spec.witness_cap]))
 
 
 # -- distinguished-coset audit ------------------------------------------------

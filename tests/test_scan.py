@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from carlitz.lfun import lfun_order_at
 from carlitz.motive import (TwistedPower, analytic_rank, analytic_ranks,
                             l_function)
 from carlitz import scan
+from carlitz.cli import main
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           shift_stable_expand, coset_audit, dim_report,
                           default_workers, audit_skip_reason,
@@ -226,6 +228,61 @@ def test_checkpoint_resume_after_torn_final_line(tmp_path):
     ck.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
         run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+_RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
+                                    "scanned": 100}}
+
+
+@pytest.mark.parametrize("lines", [
+    [[1, 2]], [5],
+    ["header", {"payload": _RECORD["payload"]}],   # no chunk
+    ["header", 7], ["header", [_RECORD]],          # not an object
+    ["header", {"chunk": 0}],                      # no payload
+    ["header", {"chunk": 0, "payload": {"witnesses": {}, "scanned": 100}}],
+])
+def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
+    # a complete line that is not the header or a chunk record with a whole
+    # payload is corruption: ValueError from the library, exit 2 from the
+    # CLI, and the file is left as it was
+    spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
+    ck = tmp_path / "scan.ckpt"
+    header = {"fingerprint": spec.fingerprint(), "spec": {}}
+    data = "".join(json.dumps(header if line == "header" else line) + "\n"
+                   for line in lines)
+    ck.write_text(data)
+    with pytest.raises(ValueError):
+        run_scan(spec, checkpoint=str(ck), resume=True)
+    code = main(["scan", "--q", "3", "--n", "1", "--m", "6", "--lead", "2",
+                 "--workers", "1", "--chunk-size", "100",
+                 "--checkpoint", str(ck), "--resume"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == "" and out.err.startswith("error: ")
+    assert ck.read_text() == data
+    # the same line torn, without its newline, is cut and runs again
+    if lines[0] == "header":
+        ck.write_text(data[:-1])
+        resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+        assert resumed.to_json_obj() == run_scan(spec).to_json_obj()
+
+
+def test_pool_forks_at_most_one_worker_per_chunk(monkeypatch):
+    # four workers asked for and three chunks: the pool forks three, and
+    # the table is the one-worker scan's
+    spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=4, chunk_size=300)
+    ctx = mp.get_context("fork")
+    sizes = []
+    pool = type(ctx).Pool
+
+    def spy(self, processes=None, *args, **kwargs):
+        sizes.append(processes)
+        return pool(self, processes, *args, **kwargs)
+
+    monkeypatch.setattr(type(ctx), "Pool", spy)
+    table = run_scan(spec)
+    assert sizes == [3]
+    one = run_scan(dataclasses.replace(spec, workers=1))
+    assert table.to_json_obj() == one.to_json_obj()
 
 
 def test_fingerprint_unchanged():
@@ -905,7 +962,8 @@ def test_resume_refuses_checkpoint_without_scale_token(tmp_path, mode, lead):
                     chunk_size=10)
     old = (f"q3n1m{m}a{lead}{mode}c10w16r0.001ac16ak12"
            + ("o3" if mode == "squarefree" else ""))
-    assert spec.fingerprint() == old + "h2"
+    assert spec.fingerprint() == old + "h2" + (
+        "dF" if mode == "shift-stable" else "")
     records = [{"fingerprint": old, "spec": {}}]
     for i, start in enumerate(range(0, spec.total, spec.chunk_size)):
         payload = _filter_first_chunk(
@@ -916,6 +974,32 @@ def test_resume_refuses_checkpoint_without_scale_token(tmp_path, mode, lead):
     with pytest.raises(ValueError,
                        match="checkpoint belongs to a different scan"):
         run_scan(spec, checkpoint=str(ck), resume=True)
+
+
+@pytest.mark.parametrize("lead", [1, 2])
+def test_resume_refuses_shift_stable_checkpoint_of_p_rows(tmp_path, lead):
+    # q=3, n=2, m=9 shift-stable: m + n is odd, so H is trivial and no orbit
+    # token applies.  Chunk witnesses were P's rows before they became F's
+    # digits, so such a checkpoint must not resume; one of today's does
+    spec = ScanSpec(q=3, n=2, m=9, lead=lead, mode="shift-stable",
+                    workers=1, chunk_size=10)
+    old = f"q3n2m9a{lead}shift-stablec10w16r0.001ac16ak12"
+    assert spec.scales == (1,) and spec.fingerprint() == old + "dF"
+    records = [{"fingerprint": old, "spec": {}}]
+    for i, start in enumerate(range(0, spec.total, spec.chunk_size)):
+        payload = _filter_first_chunk(
+            spec, start, min(start + spec.chunk_size, spec.total), [])
+        records.append({"chunk": i, "payload": payload})
+    ck = tmp_path / "scan.ckpt"
+    ck.write_text("".join(json.dumps(r) + "\n" for r in records))
+    with pytest.raises(ValueError,
+                       match="checkpoint belongs to a different scan"):
+        run_scan(spec, checkpoint=str(ck), resume=True)
+    fresh = run_scan(spec, checkpoint=str(ck))
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines[:-1]) + "\n")
+    resumed = run_scan(spec, checkpoint=str(ck), resume=True)
+    assert resumed.to_json_obj() == fresh.to_json_obj()
 
 
 def _representative(spec, i):
@@ -978,6 +1062,36 @@ def test_engine_rows_one_per_shift_orbit(monkeypatch, q, n, m, lead, mode,
     assert sum(rows) == len(ranked) + off
     # a reduced cell's audit reaches the extra engine call
     assert (off > 0) == (len(reps) < spec.total)
+
+
+@pytest.mark.parametrize("q,n,m,lead,mode,chunk", [
+    (3, 1, 7, 1, "squarefree", 300), (3, 2, 7, 2, "squarefree", 300),
+    (3, 1, 6, 2, "squarefree", 100), (3, 2, 6, 1, "squarefree", 100),
+    (5, 1, 3, 2, "squarefree", 40), (5, 1, 5, 3, "squarefree", 500),
+    (2, 1, 9, 1, "squarefree", 100), (2, 1, 8, 1, "squarefree", 100),
+    (7, 1, 4, 5, "squarefree", 300),
+    (3, 1, 18, 1, "shift-stable", 10), (3, 1, 15, 2, "shift-stable", 30),
+    (5, 1, 15, 2, "shift-stable", 30), (5, 2, 10, 4, "shift-stable", 7)])
+def test_ranked_weights_cover_the_cell(q, n, m, lead, mode, chunk):
+    # over all chunks, ScanSpec.ranked keeps exactly the representatives,
+    # with their digits, and its weights, rank-0 rows included, add up to
+    # every polynomial of the cell: shifts and trivial or non-trivial H,
+    # p | m and p ∤ m, both modes
+    spec = ScanSpec(q=q, n=n, m=m, lead=lead, mode=mode, chunk_size=chunk)
+    kept, total = [], 0
+    for start in range(0, spec.total, chunk):
+        ranked = spec.ranked(start, min(start + chunk, spec.total))
+        if ranked is None:
+            assert start >= spec.total // spec.shift_orbit
+            continue
+        digits, idxs, weight = ranked
+        assert digits.tolist() == _odometer(q, spec.free_coeffs, lead,
+                                            idxs).tolist()
+        kept += idxs.tolist()
+        total += int(weight.sum())
+    assert total == spec.total
+    assert kept == [i for i in range(spec.total) if _representative(spec, i)]
+    assert len(kept) == spec.representatives
 
 
 def test_scan_outputs_pinned():
