@@ -231,12 +231,8 @@ def cmd_scan(args) -> int:
         print(f"audit skipped: {skipped}", file=sys.stderr)
     payload = json.dumps(table.to_json_obj(), indent=None)
     if args.out:
-        if args.csv:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(table.to_csv())
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table.to_csv() if args.csv else payload + "\n")
         print(f"wrote {args.out}")
     else:
         print(table.to_csv() if args.csv else payload)
@@ -302,6 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--window", type=int, default=7)
     p.add_argument("--gen", action="append", default=None,
+                   choices=["mu", "nu", "iota", "tau", "sigma", "twistmul",
+                            "theta"],
                    help="restrict identity/conj suites to generator families")
     p.set_defaults(fn=cmd_verify)
 
@@ -348,10 +346,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,10 @@ multiplicity of the eigenvalue 1 of M(t): the per-point multiplicity can only
 exceed the global order at roots of the first nonvanishing Hasse derivative,
 and that polynomial cannot vanish at all n*k + 1 points.
 
-The point rule.  Each of those Hasse derivatives is a polynomial in φ(T),
-with φ(T) = T, or φ(T) = T^p - T for shift-stable twist polynomials (their
-derivatives lie in GF(p)[T^p - T]).  With d = deg φ (1, or p) it has degree
+The point rule.  The engine's digits are G's coefficients in P = G(φ(θ)),
+for a φ over GF(p) of degree d that makes each of those Hasse derivatives a
+polynomial in φ(T): φ = T for every twist, and φ = T^p - T for shift-stable
+ones (their derivatives lie in GF(p)[T^p - T]).  It has degree
 <= floor(n*k/d) in φ, so it cannot vanish at need = floor(n*k/d) + 1
 distinct values of φ.  The engine takes prime q = p, so the derivatives
 have coefficients in GF(p), and such a polynomial H has H(y^p) = H(y)^p:
@@ -19,10 +20,11 @@ Frobenius on every entry and φ(t^p) = φ(t)^p, so det(M(t) - I) and the
 multiplicity of eigenvalue 1 agree at t and t^p.  Hence one point per
 Frobenius orbit of φ values stands for the whole orbit, and the points
 suffice once their orbit sizes add up to need.  The point field is the
-smallest GF(p^s) with p^s >= d*need: φ takes p^s/d values on it, so its
-orbits together always reach need.  The engine keeps the first x met in
-each orbit of φ(x), takes the orbits largest first and stops once their
-sizes reach need.
+smallest GF(p^s) with p^s >= d*need: any φ of degree d is at most d-to-1,
+so it takes at least p^s/d values there, and its orbits together always
+reach need.  The engine evaluates φ by Horner on the field's tables, keeps
+the first x met in each orbit of φ(x), takes the orbits largest first and
+stops once their sizes reach need.
 
 Per point, the multiplicity of eigenvalue 1 is the number of trailing zero
 coefficients of the characteristic polynomial of M(t) - I, computed by
@@ -31,12 +33,9 @@ tables, which ``ff`` builds once per field from a log/antilog pair.
 Multiplicity 0 is det(M(t) - I) != 0, and since that det is the U = 1 value
 (up to sign), by the argument above a det vanishing at every point certifies
 order >= 1.  The points' order is chosen to reach a nonzero det early: the
-det lies in GF(q)[T] (GF(q)[T^q - T] for shift-stable rows) and vanishes at
-a point of GF(q) far more often than at a point outside it.  So
-prime-field points, the orbits of size 1, come last; for shift-stable
-engines the points whose Artin-Schreier value lies in GF(q) (orbits of
-size 1 too) go last as well, and the prime-field points (AS value 0) last
-of all.
+det lies in GF(q)[φ(T)] and vanishes where φ takes a value in GF(q) far
+more often than elsewhere.  So those points, the orbits of size 1, come
+last, and the prime-field points last of all.
 
 Both forms build M(t) the way ``motive`` defines the matrix: the band of
 P(θ)(T - θ)^n at T = t, v[x] = sum_l w_l(t) a[x - l] with
@@ -48,15 +47,13 @@ it serves single twists and is the oracle for the batched form.  It walks
 the points taking the charpoly multiplicity, and stops at multiplicity 0 or
 once its running minimum reaches a known lower bound.
 
-``vanishing_orders`` takes an (N, w) array of the engine's digits: P's
-coefficients, or in shift-stable mode F's, where P = F(θ^p - θ).  The
-digits' basis is the engine's: ``rows`` maps digits to P's coefficient rows,
-digits @ basis mod p, with the identity for a basis or the rows of
-(θ^p - θ)^i (``_stable_basis``, in closed form).  So the ``shift_stable``
-flag alone fixes what a digit row means and which point rule applies.  The
-engine builds the basis and its certify plan on its first batched call, and
-runs the live rows in lockstep with numpy, in two phases, over uint16 copies
-of the point field's lookup tables.
+``vanishing_orders`` takes an (N, w) array of the engine's digits, G's
+coefficients.  ``rows`` maps them to P's coefficient rows, digits @ basis
+mod p, where the basis holds the rows of φ^i (``_powers``; the identity for
+φ = θ).  So φ alone fixes what a digit row means and which points the
+engine takes.  The engine builds the basis and its certify plan on its
+first batched call, and runs the live rows in lockstep with numpy, in two
+phases, over uint16 copies of the point field's lookup tables.
 
 Certify: at every point, a nonzero det(M(t) - I) settles order 0 and the
 row leaves.  Rows run in groups: runs of consecutive rows with equal digits
@@ -105,25 +102,23 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .ff import _TABLE_LIMIT, binom_mod_p, field_make, is_prime
+from .ff import _TABLE_LIMIT, field_make, is_prime
 from .motive import band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
 
 
-def _stable_basis(p, m_st):
-    """Coefficient rows of (θ^p - θ)^i for i = 0..m_st, an int64 array.
-
-    (θ^p - θ)^i = sum_j C(i, j) (-1)^(i-j) θ^(i + (p-1)j), mod p.
-    """
+def _powers(p, phi, count):
+    """Coefficient rows of φ^i for i = 0..count, an int64 array; φ is
+    little-endian over GF(p)."""
     import numpy as np
 
-    basis = np.zeros((m_st + 1, p * m_st + 1), dtype=np.int64)
-    for i in range(m_st + 1):
-        for j in range(i + 1):
-            basis[i, i + (p - 1) * j] = (
-                (-1) ** (i - j) * binom_mod_p(i, j, p) % p)
-    return basis
+    width = (len(phi) - 1) * count + 1
+    rows = np.zeros((count + 1, width), dtype=np.int64)
+    rows[0, 0] = 1
+    for i in range(count):
+        rows[i + 1] = np.convolve(rows[i], phi)[:width] % p
+    return rows
 
 
 class _Tables:
@@ -236,37 +231,41 @@ class _Plan:
 
 
 class RankEngine:
-    """Vanishing order of det(I - M(P) U) at U = 1 for fixed (q, n, m, k)."""
+    """Vanishing order of det(I - M(P) U) at U = 1 for fixed q, n, m, φ, k."""
 
-    def __init__(self, p: int, n: int, m: int, *, shift_stable: bool = False,
+    def __init__(self, p: int, n: int, m: int, *, phi=(0, 1),
                  k: int | None = None):
         if not is_prime(p):
             raise ValueError("engine requires prime q")
+        phi = tuple(c % p for c in phi)
+        if len(phi) < 2 or not phi[-1]:
+            raise ValueError("φ must have degree >= 1")
         self.p = p
         self.n = n
         self.m = m
+        self.phi = phi
         if k is None:
             k = stable_size(p, n, m)
         self.k = k
         self._idx = band_index(p, k, m + n + 1)  # M(t) from the band at t
-        self.shift_stable = shift_stable
         if k == 0:
             self.points = self.point_weights = []
             return
         # orbits of φ values reaching need, in the smallest GF(p^s) whose
         # p^s/d values of φ (d = deg φ) can reach it (module doc)
-        d = p if shift_stable else 1
+        d = len(phi) - 1
         need = n * k // d + 1
         s = 1
         while p**s < d * need:
             s += 1
         t = self.tables = _Tables(p, s)
-        q, frob, sub = t.q, t.frob, t.sub
-        # one point per Frobenius orbit of φ(x) = x (x^p - x in shift-stable
-        # mode), the first x met in each orbit
+        q, frob, mul, add = t.q, t.frob, t.mul, t.add
+        # one point per Frobenius orbit of φ(x), the first x met in each
         orbits, seen = [], set()  # (orbit size, point)
         for x in range(q):
-            y = sub[frob[x] * q + x] if shift_stable else x
+            y = 0
+            for c in reversed(phi):  # Horner; c embeds as itself
+                y = add[mul[y * q + x] * q + c]
             if y in seen:
                 continue
             size = 0
@@ -275,9 +274,9 @@ class RankEngine:
                 y = frob[y]
                 size += 1
             orbits.append((size, x))
-        # largest orbits first, so orbits of size 1 (prime-field points, or
-        # AS values in GF(p)) come last, and prime-field points last of all:
-        # det vanishes there most often (module doc)
+        # largest orbits first, so orbits of size 1 (φ values in GF(p)) come
+        # last, and prime-field points last of all: det vanishes there most
+        # often (module doc)
         orbits.sort(key=lambda sx: (-sx[0], sx[1] < p))
         pts, reach = [], 0
         for size, x in orbits:
@@ -349,18 +348,14 @@ class RankEngine:
 
     def rows(self, digits):
         """P's coefficient rows, an (N, m+1) array, of an (N, w) array of
-        the engine's digits: P's coefficients, or in shift-stable mode F's,
-        where P = F(θ^p - θ)."""
+        the engine's digits: G's coefficients, where P = G(φ(θ))."""
         return digits @ self._basis % self.p
 
     @cached_property
     def _basis(self):
-        # the rows of the digits' unit vectors, built on first use (numpy
-        # stays out of construction)
-        import numpy as np
-        if self.shift_stable:
-            return _stable_basis(self.p, self.m // self.p)
-        return np.eye(self.m + 1, dtype=np.int64)
+        # the rows of φ^i, built on first use (numpy stays out of
+        # construction)
+        return _powers(self.p, self.phi, self.m // (len(self.phi) - 1))
 
     @cached_property
     def _plan(self):

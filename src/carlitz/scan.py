@@ -7,13 +7,16 @@ keeping a bounded list of witnesses per exact rank.
 
 Enumeration is a little-endian odometer over the free digits: index c maps
 to digits (c % q, (c//q) % q, ...), the leading coefficient appended.  The
-digits are P's coefficients, or in shift-stable mode F's, where
-P = F(θ^q - θ).  The rank engine owns what they mean: its ``shift_stable``
-flag fixes both its point rule and the basis that maps digits to P's
-coefficient rows (``RankEngine.rows``; see fastrank), and a chunk does
-not branch on the mode.  Work is split into fixed-size chunks merged in
-chunk order, so the result is identical for any worker count.  Long scans
-can checkpoint per-chunk tallies to a JSONL file and resume.
+digits are G's coefficients in P = G(φ(θ)), and one map gives a mode its φ
+(``_mode_phi``): θ in squarefree mode, where the digits are P's
+coefficients, and θ^q - θ in shift-stable mode.  The rank engine takes φ,
+which fixes its point rule and the basis that maps digits to P's rows
+(``RankEngine.rows``; see fastrank).  ``ScanSpec`` reads the digit width,
+the q | m check, the θ-shift cut and the fingerprint's ``dF`` token off
+deg φ, and a chunk does not branch on the mode.  Work is split into
+fixed-size chunks merged in chunk order, so the result is identical for any
+worker count.  Long scans can checkpoint per-chunk tallies to a JSONL file
+and resume.
 
 Scans need prime q: coefficient rows and the shift-stable expansion are
 computed mod q as integers, and the rank engine works over GF(q) = Z/q.
@@ -22,8 +25,8 @@ The number of squarefree P needs no enumeration: with a fixed leading
 coefficient it is q^m - q^(m-1) for m >= 2 and q^m for m <= 1 (Carlitz,
 "The arithmetic of polynomials in a Galois field", 1932), and ``run_scan``
 sets each cell's ``squarefree`` from it.  In shift-stable mode the formula
-counts F at degree m/q, where P = F(θ^q - θ): then P' = -F'(θ^q - θ), so
-gcd(P, P') = 1 exactly when gcd(F, F') = 1.
+counts G at degree m/q: P' = -G'(θ^q - θ), so gcd(P, P') = 1 exactly when
+gcd(G, G') = 1.
 
 Scans rank one row per orbit of P -> c^n·P(cθ + d), which keeps the analytic
 rank (``Mu`` and ``Tau(c^-n)∘Nu(c)``, see symmetry), the degree and
@@ -32,11 +35,11 @@ to a_(m-1) + m·d·a_m, so in generic scans with p ∤ m each orbit of q shifts
 has exactly one member with a_(m-1) = 0, at an odometer index below q^(m-1)
 and below every other P's: only those rows are ranked (``shift_orbit`` = q;
 a chunk past them ranks nothing, but keeps its bounds and its ``scanned``
-count).  Shift-stable P and cells with p | m get no shift cut.  The scale c
+count).  Cells with deg φ > 1 or p | m get no shift cut.  The scale c
 multiplies a_i by c^(n+i) and so sends cell (m, a) to (m, a·c^(m+n)):
 H = {c : c^(m+n) = 1}, of order gcd(m+n, q-1), maps each cell onto itself
-(``scales``).  It multiplies digit i by c^(n+i) in both modes (S(cθ) = c·S
-for S = θ^q - θ), which keeps the lead and a_(m-1) = 0.  A row is ranked iff
+(``scales``).  It multiplies digit i by c^(n+i) in both modes (φ(cθ) = c·φ
+for both φ), which keeps the lead and a_(m-1) = 0.  A row is ranked iff
 no H-image has a smaller index, and counts shift_orbit·|H|/|Stab(row)| times
 (``ranked``; Burnside weights, and the odd P at q=3, n=1 have |Stab| = 2).
 Witnesses stay the engine's digit rows, in payloads and checkpoints, until
@@ -48,36 +51,23 @@ H-images in odometer order (reversed digits, in both modes); a list still
 short then holds every row of its rank with a_(m-1) = 0, and their q shifts
 P(θ + d) give the rest.
 
-The squarefree test itself is one numpy kernel (``_squarefree_mask``):
-Bernstein-Yang divsteps computing deg gcd(P, P') for every row in lockstep.
-It reads the free digits, since P is squarefree iff F is.  Scans rank
-first and test squarefreeness last, in both modes: the engine ranks every
-representative of the chunk, and the kernel runs only on the rows that a
-tally, a witness or the audit reads.  Those are the rows of rank above the
-base (1 on the distinguished coset, 0 off it), on the coset a prefix of the
-rank-1 rows long enough for the witnesses, and, in the audit stage, the
-hash candidates.
-On the coset every squarefree P has rank >= 1, so the rank-1 count is the
-closed form minus the counts of rank >= 2.
+The squarefree test is one numpy kernel (``_squarefree_mask``) on the free
+digits, since P is squarefree iff G is.  Scans rank first and test
+squarefreeness last, in both modes: the engine ranks every representative
+of the chunk, and the kernel runs only on the rows that a tally, a witness
+or the audit reads.  Those are the rows of rank above the base (1 on the
+distinguished coset, 0 off it), on the coset a prefix of the rank-1 rows
+long enough for the witnesses, and, in the audit stage, the hash
+candidates.  On the coset every squarefree P has rank >= 1, so the rank-1
+count is the closed form minus the counts of rank >= 2.
 
-Ranks come from the point-evaluation engine (exact; see fastrank), one
-batched call per chunk on the free digits of the ranked rows; the engine
-computes P's rows only for its groups' heads and the few rows it counts.
-The engine
-certifies first, settling the bulk "order 0" outcome at the first point
-where det(M(t) - I) != 0.  Rows in odometer order share their high digits
-in runs of up to q^s, and the low digits reach only a few top rows of
-M(t) - I, so at each point the engine eliminates the other rows once per
-run and tests a small r x r Schur complement per row.  Only the rows whose
-det vanishes at every point, certified order >= 1, pay for the charpoly.
-The engine takes one point per Frobenius orbit (per orbit of
-Artin-Schreier values t^q - t for shift-stable rows), largest orbits
-first.  So it visits last the prime-field
-points and, for shift-stable rows, the points whose Artin-Schreier value
-lies in GF(q): a nonzero det is least likely there.  On the
-distinguished coset (m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as
-1 + the vanishing order of the leading principal block's determinant, which
-restores the early exit that the forced (1-U) factor would otherwise deny.
+Ranks come from the point-evaluation engine (exact; fastrank describes its
+certify and count phases and its points), one batched call per chunk on the
+free digits of the ranked rows; the engine computes P's rows only for its
+groups' heads and the few rows it counts.  On the distinguished coset
+(m ≡ -n mod q-1, a_m = (-1)^n) the rank is computed as 1 + the vanishing
+order of the leading principal block's determinant, which restores the
+early exit that the forced (1-U) factor would otherwise deny.
 
 A deterministic 1-in-1000 subsample (index hash, capped per chunk) is
 audited against the full division-free determinant, a second route that
@@ -114,7 +104,7 @@ from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
 from .ff import field_from_cardinality, field_make, is_prime
-from .fastrank import RankEngine, _stable_basis
+from .fastrank import RankEngine, _powers
 from .motive import analytic_ranks, on_coset, reduced_block_size, stable_size
 # unused since the audit went batched; importable here while the benchmark's
 # tracer patches scan.analytic_rank (ROADMAP item 2)
@@ -139,6 +129,13 @@ _AUDIT_RUN = 1024
 _CHUNK = 8192
 # largest enumeration a scan runs without force=True
 _SCAN_CAP = 3**16
+
+
+def _mode_phi(q, mode):
+    """φ for a scan mode, little-endian: the digits are G's coefficients in
+    P = G(φ(θ)), with φ = θ, or θ^q - θ in shift-stable mode."""
+    return ((0, q - 1) + (0,) * (q - 2) + (1,) if mode == "shift-stable"
+            else (0, 1))
 
 
 class ScanCapError(RuntimeError):
@@ -190,8 +187,8 @@ class ScanSpec:
             raise ValueError("leading coefficient must be a nonzero residue")
         if self.mode not in ("squarefree", "shift-stable"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "shift-stable" and self.m % self.q != 0:
-            raise ValueError("shift-stable scans need q | m")
+        if self.m % self._deg:
+            raise ValueError(f"{self.mode} scans need deg φ = {self._deg} | m")
         if self.chunk_size < 1:
             raise ValueError("chunk size must be >= 1")
         if self.workers < 0:
@@ -200,8 +197,12 @@ class ScanSpec:
             raise ValueError("witness cap must be >= 0")
 
     @property
+    def _deg(self) -> int:
+        return len(_mode_phi(self.q, self.mode)) - 1
+
+    @property
     def free_coeffs(self) -> int:
-        return self.m // self.q if self.mode == "shift-stable" else self.m
+        return self.m // self._deg
 
     @property
     def total(self) -> int:
@@ -210,10 +211,8 @@ class ScanSpec:
     @property
     def shift_orbit(self) -> int:
         """Polynomials counted per ranked row: q when the scan ranks one P
-        per θ-shift orbit (squarefree mode, p ∤ m), else 1."""
-        if self.mode == "squarefree" and self.m % self.q:
-            return self.q
-        return 1
+        per θ-shift orbit (deg φ = 1, p ∤ m), else 1."""
+        return self.q if self._deg == 1 and self.m % self.q else 1
 
     @property
     def scales(self) -> tuple:
@@ -285,11 +284,11 @@ class ScanSpec:
     def fingerprint(self) -> str:
         # the orbit tokens keep checkpoints of scans that ranked more rows,
         # and counted each fewer times, from resuming a reduced scan; "dF"
-        # marks shift-stable chunk witnesses as F's digits, not P's rows
+        # marks chunk witnesses as G's digits (deg φ > 1), not P's rows
         orbit = f"o{self.shift_orbit}" if self.shift_orbit > 1 else ""
         if len(self.scales) > 1:
             orbit += f"h{len(self.scales)}"
-        if self.mode == "shift-stable":
+        if self._deg > 1:
             orbit += "dF"
         return (f"q{self.q}n{self.n}m{self.m}a{self.lead}"
                 f"{self.mode}c{self.chunk_size}w{self.witness_cap}"
@@ -376,12 +375,10 @@ def _engines_for(q, n, m, mode, on_coset, _screen=None):
     # The sixth argument is ignored: it was the screen switch, and stays
     # while the benchmark passes it (goes with ROADMAP item 1).
     key = (q, n, m, mode, on_coset)
-    eng = _ENGINES.get(key)
-    if eng is None:
+    if key not in _ENGINES:
         k = reduced_block_size(q, n, m) if on_coset else None
-        eng = RankEngine(q, n, m, shift_stable=mode == "shift-stable", k=k)
-        _ENGINES[key] = eng
-    return eng
+        _ENGINES[key] = RankEngine(q, n, m, phi=_mode_phi(q, mode), k=k)
+    return _ENGINES[key]
 
 
 def audit_skip_reason(q: int, n: int, m: int) -> str | None:
@@ -452,14 +449,10 @@ def _squarefree_ints(coeffs, p) -> bool:
 
 def shift_stable_expand(c, q: int) -> Poly:
     """P = sum_i c[i] (θ^q - θ)^i from a little-endian coefficient sequence."""
-    import numpy as np
-
     if not len(c):
         return Poly(field_make(q), [])
-    # fixed by every θ -> θ + d by construction
-    digits = np.asarray(c, dtype=np.int64)
-    return Poly(field_make(q),
-                (digits @ _stable_basis(q, len(c) - 1) % q).tolist())
+    basis = _powers(q, _mode_phi(q, "shift-stable"), len(c) - 1)
+    return Poly(field_make(q), (list(c) @ basis % q).tolist())
 
 
 def _odometer(q, mfree, lead, start, end=None):
@@ -516,7 +509,7 @@ def _scan_chunk(args):
     eng = _engines_for(q, n, m, mode, coset)
 
     def squarefree(sel):
-        # P is squarefree iff F is, so the test reads the free digits
+        # P is squarefree iff G is, so the test reads the free digits
         return sel[_squarefree_mask(digits[sel], q)]
 
     # rank first: the engine sees every ranked row, and only the rows that a
@@ -649,16 +642,37 @@ def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
     table.scanned[key] = table.scanned.get(key, 0) + payload["scanned"]
 
 
-def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
-    """Completed chunk payloads from the JSONL checkpoint of a scan.
+def _chunk_record_ok(rec, chunks: int) -> bool:
+    # a chunk index in range (type() is int: not a bool) and a payload of the
+    # shapes _merge_chunk and _audit_chunks read: rank -> count, rank ->
+    # witness strings, an int count, and [index, rank] picks if present
+    payload = rec.get("payload") if isinstance(rec, dict) else None
+    if not isinstance(payload, dict):
+        return False
+    hist, ws = payload.get("hist"), payload.get("witnesses")
+    picks = payload.get("picks", [])
+    return (type(rec.get("chunk")) is int and 0 <= rec["chunk"] < chunks
+            and type(payload.get("scanned")) is int
+            and isinstance(hist, dict) and isinstance(ws, dict)
+            and all(r.isdecimal() for r in [*hist, *ws])
+            and all(type(c) is int for c in hist.values())
+            and all(isinstance(w, list) and all(isinstance(x, str) for x in w)
+                    for w in ws.values())
+            and isinstance(picks, list)
+            and all(isinstance(pk, list) and len(pk) == 2
+                    and all(type(x) is int for x in pk) for pk in picks))
+
+
+def _read_checkpoint(path: str, fingerprint: str, chunks: int) -> dict | None:
+    """Completed payloads of a scan's ``chunks`` chunks from its checkpoint.
 
     Records are written whole, one per line, and flushed, so a crash can
     leave only the final line torn.  A final line that is unterminated or
     does not parse is cut from the file, so its chunk runs again and the next
     record starts on a fresh line.  A bad line anywhere else raises, and so
-    do a header of another scan and a chunk record short of its index or of
-    ``hist``, ``witnesses`` and ``scanned``.  None means the file holds no
-    complete record, not even the header (a crash before its first flush).
+    do a header of another scan and a chunk record that ``_chunk_record_ok``
+    refuses.  None means the file holds no complete record, not even the
+    header (a crash before its first flush).
     """
     records = []
     with open(path, "r+b") as fh:
@@ -676,18 +690,14 @@ def _read_checkpoint(path: str, fingerprint: str) -> dict | None:
             offset += len(line)
         if not records:
             return None
-        header, *chunks = records
+        header, *records = records
         if (not isinstance(header, dict)
                 or header.get("fingerprint") != fingerprint):
             raise ValueError("checkpoint belongs to a different scan")
-        for rec in chunks:
-            payload = rec.get("payload") if isinstance(rec, dict) else None
-            if not (isinstance(payload, dict)
-                    and isinstance(rec.get("chunk"), int)
-                    and {"hist", "witnesses", "scanned"} <= payload.keys()):
-                raise ValueError("malformed checkpoint record")
+        if not all(_chunk_record_ok(rec, chunks) for rec in records):
+            raise ValueError("malformed checkpoint record")
         fh.truncate(offset)
-    return {rec["chunk"]: rec["payload"] for rec in chunks}
+    return {rec["chunk"]: rec["payload"] for rec in records}
 
 
 def _write_record(fh, record):
@@ -706,7 +716,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
               for s in range(0, total, spec.chunk_size)]
     done = None
     if checkpoint and resume and os.path.exists(checkpoint):
-        done = _read_checkpoint(checkpoint, spec.fingerprint())
+        done = _read_checkpoint(checkpoint, spec.fingerprint(), len(chunks))
     results = dict(done or {})
     todo = [i for i in range(len(chunks)) if i not in results]
     args = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,

@@ -133,6 +133,18 @@ def test_verify_conj_restricted_to_mu(capsys):
     assert "conj: 4 passed, 0 failed" in out
 
 
+def test_verify_rejects_unknown_generator(capsys):
+    # a misspelt family used to match no generator, so the suite checked
+    # nothing and passed; the names the suites use all parse
+    from carlitz.cli import build_parser
+    code, out, err = run_cli(capsys, "verify", "--suite", "identity",
+                             "--gen", "muu")
+    assert code == 2 and out == "" and "invalid choice: 'muu'" in err
+    names = ["mu", "nu", "iota", "tau", "sigma", "twistmul", "theta"]
+    argv = ["verify"] + [a for g in names for a in ("--gen", g)]
+    assert build_parser().parse_args(argv).gen == names
+
+
 def test_verify_reports_sigma_apart(capsys):
     # Sigma(1)'s stated block shape fails for every twist; it gets its own
     # line and leaves the exit code at 0

@@ -6,8 +6,14 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank
-from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _stable_basis
+from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _powers
 from carlitz.motive import on_coset, reduced_block_size
+from carlitz.scan import _mode_phi
+
+
+def _phi(p, shift):
+    # the engine's φ: θ^p - θ for shift-stable digits, else θ
+    return _mode_phi(p, "shift-stable" if shift else "squarefree")
 
 
 def test_engine_matches_symbolic_rank(rng):
@@ -61,7 +67,7 @@ def test_points_put_prime_field_last():
                            (5, 1, 35, True), (5, 2, 9, False),
                            (3, 2, 4, False), (3, 2, 6, True),
                            (3, 1, 48, True)]:
-        eng = RankEngine(p, n, m, shift_stable=shift)
+        eng = RankEngine(p, n, m, phi=_phi(p, shift))
         pts = eng.points
         tail = [x for x in pts if x < p]
         assert pts[len(pts) - len(tail):] == tail
@@ -76,8 +82,8 @@ def test_points_put_prime_field_last():
     # floor(14/3) + 1 = 5, so no prime-field point is needed; at m=48 the
     # bound 9 takes every AS value, 3 and 6 (outside GF(3), AS values in
     # GF(3)) before 0
-    assert RankEngine(3, 1, 27, shift_stable=True).points == [9, 18]
-    assert RankEngine(3, 1, 48, shift_stable=True).points == [9, 18, 3, 6, 0]
+    assert RankEngine(3, 1, 27, phi=_phi(3, True)).points == [9, 18]
+    assert RankEngine(3, 1, 48, phi=_phi(3, True)).points == [9, 18, 3, 6, 0]
 
 
 def test_engine_rejects_non_prime_q():
@@ -85,6 +91,16 @@ def test_engine_rejects_non_prime_q():
     for p in (1, 4, 9):
         with pytest.raises(ValueError, match="engine requires prime q"):
             RankEngine(p, 1, 3)
+
+
+def test_engine_rejects_phi_of_degree_zero():
+    # the point rule divides by deg φ; a zero lead (mod p) leaves a lower
+    # degree, so (0, 3) over GF(3) is a constant too
+    for phi in [(), (1,), (2, 0), (0, 3)]:
+        with pytest.raises(ValueError, match="degree >= 1"):
+            RankEngine(3, 1, 3, phi=phi)
+        with pytest.raises(ValueError, match="degree >= 1"):
+            RankEngine(3, 1, 3, phi=phi, k=0)
 
 
 def test_point_field_table_cap():
@@ -140,7 +156,7 @@ def test_shift_stable_points_suffice(rng):
         c = [rng.randrange(3) for _ in range(m_st)] + [rng.randrange(1, 3)]
         p = shift_stable_expand(c, 3)
         t = TwistedPower(p, 1)
-        eng = RankEngine(3, 1, t.m, shift_stable=True)
+        eng = RankEngine(3, 1, t.m, phi=_phi(3, True))
         assert eng.vanishing_order(tuple(int(x) for x in p.coeffs)) == \
             analytic_rank(t)
 
@@ -219,7 +235,7 @@ def _batch_cell(p, n, m, kind, rng, count=30):
     # the shift-stable engine (P = F(θ^p - θ), read through eng.rows)
     coset_lead = (-1) ** n % p
     if kind == "stable":
-        eng = RankEngine(p, n, m, shift_stable=True)
+        eng = RankEngine(p, n, m, phi=_phi(p, True))
         digits = [[rng.randrange(p) for _ in range(m // p)]
                   + [rng.randrange(1, p)] for _ in range(count)]
         return eng, np.array(digits, dtype=np.int64).reshape(count,
@@ -322,7 +338,7 @@ def test_engine_points_pinned():
                     ks.append(reduced_block_size(p, n, m))
                 for shift in (False, True):
                     for k in ks:
-                        eng = RankEngine(p, n, m, shift_stable=shift, k=k)
+                        eng = RankEngine(p, n, m, phi=_phi(p, shift), k=k)
                         got = [eng.points, eng.tables.q] if eng.k else []
                         h.update(json.dumps(got).encode() + b"\n")
     assert h.hexdigest() == (
@@ -561,8 +577,8 @@ def test_schur_certify_s0_engines(rng):
                 for shift in (False, True):
                     if shift and (m == 0 or m % p):
                         continue
-                    eng = RankEngine(p, n, m, shift_stable=shift)
-                    row0 = (_stable_basis(p, m // p)[0] if shift
+                    eng = RankEngine(p, n, m, phi=_phi(p, shift))
+                    row0 = (_powers(p, _phi(p, True), m // p)[0] if shift
                             else np.eye(m + 1, dtype=int)[0])
                     slots = {x + l for x in np.flatnonzero(row0).tolist()
                              for l in range(n + 1)}

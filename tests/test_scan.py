@@ -18,7 +18,7 @@ from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
                           default_workers, audit_skip_reason,
                           equation_count, _squarefree_mask,
                           _squarefree_count, _odometer, _engines_for)
-from carlitz.fastrank import RankEngine, _stable_basis
+from carlitz.fastrank import RankEngine, _powers
 from carlitz.symmetry import Mu, act_on_poly
 
 
@@ -240,11 +240,39 @@ _RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
     ["header", 7], ["header", [_RECORD]],          # not an object
     ["header", {"chunk": 0}],                      # no payload
     ["header", {"chunk": 0, "payload": {"witnesses": {}, "scanned": 100}}],
+    # a chunk index that is a bool (true aliases chunk 1) or outside the
+    # cell's 8 chunks
+    ["header", {"chunk": True, "payload": _RECORD["payload"]}],
+    ["header", {"chunk": 99, "payload": _RECORD["payload"]}],
+    ["header", {"chunk": -1, "payload": _RECORD["payload"]}],
+    # payload fields of the wrong shape
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"], "hist": [1]}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "hist": {"x": 1}}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "hist": {"1": "2"}}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "witnesses": []}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "witnesses": {"1": "0,1"}}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "witnesses": {"1": [[0, 1]]}}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "scanned": "100"}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "scanned": False}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"], "picks": {}}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "picks": None}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "picks": [[5]]}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "picks": [[5, "1"]]}}],
 ])
 def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
     # a complete line that is not the header or a chunk record with a whole
-    # payload is corruption: ValueError from the library, exit 2 from the
-    # CLI, and the file is left as it was
+    # payload of the right shapes is corruption: ValueError from the library,
+    # exit 2 from the CLI, and the file is left as it was
     spec = ScanSpec(q=3, n=1, m=6, lead=2, workers=1, chunk_size=100)
     ck = tmp_path / "scan.ckpt"
     header = {"fingerprint": spec.fingerprint(), "spec": {}}
@@ -342,15 +370,19 @@ def test_shift_stable_expand_examples(f3):
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_stable_basis_matches_poly_powers(q):
+    # the rows of φ^i for φ = θ^q - θ, and for φ = θ, where they are the
+    # identity
     ctx = field_make(q)
-    base = Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1])  # θ^q - θ
-    basis = _stable_basis(q, 12)
-    assert basis.shape == (13, 12 * q + 1)
-    power = Poly.one(ctx)
-    for i, row in enumerate(basis.tolist()):
-        want = [int(c) for c in power.coeffs]
-        assert row == want + [0] * (len(row) - len(want)), (q, i)
-        power = power * base
+    for base in (Poly(ctx, [0] * q + [1]) - Poly(ctx, [0, 1]),  # θ^q - θ
+                 Poly(ctx, [0, 1])):
+        basis = _powers(q, tuple(int(c) for c in base.coeffs), 12)
+        assert basis.shape == (13, 12 * base.degree + 1)
+        power = Poly.one(ctx)
+        for i, row in enumerate(basis.tolist()):
+            want = [int(c) for c in power.coeffs]
+            assert row == want + [0] * (len(row) - len(want)), (q, i)
+            power = power * base
+    assert (_powers(q, (0, 1), 12) == np.eye(13, dtype=np.int64)).all()
 
 
 def test_squarefree_int_helper_matches_poly(rng):
@@ -1127,7 +1159,8 @@ def test_engine_setup_leaves_numpy_unloaded(fresh_python):
     code = ("import sys; from carlitz import scan; "
             "from carlitz.fastrank import RankEngine; "
             "from carlitz.motive import on_coset; "
-            "RankEngine(3, 1, 27, shift_stable=True); RankEngine(3, 1, 11); "
+            "RankEngine(3, 1, 27, phi=scan._mode_phi(3, 'shift-stable')); "
+            "RankEngine(3, 1, 11); "
             "[scan._engines_for(3, n, m, mode, on_coset(3, n, m, a), False) "
             "for n, m, mode in [(1, 11, 'squarefree'), "
             "(1, 27, 'shift-stable'), (2, 10, 'squarefree')] "
