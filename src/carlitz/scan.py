@@ -16,7 +16,9 @@ the q | m check, the θ-shift cut and the fingerprint's ``dF`` token off
 deg φ, and a chunk does not branch on the mode.  Work is split into
 fixed-size chunks merged in chunk order, so the result is identical for any
 worker count.  Long scans can checkpoint per-chunk tallies to a JSONL file
-and resume.
+and resume.  Every payload, fresh from a worker or from a checkpoint of any
+version, reaches the merge through one reader (``_read_payload``), which
+refuses a payload that is not a chunk of its cell.
 
 Scans need prime q: coefficient rows and the shift-stable expansion are
 computed mod q as integers, and the rank engine works over GF(q) = Z/q.
@@ -496,11 +498,11 @@ def _audit_mask(idxs):
 
 def _scan_chunk(args):
     q, n, m, lead, mode, start, end, witness_cap = args
+    out = {"hist": {}, "witnesses": {}, "scanned": end - start, "picks": []}
     # the rows the chunk ranks (ScanSpec.ranked); past them it does no work
     ranked = ScanSpec(q, n, m, lead, mode).ranked(start, end)
     if ranked is None:
-        return {"hist": {}, "witnesses": {}, "scanned": end - start,
-                "picks": []}
+        return out
     import numpy as np
 
     digits, idxs, weight = ranked
@@ -516,7 +518,7 @@ def _scan_chunk(args):
     # tally or a witness reads get the squarefree test
     ranks = base + eng.vanishing_orders(digits)
 
-    witnesses: dict = {}
+    hist, witnesses = out["hist"], out["witnesses"]
     if coset:
         # every squarefree row has rank >= 1 here, so run_scan derives the
         # rank-1 count; its witnesses are the first squarefree rank-1 rows,
@@ -533,7 +535,6 @@ def _scan_chunk(args):
             witnesses[1] = list(map(_row_str,
                                     digits[first[:witness_cap]].tolist()))
     high = squarefree(np.nonzero(ranks > base)[0])
-    hist: dict = {}
     # bincount, not np.unique, which imports numpy.ma in each fresh worker
     tally = np.bincount(ranks[high], weights=weight[high])
     for r in np.nonzero(tally)[0].tolist():
@@ -543,27 +544,20 @@ def _scan_chunk(args):
 
     # the audit's hash hits among the ranked rows, squarefree or not, with
     # the rank their tally used; _audit_chunks picks from them
-    picks = []
     if audit_skip_reason(q, n, m) is None:
         hit = _audit_mask(idxs)
-        picks = np.column_stack([idxs[hit], ranks[hit]]).tolist()
-
-    return {
-        "hist": hist,
-        "witnesses": witnesses,
-        "scanned": end - start,
-        "picks": picks,
-    }
+        out["picks"] = np.column_stack([idxs[hit], ranks[hit]]).tolist()
+    return out
 
 
 def _audit_chunks(args):
     """The symbolic audit of a run of consecutive chunks of one cell.
 
     ``chunks`` holds (start, end, picks) per chunk, where picks is the
-    chunk payload's [index, rank] list, or None for a payload that carries
-    none (checkpoints of older versions).  A chunk's audit picks are its
-    first ``_AUDIT_CAP`` squarefree hash hits: each chunk's index range is
-    hashed on its own, and one squarefree test runs over the run's hits.
+    payload's [index, rank] list as ``_read_payload`` gives it.  A chunk's
+    audit picks are its first ``_AUDIT_CAP`` squarefree hash hits: each
+    chunk's index range is hashed on its own, and one squarefree test runs
+    over the run's hits.
     A pick among the ranked rows reads its rank from the payload; the rest,
     not orbit representatives, take theirs from one engine call, and every
     pick's determinant goes through one batched ``analytic_ranks`` call.
@@ -591,9 +585,7 @@ def _audit_chunks(args):
     if not len(idxs):
         return {"audits": 0, "audit_failures": []}
 
-    known = {}
-    for _, _, picks in chunks:
-        known.update(picks or ())
+    known = dict(pick for _, _, picks in chunks for pick in picks)
     fast = np.array([known.get(i, -1) for i in idxs.tolist()], dtype=np.int64)
     rest = fast < 0
     eng = _engines_for(q, n, m, mode, coset)
@@ -624,55 +616,70 @@ def _audit_runs(chunks):
 
 
 def _merge_chunk(table: RankTable, spec: ScanSpec, payload: dict):
-    # a payload's "squarefree", "audits" and "audit_failures" (checkpoints
-    # of older versions) are ignored: run_scan sets the cell's count from
-    # the closed form and audits every chunk after the chunk loop
+    # payload in _read_payload's shape
     key = (spec.m, spec.lead)
     cell = table.hist.setdefault(key, {})
     for r, c in payload["hist"].items():
-        r = int(r)
         cell[r] = cell.get(r, 0) + c
-    for r, ws in payload["witnesses"].items():
-        r = int(r)
-        wkey = (spec.m, spec.lead, r)
-        mine = table.witnesses.setdefault(wkey, [])
-        room = spec.witness_cap - len(mine)
-        if room > 0:
-            mine.extend(ws[:room])
+    for r, rows in payload["witnesses"].items():
+        mine = table.witnesses.setdefault((spec.m, spec.lead, r), [])
+        mine.extend(rows[:spec.witness_cap - len(mine)])
     table.scanned[key] = table.scanned.get(key, 0) + payload["scanned"]
 
 
-def _chunk_record_ok(rec, chunks: int) -> bool:
-    # a chunk index in range (type() is int: not a bool) and a payload of the
-    # shapes _merge_chunk and _audit_chunks read: rank -> count, rank ->
-    # witness strings, an int count, and [index, rank] picks if present
-    payload = rec.get("payload") if isinstance(rec, dict) else None
-    if not isinstance(payload, dict):
-        return False
-    hist, ws = payload.get("hist"), payload.get("witnesses")
-    picks = payload.get("picks", [])
-    return (type(rec.get("chunk")) is int and 0 <= rec["chunk"] < chunks
-            and type(payload.get("scanned")) is int
-            and isinstance(hist, dict) and isinstance(ws, dict)
-            and all(r.isdecimal() for r in [*hist, *ws])
-            and all(type(c) is int for c in hist.values())
-            and all(isinstance(w, list) and all(isinstance(x, str) for x in w)
-                    for w in ws.values())
-            and isinstance(picks, list)
-            and all(isinstance(pk, list) and len(pk) == 2
-                    and all(type(x) is int for x in pk) for pk in picks))
+def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
+    """Chunk start..end-1's payload, fresh from ``_scan_chunk`` (int rank
+    keys) or from a checkpoint of any version (decimal strings), in the one
+    shape the merge and the audit read: int rank -> count above the cell's
+    base rank, int rank -> witness digit rows (tuples), ``scanned`` and
+    [index, rank] picks.  Of older shapes it drops "squarefree", "audits",
+    "audit_failures" and hist ranks at or below the base (``run_scan``
+    derives the coset's rank 1), and reads missing picks as none.  Raises
+    ValueError if the payload is not a chunk of this cell."""
+    def check(ok, what):
+        if not ok:
+            raise ValueError(f"malformed chunk {start}..{end - 1}: {what}")
+
+    def rank(r):  # an int key or its checkpoint form; bools, "01" refused
+        s = str(r) if type(r) in (int, str) else ""
+        check(s.isdecimal() and s == str(int(s)), f"rank {r!r}")
+        return int(s)
+
+    lead, digits = str(spec.lead), {str(d) for d in range(spec.q)}
+
+    def row(w):  # free_coeffs + 1 digits in 0..q-1, the last the lead
+        parts = w.split(",") if type(w) is str else []
+        check(len(parts) == spec.free_coeffs + 1 and parts[-1] == lead
+              and digits.issuperset(parts), f"witness {w!r}")
+        return tuple(map(int, parts))
+
+    p = payload if type(payload) is dict else {}
+    hist, ws, picks = p.get("hist"), p.get("witnesses"), p.get("picks", [])
+    check(type(hist) is dict and all(type(c) is int for c in hist.values())
+          and type(ws) is dict and all(type(w) is list for w in ws.values())
+          and type(p.get("scanned")) is int and p["scanned"] == end - start
+          and type(picks) is list
+          and all(type(pk) is list and [*map(type, pk)] == [int, int]
+                  and start <= pk[0] < end for pk in picks), "its fields")
+    base = 1 if on_coset(spec.q, spec.n, spec.m, spec.lead) else 0
+    return {"hist": {r: c for r, c in zip(map(rank, hist), hist.values())
+                     if r > base},
+            "witnesses": {rank(r): list(map(row, w)) for r, w in ws.items()},
+            "scanned": end - start, "picks": picks}
 
 
-def _read_checkpoint(path: str, fingerprint: str, chunks: int) -> dict | None:
-    """Completed payloads of a scan's ``chunks`` chunks from its checkpoint.
+def _read_checkpoint(path: str, spec: ScanSpec, chunks: list) -> dict | None:
+    """Payloads by chunk index, each read by ``_read_payload``, from the
+    checkpoint of a scan whose chunks are ``chunks``, (start, end) pairs.
 
     Records are written whole, one per line, and flushed, so a crash can
     leave only the final line torn.  A final line that is unterminated or
     does not parse is cut from the file, so its chunk runs again and the next
     record starts on a fresh line.  A bad line anywhere else raises, and so
-    do a header of another scan and a chunk record that ``_chunk_record_ok``
-    refuses.  None means the file holds no complete record, not even the
-    header (a crash before its first flush).
+    do a header of another scan, a record whose chunk is not an int (bools
+    refused) in range, and a payload that ``_read_payload`` refuses; all
+    before any chunk runs.  None means the file holds no complete record,
+    not even the header (a crash before its first flush).
     """
     records = []
     with open(path, "r+b") as fh:
@@ -692,12 +699,16 @@ def _read_checkpoint(path: str, fingerprint: str, chunks: int) -> dict | None:
             return None
         header, *records = records
         if (not isinstance(header, dict)
-                or header.get("fingerprint") != fingerprint):
+                or header.get("fingerprint") != spec.fingerprint()):
             raise ValueError("checkpoint belongs to a different scan")
-        if not all(_chunk_record_ok(rec, chunks) for rec in records):
-            raise ValueError("malformed checkpoint record")
+        done = {}
+        for rec in records:
+            i = rec.get("chunk") if isinstance(rec, dict) else None
+            if type(i) is not int or not 0 <= i < len(chunks):
+                raise ValueError("malformed checkpoint record")
+            done[i] = _read_payload(rec.get("payload"), spec, *chunks[i])
         fh.truncate(offset)
-    return {rec["chunk"]: rec["payload"] for rec in records}
+    return done
 
 
 def _write_record(fh, record):
@@ -716,7 +727,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
               for s in range(0, total, spec.chunk_size)]
     done = None
     if checkpoint and resume and os.path.exists(checkpoint):
-        done = _read_checkpoint(checkpoint, spec.fingerprint(), len(chunks))
+        done = _read_checkpoint(checkpoint, spec, chunks)
     results = dict(done or {})
     todo = [i for i in range(len(chunks)) if i not in results]
     args = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
@@ -738,8 +749,8 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
         else:
             payloads = map(_scan_chunk, args)
         for chunk_i, payload in zip(todo, payloads):
-            results[chunk_i] = payload
-            if ck:
+            results[chunk_i] = _read_payload(payload, spec, *chunks[chunk_i])
+            if ck:  # the raw payload, as the worker wrote it
                 _write_record(ck, {"chunk": chunk_i, "payload": payload})
         audits = []
         if audit_skip_reason(spec.q, spec.n, spec.m) is None:
@@ -747,7 +758,7 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
             # one: a parent that did numpy work would make every forked
             # worker of a later scan larger
             runs = [(spec.q, spec.n, spec.m, spec.lead, spec.mode,
-                     [(*chunks[i], results[i].get("picks")) for i in run])
+                     [(*chunks[i], results[i]["picks"]) for i in run])
                     for run in _audit_runs(chunks)]
             audits = (pool.map if pool else map)(_audit_chunks, runs)
 
@@ -761,18 +772,12 @@ def run_scan(spec: ScanSpec, checkpoint: str | None = None,
     table.squarefree[key] = squarefree = _squarefree_count(
         spec.q, spec.free_coeffs)
     coset = on_coset(spec.q, spec.n, spec.m, spec.lead)
-    if coset:
-        # every squarefree P has rank >= 1 on the coset; set rather than
-        # add, since older checkpoints carry per-chunk rank-1 counts
-        cell = table.hist[key]
-        cell.pop(1, None)
-        ones = squarefree - sum(cell.values())
-        if ones:
-            cell[1] = ones
+    ones = squarefree - sum(table.hist[key].values())
+    if coset and ones:  # every squarefree P has rank >= 1 on the coset
+        table.hist[key][1] = ones
     # the witnesses are digit rows until here (module doc)
     eng = _engines_for(spec.q, spec.n, spec.m, spec.mode, coset)
-    for wkey, ws in table.witnesses.items():
-        rows = [list(map(int, w.split(","))) for w in ws]
+    for wkey, rows in table.witnesses.items():
         if rows:  # none with witness_cap = 0
             rows = eng.rows(spec.expand_witnesses(rows)).tolist()
         table.witnesses[wkey] = list(map(_row_str, rows))
@@ -845,7 +850,7 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
 
     ``single``: is there one k >= r making rank >= r unforced?  The maximal
     feasible r is 2q-3.  ``infinite-family``: are there infinitely many such
-    k?  Maximal feasible r is q (for q >= 3).  ``shift-stable``: expected
+    k?  Maximal feasible r is q (1 at q = 2).  ``shift-stable``: expected
     dimensions of the shift-stable loci for the given even/odd m/q class.
     """
     field_from_cardinality(q)  # ValueError unless q is a prime power
@@ -878,15 +883,10 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
         return out
     if mode == "infinite-family":
         def family_ok(rr):
-            if rr < q:
-                return True
-            if rr == q:
-                return (q - 1) * (q - 2) >= 2
-            return False
+            return rr < q or rr == q and (q - 1) * (q - 2) >= 2
         out["feasible"] = family_ok(r)
-        out["max_feasible_r"] = max(rr for rr in range(1, 2 * q + 2)
-                                    if family_ok(rr))
-        out["family_max_r"] = q
+        out["max_feasible_r"] = out["family_max_r"] = max(
+            rr for rr in range(1, 2 * q + 2) if family_ok(rr))
         return out
     if mode == "shift-stable":
         if m is None or m % q != 0:

@@ -268,6 +268,28 @@ _RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
                                        "picks": [[5]]}}],
     ["header", {**_RECORD, "payload": {**_RECORD["payload"],
                                        "picks": [[5, "1"]]}}],
+    # chunk 0's real payload with its first rank-1 witness 0,2,0,0,0,0,2
+    # changed to digits outside GF(3): a row the scan never ranked
+    ["header", {"chunk": 0, "payload": {
+        "hist": {"1": 9},
+        "witnesses": {"1": ["7,7,0,0,0,0,2", "1,2,0,0,0,0,2", "2,2,0,0,0,0,2",
+                            "0,2,0,1,0,0,2", "1,2,0,1,0,0,2", "2,2,0,1,0,0,2",
+                            "0,2,0,2,0,0,2", "1,2,0,2,0,0,2",
+                            "2,2,0,2,0,0,2"]},
+        "scanned": 100, "picks": [[0, 0]]}}],
+    # witnesses that are no digit row of the cell: the wrong width, a last
+    # digit other than the lead, and digits written "+1", " 1" or "01"
+    *(["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                         "witnesses": {"1": [w]}}}]
+      for w in ("1,0,2", "0,2,0,0,0,0,1", "0,+1,0,0,0,0,2", "0, 1,0,0,0,0,2",
+                "0,01,0,0,0,0,2")),
+    # a rank key that is not the decimal form of a rank
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "hist": {"01": 1}}}],
+    # a scanned count other than the chunk's 100 rows, a pick outside it
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"], "scanned": 99}}],
+    ["header", {**_RECORD, "payload": {**_RECORD["payload"],
+                                       "picks": [[100, 0]]}}],
 ])
 def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
     # a complete line that is not the header or a chunk record with a whole
@@ -292,6 +314,30 @@ def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
         ck.write_text(data[:-1])
         resumed = run_scan(spec, checkpoint=str(ck), resume=True)
         assert resumed.to_json_obj() == run_scan(spec).to_json_obj()
+
+
+@pytest.mark.parametrize("mode,m,lead", [
+    ("squarefree", 7, 1), ("squarefree", 7, 2),   # lead 2 is on the coset
+    ("shift-stable", 9, 1), ("shift-stable", 9, 2)])
+def test_read_payload_reads_fresh_and_checkpointed_alike(mode, m, lead):
+    # a worker's payload has int rank keys, its checkpoint line decimal
+    # strings; both read to int ranks and tuples of digits, and to the same
+    spec = ScanSpec(q=3, n=1, m=m, lead=lead, mode=mode,
+                    chunk_size=100 if mode == "squarefree" else 10)
+    witnesses = 0
+    for start in range(0, spec.total, spec.chunk_size):
+        end = min(start + spec.chunk_size, spec.total)
+        payload = scan._scan_chunk((3, 1, m, lead, mode, start, end, 16))
+        read = scan._read_payload(payload, spec, start, end)
+        assert read == scan._read_payload(json.loads(json.dumps(payload)),
+                                          spec, start, end)
+        assert all(type(r) is int for r in [*read["hist"],
+                                            *read["witnesses"]])
+        for rows in read["witnesses"].values():
+            assert all(type(row) is tuple and len(row) == spec.free_coeffs + 1
+                       for row in rows)
+            witnesses += len(rows)
+    assert witnesses > 0
 
 
 def test_pool_forks_at_most_one_worker_per_chunk(monkeypatch):
@@ -500,6 +546,15 @@ def test_dim_report_values():
     # m odd: expected dimension of the rank>=2 locus matches (m-1)/2 shape
     s = dim_report(3, 2, "single", m=5)
     assert s["expected_dimension"] == (5 - 1) // 2
+
+
+def test_dim_report_family_max_r():
+    # family_max_r is the largest r the infinite-family test passes, as is
+    # max_feasible_r: 1 at q = 2, where r = 2 is not feasible, q above
+    for q, top in ((2, 1), (3, 3)):
+        fam = dim_report(q, 2, "infinite-family")
+        assert fam["family_max_r"] == fam["max_feasible_r"] == top
+        assert fam["feasible"] is (top >= 2)
 
 
 def test_dim_report_rejects_r_below_one():
