@@ -24,6 +24,13 @@ arrays that ``analytic_ranks`` stacks for many twists at once and both
 point engines of ``fastrank`` (the band at T = t) gather through that one
 index.
 
+The determinant route's L-function, ``l_function``, is computed once per
+``TwistedPower`` instance: the first call runs the Berkowitz determinant
+and keeps the ``LFun`` on the instance, and later calls return it.  Only
+``l_function`` reads that memo.  The Euler product and the point engines
+never do, so each of them is still compared with a determinant it did not
+supply.  Equality, hashing and ``dataclasses.replace`` see (P, n) only.
+
 Ranks have one implementation, ``analytic_ranks``: the order at U = 1 of
 det(I - M U) for a batch of coefficient rows, read from the Hasse
 derivatives of one ``berkowitz_stack`` call; ``analytic_rank`` is its
@@ -37,6 +44,7 @@ size ``reduced_block_size``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ff import binom_mod_p
 # lfun_order_at is not used here since analytic_rank reads Hasse
@@ -127,6 +135,16 @@ class TwistedPower:
     def coeff(self, i: int):
         return self.P.coeff(i)
 
+    @cached_property
+    def _det_l(self) -> LFun:
+        # the determinant route's L, kept in the instance's __dict__ (which
+        # the frozen dataclass's eq, hash and replace do not read); only
+        # l_function reads it
+        rows = _matrix_rows(self, self.k_min)
+        vec = det_identity_minus_mu([list(r) for r in rows],
+                                    Poly.one(self.ctx))
+        return LFun(self.ctx, vec)
+
 
 def _matrix_rows(tp: TwistedPower, k: int):
     # the band of P(θ)(T - θ)^n as Polys in T (b_x's T^(n-l) coefficient is
@@ -152,11 +170,12 @@ def build_matrix(tp: TwistedPower, k: int) -> tuple:
 
 
 def l_function(tp: TwistedPower) -> LFun:
-    """det(I - M U) at the minimal stable size, division-free."""
-    ctx = tp.ctx
-    rows = _matrix_rows(tp, tp.k_min)
-    vec = det_identity_minus_mu([list(r) for r in rows], Poly.one(ctx))
-    return LFun(ctx, vec)
+    """det(I - M U) at the minimal stable size, division-free.
+
+    Computed on the first call for ``tp`` and kept on it, so later calls
+    for the same instance return the same ``LFun`` without a determinant.
+    """
+    return tp._det_l
 
 
 def analytic_ranks(rows, n: int, ctx):

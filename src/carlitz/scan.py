@@ -635,7 +635,9 @@ def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
     [index, rank] picks.  Of older shapes it drops "squarefree", "audits",
     "audit_failures" and hist ranks at or below the base (``run_scan``
     derives the coset's rank 1), and reads missing picks as none.  Raises
-    ValueError if the payload is not a chunk of this cell."""
+    ValueError if the payload is not a chunk of this cell, among others for
+    a kept count below 1, a kept rank without a witness list, or a witness
+    list without a kept count (but the coset's rank 1)."""
     def check(ok, what):
         if not ok:
             raise ValueError(f"malformed chunk {start}..{end - 1}: {what}")
@@ -662,9 +664,14 @@ def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
           and all(type(pk) is list and [*map(type, pk)] == [int, int]
                   and start <= pk[0] < end for pk in picks), "its fields")
     base = 1 if on_coset(spec.q, spec.n, spec.m, spec.lead) else 0
-    return {"hist": {r: c for r, c in zip(map(rank, hist), hist.values())
-                     if r > base},
-            "witnesses": {rank(r): list(map(row, w)) for r, w in ws.items()},
+    witnesses = {rank(r): list(map(row, w)) for r, w in ws.items()}
+    kept = {r: c for r, c in zip(map(rank, hist), hist.values()) if r > base}
+    # every version of _scan_chunk wrote a witness list beside each count,
+    # and none without a count but the coset's rank 1
+    check(all(c >= 1 and r in witnesses for r, c in kept.items())
+          and all(r in kept or r == base == 1 for r in witnesses),
+          "a count below 1, or a count or a witness list alone")
+    return {"hist": kept, "witnesses": witnesses,
             "scanned": end - start, "picks": picks}
 
 

@@ -126,7 +126,10 @@ def _l_with_theta_factor(tp: TwistedPower) -> LFun:
 def check_l_identity(g, tp: TwistedPower) -> IdentityCheck:
     """Both sides of the L-function identity attached to a generator.
 
-    A False verdict is a finding for the caller (test failure), not an error.
+    ``tp``'s own L comes from ``l_function``, which computes it once per
+    instance, so a check costs one determinant, for the acted twist, once
+    ``tp``'s L is known.  A False verdict is a finding for the caller (test
+    failure), not an error.
     """
     ctx = tp.ctx
     acted = act_on_poly(g, tp)

@@ -9,6 +9,8 @@ import pytest
 from carlitz import (field_make, field_from_cardinality, Poly, LFun,
                      lfun_order_at, TwistedPower, build_matrix, l_function,
                      analytic_rank, infinity_factor, d_coefficients)
+from carlitz.euler import truncated_product
+from carlitz.fastrank import RankEngine
 from carlitz.motive import _matrix_rows, analytic_ranks
 from carlitz.linalg import berkowitz_stack, det_identity_minus_mu, det_cofactor
 
@@ -95,6 +97,27 @@ def test_l_function_examples():
     assert l_function(tp3([0, 2, 0, 2])) == \
         LFun(f3, [Poly(f3, [1]), Poly(f3, [1]), Poly(f3, [1])])
     assert l_function(tp3([1], n=2)) == LFun(f3, [Poly(f3, [1]), Poly(f3, [2])])
+
+
+def test_second_routes_never_read_the_memo():
+    # a wrong L in a twist's memo reaches l_function only: the Euler product
+    # and the point engine answer as for a fresh twist, so comparing them
+    # with the poisoned L fails
+    coeffs, n = [0, 2, 0, 2], 1
+    fresh, poisoned = tp3(coeffs, n), tp3(coeffs, n)
+    f3 = fresh.ctx
+    wrong = LFun(f3, [Poly.one(f3), Poly(f3, [0, 1])])
+    poisoned.__dict__["_det_l"] = wrong
+    assert l_function(poisoned) is wrong
+    assert l_function(fresh) != wrong
+    bound = fresh.k_min
+    assert truncated_product(poisoned, bound) == \
+        truncated_product(fresh, bound) == l_function(fresh).truncate(bound)
+    assert truncated_product(poisoned, bound) != wrong.truncate(bound)
+    eng = RankEngine(3, n, fresh.m)
+    assert eng.vanishing_order(poisoned.P.coeffs, 0) == \
+        eng.vanishing_order(fresh.P.coeffs, 0) == \
+        lfun_order_at(l_function(fresh), f3.one)
 
 
 def test_analytic_rank_examples():

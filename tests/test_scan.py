@@ -232,6 +232,14 @@ def test_checkpoint_resume_after_torn_final_line(tmp_path):
 
 _RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
                                     "scanned": 100}}
+# chunk 0's real payload in the q=3 n=1 m=6 lead-2 scan below
+_CHUNK0 = {"hist": {"1": 9},
+           "witnesses": {"1": ["0,2,0,0,0,0,2", "1,2,0,0,0,0,2",
+                               "2,2,0,0,0,0,2", "0,2,0,1,0,0,2",
+                               "1,2,0,1,0,0,2", "2,2,0,1,0,0,2",
+                               "0,2,0,2,0,0,2", "1,2,0,2,0,0,2",
+                               "2,2,0,2,0,0,2"]},
+           "scanned": 100, "picks": [[0, 0]]}
 
 
 @pytest.mark.parametrize("lines", [
@@ -271,12 +279,8 @@ _RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
     # chunk 0's real payload with its first rank-1 witness 0,2,0,0,0,0,2
     # changed to digits outside GF(3): a row the scan never ranked
     ["header", {"chunk": 0, "payload": {
-        "hist": {"1": 9},
-        "witnesses": {"1": ["7,7,0,0,0,0,2", "1,2,0,0,0,0,2", "2,2,0,0,0,0,2",
-                            "0,2,0,1,0,0,2", "1,2,0,1,0,0,2", "2,2,0,1,0,0,2",
-                            "0,2,0,2,0,0,2", "1,2,0,2,0,0,2",
-                            "2,2,0,2,0,0,2"]},
-        "scanned": 100, "picks": [[0, 0]]}}],
+        **_CHUNK0, "witnesses": {"1": ["7,7,0,0,0,0,2",
+                                       *_CHUNK0["witnesses"]["1"][1:]]}}}],
     # witnesses that are no digit row of the cell: the wrong width, a last
     # digit other than the lead, and digits written "+1", " 1" or "01"
     *(["header", {**_RECORD, "payload": {**_RECORD["payload"],
@@ -290,6 +294,15 @@ _RECORD = {"chunk": 0, "payload": {"hist": {}, "witnesses": {},
     ["header", {**_RECORD, "payload": {**_RECORD["payload"], "scanned": 99}}],
     ["header", {**_RECORD, "payload": {**_RECORD["payload"],
                                        "picks": [[100, 0]]}}],
+    # chunk 0's real payload with its hist edited: a count below 1, a rank
+    # with no witness list, or both; or a witness list for a rank with no
+    # count (in this off-coset cell, no payload any version wrote has any)
+    *(["header", {"chunk": 0, "payload": {**_CHUNK0, "hist": hist}}]
+      for hist in ({"1": -1000, "9": 5}, {"1": -1000}, {"1": 0},
+                   {"1": 9, "9": 5})),
+    ["header", {"chunk": 0, "payload": {
+        **_CHUNK0, "witnesses": {**_CHUNK0["witnesses"],
+                                 "9": ["0,2,0,0,0,0,2"]}}}],
 ])
 def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
     # a complete line that is not the header or a chunk record with a whole

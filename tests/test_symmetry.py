@@ -1,6 +1,10 @@
+import dataclasses
+import pickle
+
 import pytest
 
-from carlitz import field_make, field_from_cardinality, Poly, TwistedPower
+from carlitz import (field_make, field_from_cardinality, motive, Poly,
+                     TwistedPower)
 from carlitz.motive import analytic_rank
 from carlitz.symmetry import (Mu, Nu, Iota, Tau, Sigma, TwistMul, act_on_poly,
                               check_l_identity, conjugator, verify_conjugacy,
@@ -94,6 +98,36 @@ def test_l_identities_random(rng):
         for g in gens:
             res = check_l_identity(g, t)
             assert res.ok, (q, coeffs, n, g, res.lhs, res.rhs)
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_identity_check_costs_one_determinant(monkeypatch, q):
+    # once the twist's own L is known, each identity check computes only
+    # the acted twist's determinant; the memo leaves eq, hash, pickle and
+    # replace as they were
+    ctx = field_from_cardinality(q)
+    calls = []
+    det = motive.det_identity_minus_mu
+    monkeypatch.setattr(motive, "det_identity_minus_mu",
+                        lambda *a: calls.append(1) or det(*a))
+    # over GF(9) the 1 x 1 matrix reads θ^8, so L != 1 needs m >= 7
+    coeffs = [2, 0, 1, 1] if q == 3 else [1, 0, 0, 0, 0, 0, 2, 1]
+    t = TwistedPower(Poly(ctx, coeffs), 1)
+    own = motive.l_function(t)
+    assert len(calls) == 1 and motive.l_function(t) is own
+    for g in (Mu(1), Nu(2), Tau(2), Iota(None), Sigma(1),
+              TwistMul(Poly(ctx, [1, 1]))):
+        before = len(calls)
+        res = check_l_identity(g, t)
+        assert res.ok and len(calls) == before + 1, g
+    same = TwistedPower(t.P, t.n)
+    assert t == same and hash(t) == hash(same)
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and hash(back) == hash(t)
+    assert motive.l_function(back) == own
+    assert dataclasses.replace(t) == t
+    other = dataclasses.replace(t, n=2)
+    assert other != t and motive.l_function(other) != own
 
 
 def test_tau_identity_element(f3):
