@@ -18,11 +18,12 @@ b_x = sum_l (-1)^l C(n, l) T^(n-l) a_{x-l}, x = 0..m+n, holds the θ^x
 coefficients of P(θ) (T - θ)^n, with the weights (-1)^l C(n, l) mod p from
 ``band_signs``; ``band_index`` gives the k x k positions the matrix reads,
 entry [i][j] (0-based) reading b_{(i+1)q-(j+1)} and a position outside
-0..m+n reading a zero slot.  The symbolic rows here (tuples of tuples of
-``Poly``, the one form of the matrix and its finite windows), the code
-arrays that ``analytic_ranks`` stacks for many twists at once and both
-point engines of ``fastrank`` (the band at T = t) gather through that one
-index.
+0..m+n reading a zero slot.  The band is built in one place, ``_band_codes``
+(field codes for a batch of twists, on base-p digits: no field tables).
+``analytic_ranks`` stacks its codes, the symbolic rows of ``_matrix_rows``
+(tuples of tuples of ``Poly``, the one form of the matrix and its finite
+windows) are its view of one twist, and both gather through that one index,
+as do both point engines of ``fastrank`` (the band at T = t).
 
 The determinant route's L-function, ``l_function``, is computed once per
 ``TwistedPower`` instance: the first call runs the Berkowitz determinant
@@ -47,9 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ff import binom_mod_p
-# lfun_order_at is not used here since analytic_rank reads Hasse
-# derivatives; it stays importable from this module while the benchmark's
-# tracer patches motive.lfun_order_at (ROADMAP item 2)
+# lfun_order_at is unused here; the benchmark's tracer patches it (item 2)
 from .lfun import LFun, lfun_order_at  # noqa: F401
 from .linalg import berkowitz_stack, det_identity_minus_mu
 from .poly import Poly
@@ -132,34 +131,38 @@ class TwistedPower:
     def k_min(self) -> int:
         return stable_size(self.ctx.order, self.n, self.m)
 
-    def coeff(self, i: int):
-        return self.P.coeff(i)
-
     @cached_property
     def _det_l(self) -> LFun:
         # the determinant route's L, kept in the instance's __dict__ (which
         # the frozen dataclass's eq, hash and replace do not read); only
         # l_function reads it
-        rows = _matrix_rows(self, self.k_min)
-        vec = det_identity_minus_mu([list(r) for r in rows],
-                                    Poly.one(self.ctx))
-        return LFun(self.ctx, vec)
+        return LFun(self.ctx, det_identity_minus_mu(
+            _matrix_rows(self, self.k_min), Poly.one(self.ctx)))
+
+
+def _band_codes(rows, n: int, ctx):
+    """(N, m+n+2, n+1) int64: [r, x, d] is the field code of b_x's T^d
+    coefficient for the r-th (N, m+1) coefficient row over ``ctx`` = GF(p^e),
+    zero slot x = m+n+1 last.  The weights lie in GF(p): digits suffice."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=np.int64)
+    p, e, m = ctx.char, ctx.e, rows.shape[1] - 1
+    powers = p ** np.arange(e, dtype=np.int64)
+    # band[r, x, n-l, c]: digit c of (-1)^l C(n, l) a_(x-l)
+    digits = rows[:, :, None] // powers % p
+    band = np.zeros((len(rows), m + n + 2, n + 1, e), dtype=np.int64)
+    for l, sign in enumerate(band_signs(n, p)):
+        band[:, l : l + m + 1, n - l] = digits * sign % p
+    return band @ powers
 
 
 def _matrix_rows(tp: TwistedPower, k: int):
-    # the band of P(θ)(T - θ)^n as Polys in T (b_x's T^(n-l) coefficient is
-    # (-1)^l C(n, l) a_{x-l}), a zero slot, then the gather
-    ctx, n, m = tp.ctx, tp.n, tp.m
-    signs = [ctx.from_int(s) for s in band_signs(n, ctx.char)]
-    band = []
-    for x in range(m + n + 1):
-        coeffs = [ctx.zero] * (n + 1)
-        for l in range(max(0, x - m), min(n, x) + 1):
-            coeffs[n - l] = ctx.mul(signs[l], tp.coeff(x - l))
-        band.append(Poly(ctx, coeffs))
-    band.append(Poly.zero(ctx))
+    # the band of P as Polys in T, then the gather
+    band = [Poly(tp.ctx, b)
+            for b in _band_codes([tp.P.coeffs], tp.n, tp.ctx)[0].tolist()]
     return tuple(tuple(band[x] for x in row)
-                 for row in band_index(ctx.order, k, m + n + 1))
+                 for row in band_index(tp.ctx.order, k, len(band) - 1))
 
 
 def build_matrix(tp: TwistedPower, k: int) -> tuple:
@@ -183,13 +186,12 @@ def analytic_ranks(rows, n: int, ctx):
 
     ``rows`` is an (N, m+1) integer array of little-endian coefficient codes
     over ``ctx`` = GF(p^e), every row of degree m (nonzero last entry).  The
-    rows' k_min x k_min matrices are gathered through ``band_index`` as one
-    code array and go through ``berkowitz_stack`` together.  With c_i the
-    U^i coefficient of L, L = sum_j D_j (U - 1)^j with the Hasse
-    derivatives D_j = sum_i C(i, j) c_i.  C(i, j) mod p lies in GF(p), so
-    it acts on the base-p digits of c_i one by one, over GF(p^e) as over
-    GF(p); the order is the first j with D_j != 0.  The band's weights
-    (-1)^l C(n, l) lie in GF(p) too and scale the digits the same way.
+    rows' k_min x k_min matrices are gathered from ``_band_codes`` through
+    ``band_index`` as one code array and go through ``berkowitz_stack``
+    together.  With c_i the U^i coefficient of L, L = sum_j D_j (U - 1)^j
+    with the Hasse derivatives D_j = sum_i C(i, j) c_i.  C(i, j) mod p lies
+    in GF(p), so it acts on the base-p digits of c_i one by one, over
+    GF(p^e) as over GF(p); the order is the first j with D_j != 0.
     Returns an int64 array of N ranks.
     """
     import numpy as np
@@ -197,7 +199,7 @@ def analytic_ranks(rows, n: int, ctx):
     rows = np.asarray(rows, dtype=np.int64)
     count, width = rows.shape
     m = width - 1
-    q, p, e = ctx.order, ctx.char, ctx.e
+    q, p = ctx.order, ctx.char
     if n < 1:
         raise ValueError("tensor exponent must be >= 1")
     if m < 0 or not rows[:, m].all():
@@ -207,14 +209,7 @@ def analytic_ranks(rows, n: int, ctx):
     if rows.min() < 0 or rows.max() >= q:
         raise ValueError(f"coefficients must be codes in [0, {q})")
     k = stable_size(q, n, m)
-    powers = p ** np.arange(e, dtype=np.int64)
-    # band[r, x, n-l, c]: digit c of (-1)^l C(n, l) a_(x-l), the T^(n-l)
-    # coefficient of b_x; x = m+n+1 is the zero slot
-    digits = rows[:, :, None] // powers % p
-    band = np.zeros((count, m + n + 2, n + 1, e), dtype=np.int64)
-    for l, sign in enumerate(band_signs(n, p)):
-        band[:, l : l + m + 1, n - l] = digits * sign % p
-    codes = (band @ powers)[:, np.array(band_index(q, k, m + n + 1))]
+    codes = _band_codes(rows, n, ctx)[:, band_index(q, k, m + n + 1)]
     vec = berkowitz_stack(codes, ctx).reshape(count, k + 1, -1)
     hasse = np.array([[binom_mod_p(i, j, p) for i in range(k + 1)]
                       for j in range(k + 1)], dtype=np.int64)

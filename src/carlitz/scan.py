@@ -108,8 +108,7 @@ from typing import ClassVar
 from .ff import field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine, _powers
 from .motive import analytic_ranks, on_coset, reduced_block_size, stable_size
-# unused since the audit went batched; importable here while the benchmark's
-# tracer patches scan.analytic_rank (ROADMAP item 2)
+# analytic_rank is unused here; the benchmark's tracer patches it (item 2)
 from .motive import analytic_rank  # noqa: F401
 from .poly import Poly
 
@@ -170,12 +169,9 @@ class ScanSpec:
     workers: int = 0          # 0 = default_workers()
     chunk_size: int = _CHUNK
     force: bool = False
-    # Scans have no separate screen any more (the engine's certify phase
-    # replaced it); the constant stays while the benchmark reads it, and goes
-    # with the benchmark change of ROADMAP item 1.
+    # read by the benchmark only, until ROADMAP item 2 (scans have no screen)
     use_batch_screen: ClassVar[bool] = False
-    # _AUDIT_K_CAP, kept here while the benchmark reads it, like the above
-    audit_k_cap: ClassVar[int] = _AUDIT_K_CAP
+    audit_k_cap: ClassVar[int] = _AUDIT_K_CAP  # alias, as above
     witness_cap: int = 16
 
     def __post_init__(self):
@@ -636,15 +632,17 @@ def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
     "audit_failures" and hist ranks at or below the base (``run_scan``
     derives the coset's rank 1), and reads missing picks as none.  Raises
     ValueError if the payload is not a chunk of this cell, among others for
-    a kept count below 1, a kept rank without a witness list, or a witness
-    list without a kept count (but the coset's rank 1)."""
+    a kept count below 1, a rank above k_min, a kept rank without a witness
+    list, a witness list without a kept count (but the coset's rank 1) or
+    longer than it or ``witness_cap``."""
     def check(ok, what):
         if not ok:
             raise ValueError(f"malformed chunk {start}..{end - 1}: {what}")
 
     def rank(r):  # an int key or its checkpoint form; bools, "01" refused
         s = str(r) if type(r) in (int, str) else ""
-        check(s.isdecimal() and s == str(int(s)), f"rank {r!r}")
+        check(s.isdecimal() and s == str(int(s)) and int(s) <= k_min,
+              f"rank {r!r}")
         return int(s)
 
     lead, digits = str(spec.lead), {str(d) for d in range(spec.q)}
@@ -657,12 +655,14 @@ def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
 
     p = payload if type(payload) is dict else {}
     hist, ws, picks = p.get("hist"), p.get("witnesses"), p.get("picks", [])
+    k_min = stable_size(spec.q, spec.n, spec.m)  # L has U-degree <= k_min
     check(type(hist) is dict and all(type(c) is int for c in hist.values())
           and type(ws) is dict and all(type(w) is list for w in ws.values())
           and type(p.get("scanned")) is int and p["scanned"] == end - start
           and type(picks) is list
           and all(type(pk) is list and [*map(type, pk)] == [int, int]
-                  and start <= pk[0] < end for pk in picks), "its fields")
+                  and start <= pk[0] < end and 0 <= pk[1] <= k_min
+                  for pk in picks), "its fields")
     base = 1 if on_coset(spec.q, spec.n, spec.m, spec.lead) else 0
     witnesses = {rank(r): list(map(row, w)) for r, w in ws.items()}
     kept = {r: c for r, c in zip(map(rank, hist), hist.values()) if r > base}
@@ -671,6 +671,9 @@ def _read_payload(payload, spec: ScanSpec, start: int, end: int) -> dict:
     check(all(c >= 1 and r in witnesses for r, c in kept.items())
           and all(r in kept or r == base == 1 for r in witnesses),
           "a count below 1, or a count or a witness list alone")
+    cap = spec.witness_cap  # and no list longer than its count or the cap
+    check(all(len(w) <= min(kept.get(r, cap), cap) for r, w in
+              witnesses.items()), "more witnesses than the count or the cap")
     return {"hist": kept, "witnesses": witnesses,
             "scanned": end - start, "picks": picks}
 

@@ -112,6 +112,37 @@ def test_local_factors_match_scalar(rng):
                     assert any(w.is_zero() for w in want)
 
 
+def test_local_factor_is_norm_times_prime_power(rng):
+    # N_𝔓(T) = Norm(P mod 𝔓)·𝔓(T)^n: the Frobenius orbit of T - θ̄
+    # multiplies to 𝔓(T), and that of P̄ to its norm, Π_{k<d} Frob^k(P̄),
+    # in GF(q); a zero norm exactly when 𝔓 | P, which the linear factor
+    # makes happen at degree 1
+    cases = [(field_make(2), 3), (field_make(3), 3), (field_make(2, 2), 3),
+             (field_make(5), 3), (field_make(3, 2), 2)]
+    for ctx, dmax in cases:
+        q = ctx.order
+        powers = [ctx.char**a for a in range(ctx.e)]
+        for n in (1, 2, 3):
+            for _ in range(2):
+                p = Poly(ctx, [rng.randrange(q) for _ in range(3)]
+                         + [rng.randrange(1, q)])
+                p = p * rng.choice(primes_of_degree(ctx, 1))
+                tp = TwistedPower(p, n)
+                for d in range(1, dmax + 1):
+                    rows = (local_factors(tp, d) @ powers).tolist()
+                    primes = primes_of_degree(ctx, d)
+                    assert len(rows) == len(primes)
+                    for prime, row in zip(primes, rows):
+                        rc = residue_ctx(prime)
+                        rem = (p % prime).coeffs
+                        norm = cur = rem + (ctx.zero,) * (d - len(rem))
+                        for _ in range(d - 1):
+                            cur = rc.frobenius(cur, 1)
+                            norm = rc.mul(norm, cur)
+                        want = (prime**n).scalar_mul(rc.constant_of(norm))
+                        assert Poly(ctx, row) == want, (q, n, p, prime)
+
+
 def test_truncated_product_examples(f3):
     assert truncated_product(tp3([1]), 3) == LFun.one(f3)
     got = truncated_product(tp3([0, 2, 0, 2]), 3)

@@ -10,7 +10,7 @@ import pytest
 from carlitz import field_make, Poly, is_squarefree
 from carlitz.lfun import lfun_order_at
 from carlitz.motive import (TwistedPower, analytic_rank, analytic_ranks,
-                            l_function)
+                            l_function, on_coset)
 from carlitz import scan
 from carlitz.cli import main
 from carlitz.scan import (ScanSpec, RankTable, ScanCapError, run_scan,
@@ -303,6 +303,21 @@ _CHUNK0 = {"hist": {"1": 9},
     ["header", {"chunk": 0, "payload": {
         **_CHUNK0, "witnesses": {**_CHUNK0["witnesses"],
                                  "9": ["0,2,0,0,0,0,2"]}}}],
+    # chunk 0's real payload with more witnesses than its count: 9 rank-1
+    # witnesses beside a count of 1
+    ["header", {"chunk": 0, "payload": {**_CHUNK0, "hist": {"1": 1}}}],
+    # a rank above the cell's k_min = 4 (L has U-degree <= k_min), as a
+    # count with its witness or as a pick's rank; and a negative pick rank
+    *(["header", {"chunk": 0, "payload": {
+        **_CHUNK0, "hist": {"1": 9, r: 1},
+        "witnesses": {**_CHUNK0["witnesses"], r: ["0,2,0,0,0,0,2"]}}}]
+      for r in ("99", "5")),
+    *(["header", {"chunk": 0, "payload": {**_CHUNK0, "picks": [[0, r]]}}]
+      for r in (5, -1)),
+    # more witnesses than witness_cap = 16, though no more than the count
+    ["header", {"chunk": 0, "payload": {
+        **_CHUNK0, "hist": {"1": 18},
+        "witnesses": {"1": _CHUNK0["witnesses"]["1"] * 2}}}],
 ])
 def test_resume_refuses_malformed_checkpoint(tmp_path, capsys, lines):
     # a complete line that is not the header or a chunk record with a whole
@@ -351,6 +366,23 @@ def test_read_payload_reads_fresh_and_checkpointed_alike(mode, m, lead):
                        for row in rows)
             witnesses += len(rows)
     assert witnesses > 0
+
+
+def test_read_payload_caps_coset_witnesses():
+    # on the coset the rank-1 witnesses have no count beside them, so their
+    # list is capped by witness_cap alone
+    spec = ScanSpec(q=3, n=1, m=7, lead=2, chunk_size=100)
+    assert on_coset(3, 1, 7, 2)
+    payload = scan._scan_chunk((3, 1, 7, 2, spec.mode, 0, 100, 16))
+    row = payload["witnesses"][1][0]
+    for size, ok in ((16, True), (17, False)):
+        edited = {**payload, "witnesses": {**payload["witnesses"],
+                                           1: [row] * size}}
+        if ok:
+            scan._read_payload(edited, spec, 0, 100)
+        else:
+            with pytest.raises(ValueError, match="witnesses"):
+                scan._read_payload(edited, spec, 0, 100)
 
 
 def test_pool_forks_at_most_one_worker_per_chunk(monkeypatch):
