@@ -9,11 +9,11 @@ divide-by-integers characteristic-polynomial tricks.
 The recurrence is ``berkowitz_stack``: it runs on a stack of B matrices of
 one size k at once, given as a (B, k, k, deg+1) array of field codes, and
 returns every member's coefficient vector as base-p digit arrays.
-``det_identity_minus_mu`` is its one-matrix case, with entries going in and
-the result coming out as ``Poly`` objects over a ``PrimeField`` or
-``ExtField``.  The recurrence runs on int64 coefficient arrays over GF(p).
-An element of GF(p^e)[T] is a (digit, T-degree) array: the e base-p digits
-of the ``ExtField`` encoding (e = 1 over a prime field), one column per
+``det_identity_minus_mu`` is its one-matrix case: a (k, k, deg+1) code
+array goes in and the coefficients come out as ``Poly`` objects over a
+``PrimeField`` or ``ExtField``.  The recurrence runs on int64 coefficient
+arrays over GF(p).  An element of GF(p^e)[T] is a (digit, T-degree) array:
+the e base-p digits of the ``ExtField`` encoding (e = 1 over a prime field), one column per
 power of T.  With every entry of T-degree <= deg, the coefficients of a
 principal j x j block's characteristic polynomial have T-degree <= j*deg,
 so k*deg + 1 columns bound every array.
@@ -140,28 +140,17 @@ def berkowitz_stack(codes, ctx):
     return -vec % p if k % 2 else vec
 
 
-def det_identity_minus_mu(m, one):
+def det_identity_minus_mu(codes, ctx):
     """U-coefficient list (little-endian) of det(I - M U); leading entry 1.
 
-    This is the Berkowitz coefficient vector v of det(xI - M), with
-    v[i] the coefficient of x^(k-i) and v[0] = 1.  ``m`` is a k x k matrix
-    of ``Poly`` over GF(p^e); ``one`` is that ring's 1.  The one-matrix
-    case of ``berkowitz_stack``.
+    ``codes`` is one k x k matrix the way ``berkowitz_stack`` takes each
+    member of a stack: a (k, k, deg+1) integer array of field codes over
+    ``ctx`` = GF(p^e).  Returns the Berkowitz coefficient vector as ``Poly``
+    in T: v[i] the coefficient of x^(k-i) in det(xI - M), v[0] = 1.
     """
-    k = len(m)
-    if k == 0:
-        return [one]
     import numpy as np
 
-    ctx = one.ctx
-    deg = max(0, max(len(x.coeffs) for row in m for x in row) - 1)
-    flat = []
-    for row in m:
-        for x in row:
-            flat.extend(x.coeffs)
-            flat.extend((0,) * (deg + 1 - len(x.coeffs)))
-    codes = np.array(flat, dtype=np.int64).reshape(1, k, k, deg + 1)
-    vec = berkowitz_stack(codes, ctx)[0]
+    vec = berkowitz_stack(np.asarray(codes)[None], ctx)[0]
     powers = ctx.char ** np.arange(ctx.e, dtype=np.int64)
     out = (vec * powers[:, None]).sum(axis=1)
     return [Poly(ctx, row) for row in out.tolist()]

@@ -20,10 +20,12 @@ coefficients of P(θ) (T - θ)^n, with the weights (-1)^l C(n, l) mod p from
 entry [i][j] (0-based) reading b_{(i+1)q-(j+1)} and a position outside
 0..m+n reading a zero slot.  The band is built in one place, ``_band_codes``
 (field codes for a batch of twists, on base-p digits: no field tables).
-``analytic_ranks`` stacks its codes, the symbolic rows of ``_matrix_rows``
-(tuples of tuples of ``Poly``, the one form of the matrix and its finite
-windows) are its view of one twist, and both gather through that one index,
-as do both point engines of ``fastrank`` (the band at T = t).
+Every determinant reads one gather of it, ``_matrix_codes``: a batch's
+k_min x k_min matrices as one code array, stacked by ``analytic_ranks`` and
+one row at a time by ``l_function``.  The symbolic rows of ``_matrix_rows``
+(tuples of tuples of ``Poly``, any k) are the windows' view of one twist.
+Both gather through that one index, as do both point engines of
+``fastrank`` (the band at T = t).
 
 The determinant route's L-function, ``l_function``, is computed once per
 ``TwistedPower`` instance: the first call runs the Berkowitz determinant
@@ -137,7 +139,7 @@ class TwistedPower:
         # the frozen dataclass's eq, hash and replace do not read); only
         # l_function reads it
         return LFun(self.ctx, det_identity_minus_mu(
-            _matrix_rows(self, self.k_min), Poly.one(self.ctx)))
+            _matrix_codes([self.P.coeffs], self.n, self.ctx)[0], self.ctx))
 
 
 def _band_codes(rows, n: int, ctx):
@@ -155,6 +157,15 @@ def _band_codes(rows, n: int, ctx):
     for l, sign in enumerate(band_signs(n, p)):
         band[:, l : l + m + 1, n - l] = digits * sign % p
     return band @ powers
+
+
+def _matrix_codes(rows, n: int, ctx):
+    """(N, k_min, k_min, n+1) int64: the rows' stable matrices as field
+    codes, gathered from ``_band_codes`` through ``band_index``."""
+    band = _band_codes(rows, n, ctx)
+    width = band.shape[1] - 1
+    k = stable_size(ctx.order, n, width - n - 1)
+    return band[:, band_index(ctx.order, k, width)]
 
 
 def _matrix_rows(tp: TwistedPower, k: int):
@@ -186,13 +197,12 @@ def analytic_ranks(rows, n: int, ctx):
 
     ``rows`` is an (N, m+1) integer array of little-endian coefficient codes
     over ``ctx`` = GF(p^e), every row of degree m (nonzero last entry).  The
-    rows' k_min x k_min matrices are gathered from ``_band_codes`` through
-    ``band_index`` as one code array and go through ``berkowitz_stack``
-    together.  With c_i the U^i coefficient of L, L = sum_j D_j (U - 1)^j
-    with the Hasse derivatives D_j = sum_i C(i, j) c_i.  C(i, j) mod p lies
-    in GF(p), so it acts on the base-p digits of c_i one by one, over
-    GF(p^e) as over GF(p); the order is the first j with D_j != 0.
-    Returns an int64 array of N ranks.
+    rows' ``_matrix_codes`` go through ``berkowitz_stack`` together.  With
+    c_i the U^i coefficient of L, L = sum_j D_j (U - 1)^j with the Hasse
+    derivatives D_j = sum_i C(i, j) c_i.  C(i, j) mod p lies in GF(p), so
+    it acts on the base-p digits of c_i one by one, over GF(p^e) as over
+    GF(p); the order is the first j with D_j != 0.  Returns an int64 array
+    of N ranks.
     """
     import numpy as np
 
@@ -208,8 +218,8 @@ def analytic_ranks(rows, n: int, ctx):
         return np.zeros(0, dtype=np.int64)
     if rows.min() < 0 or rows.max() >= q:
         raise ValueError(f"coefficients must be codes in [0, {q})")
-    k = stable_size(q, n, m)
-    codes = _band_codes(rows, n, ctx)[:, band_index(q, k, m + n + 1)]
+    codes = _matrix_codes(rows, n, ctx)
+    k = codes.shape[1]
     vec = berkowitz_stack(codes, ctx).reshape(count, k + 1, -1)
     hasse = np.array([[binom_mod_p(i, j, p) for i in range(k + 1)]
                       for j in range(k + 1)], dtype=np.int64)

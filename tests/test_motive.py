@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -11,12 +12,19 @@ from carlitz import (field_make, field_from_cardinality, Poly, LFun,
                      analytic_rank, infinity_factor, d_coefficients)
 from carlitz.euler import truncated_product
 from carlitz.fastrank import RankEngine
-from carlitz.motive import _matrix_rows, analytic_ranks
+from carlitz.motive import (_band_codes, _matrix_rows, analytic_ranks,
+                            band_index)
 from carlitz.linalg import berkowitz_stack, det_identity_minus_mu, det_cofactor
 
 
 def tp3(coeffs, n=1):
     return TwistedPower(Poly(field_make(3), coeffs), n)
+
+
+def _codes_at(t, k):
+    # t's k x k matrix as field codes, gathered as motive gathers k_min's
+    band = _band_codes([t.P.coeffs], t.n, t.ctx)[0]
+    return band[band_index(t.ctx.order, k, len(band) - 1)]
 
 
 def test_twisted_power_validation(f3):
@@ -65,13 +73,16 @@ def test_matrix_rows_match_paper_formula(rng):
     # entry (i, j), 1-based, is sum_l T^(n-l) (-1)^l C(n, l) a_{iq-j-l},
     # a_* zero outside [0, m]; written out here independently of motive's
     # band, for prime and extension fields and sizes past the stable one.
-    # GF(2^9) is above ff's table cap, so there the band runs on digits alone
+    # GF(2^9) is above ff's table cap, so there the band runs on digits
+    # alone; entry (1, 1) reads a_{q-1-l}, so there m starts at q-1-n
     for q in (2, 3, 4, 5, 9, 512):
         ctx = field_from_cardinality(q)
         p = ctx.char
+        nonzero = 0
         for n in (1, 2, 3):
             for _ in range(3):
-                m = rng.randrange(0, 9)
+                m = (rng.randrange(0, 9) if q < 512
+                     else q - 1 - n + rng.randrange(q + 2))
                 coeffs = [ctx.rand(rng) for _ in range(m)] \
                     + [rng.randrange(1, q)]
                 t = TwistedPower(Poly(ctx, coeffs), n)
@@ -88,8 +99,11 @@ def test_matrix_rows_match_paper_formula(rng):
                                     c = (-1) ** l * math.comb(n, l) % p
                                     tc[n - l] = ctx.add(tc[n - l], ctx.mul(
                                         ctx.from_int(c), coeffs[idx]))
-                            assert rows[i - 1][j - 1] == Poly(ctx, tc), \
+                            want = Poly(ctx, tc)
+                            assert rows[i - 1][j - 1] == want, \
                                 (q, n, coeffs, k, i, j)
+                            nonzero += not want.is_zero()
+        assert nonzero, q
 
 
 def test_l_function_examples():
@@ -145,24 +159,26 @@ def test_stability_of_determinant(rng):
         t = TwistedPower(Poly(ctx, coeffs), n)
         dets = []
         for k in (t.k_min, t.k_min + 1, t.k_min + 2):
-            rows = [list(r) for r in _matrix_rows(t, k)]
-            vec = det_identity_minus_mu(rows, Poly.one(ctx))
+            vec = det_identity_minus_mu(_codes_at(t, k), ctx)
             dets.append(LFun(ctx, vec))
         assert dets[0] == dets[1] == dets[2]
 
 
 def test_berkowitz_matches_cofactor_expansion(rng):
     # det(I - M U) evaluated at scalar points vs brute-force cofactor dets,
-    # over prime and extension fields, entries of T-degree <= 2
+    # over prime and extension fields, entries of T-degree <= 2 (some lower)
     for q in (2, 3, 4, 5, 9):
         ctx = field_from_cardinality(q)
         zero, one = Poly.zero(ctx), Poly.one(ctx)
         for _ in range(6):
             k = rng.randrange(1, 6)
-            rows = [[Poly(ctx, [ctx.rand(rng)
-                                for _ in range(rng.randrange(0, 4))])
-                     for _ in range(k)] for _ in range(k)]
-            vec = det_identity_minus_mu([list(r) for r in rows], one)
+            codes = np.zeros((k, k, rng.randrange(1, 4)), dtype=np.int64)
+            for i in range(k):
+                for j in range(k):
+                    for d in range(rng.randrange(codes.shape[2] + 1)):
+                        codes[i, j, d] = ctx.rand(rng)
+            rows = [[Poly(ctx, c.tolist()) for c in row] for row in codes]
+            vec = det_identity_minus_mu(codes, ctx)
             assert len(vec) == k + 1 and vec[0] == one
             for t0 in ctx.elements():
                 vals = [[r.evaluate(t0) for r in row] for row in rows]
@@ -181,10 +197,10 @@ def test_berkowitz_matches_cofactor_expansion(rng):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_berkowitz_stack_matches_single_matrices(q):
     # member b of a stack gives what det_identity_minus_mu gives for M_b
-    # alone; members have their own T-degrees 0..2, padded to the stack's
+    # alone, unpadded; members have their own T-degrees 0..2, padded to the
+    # stack's
     rng = random.Random(q)
     ctx = field_from_cardinality(q)
-    one = Poly.one(ctx)
     powers = ctx.char ** np.arange(ctx.e)
     for k in range(1, 15):
         for count in (1, 2, 16):
@@ -199,9 +215,8 @@ def test_berkowitz_stack_matches_single_matrices(q):
             got = berkowitz_stack(codes, ctx)
             assert got.shape == (count, k + 1, ctx.e, k * deg + 1)
             for b in range(count):
-                m = [[Poly(ctx, codes[b, i, j].tolist()) for j in range(k)]
-                     for i in range(k)]
-                want = det_identity_minus_mu(m, one)
+                want = det_identity_minus_mu(codes[b, ..., : degs[b] + 1],
+                                             ctx)
                 vec = (got[b] * powers[:, None]).sum(axis=1).tolist()
                 assert [Poly(ctx, c) for c in vec] == want, (k, count, b)
 
@@ -336,6 +351,45 @@ def test_l_at_zero_is_one_and_degree_bound(rng):
             assert l.coeff(j).degree <= n * j
 
 
+def test_top_t_degree_is_constant_matrix_charpoly():
+    # M = T^n A + terms of lower T-degree, with A[i][j] = a_{(i+1)q-(j+1)}
+    # (0-based, zero outside 0..m), so over any commutative ring the
+    # T^(nj) coefficient of L's U^j coefficient is (-1)^j e_j(A), e_j the
+    # sum of A's j x j principal minors.  GF(2^9) and GF(3^6) are above
+    # ff's table cap; there m >= q-1, so that A is nonzero
+    rng = random.Random(19)
+    for q in (2, 3, 4, 5, 9, 512, 729):
+        ctx = field_from_cardinality(q)
+        zero, one = Poly.zero(ctx), Poly.one(ctx)
+        big = q > 256
+        nonzero = 0
+        for n in (1, 2, 3):
+            for _ in range(4 if big else 2):
+                m = q - 1 + rng.randrange(q + 2) if big \
+                    else rng.randrange(2 * q)
+                coeffs = [ctx.rand(rng) for _ in range(m)] \
+                    + [rng.randrange(1, q)]
+                t = TwistedPower(Poly(ctx, coeffs), n)
+                k = t.k_min
+                a = [[Poly.constant(ctx, coeffs[x]) if 0 <= x <= m else zero
+                      for x in ((i + 1) * q - (j + 1) for j in range(k))]
+                     for i in range(k)]
+                nonzero += any(not x.is_zero() for row in a for x in row)
+                l = l_function(t)
+                for j in range(k + 1):
+                    e = zero
+                    for s in itertools.combinations(range(k), j):
+                        e = e + det_cofactor([[a[x][y] for y in s] for x in s],
+                                             zero, one)
+                    c = l.coeff(j).coeffs
+                    top = c[n * j] if len(c) > n * j else ctx.zero
+                    assert Poly.constant(ctx, top) == (zero - e if j % 2
+                                                       else e), (q, n, m, j)
+                if big:
+                    assert analytic_rank(t) == lfun_order_at(l, ctx.one)
+        assert nonzero or not big, q
+
+
 def test_coset_membership_forces_unit_root(rng):
     # m ≡ -n mod q-1 with a_m = (-1)^n: row k_min yields a (1-U) factor
     f3 = field_make(3)
@@ -382,8 +436,7 @@ def test_boundary_determinant_identity(rng):
         kstar = (m + n) // 2 - 1
         if kstar < 1:
             continue
-        rows = [list(r) for r in _matrix_rows(t, kstar)]
-        small = LFun(f3, det_identity_minus_mu(rows, Poly.one(f3)))
+        small = LFun(f3, det_identity_minus_mu(_codes_at(t, kstar), f3))
         assert small.mul(infinity_factor(t, -(m + n) // 2)) == l_function(t)
 
 
