@@ -17,11 +17,14 @@ the decisive end-to-end verification and lives in the test suite.
 (``local_factors``), on int64 arrays over GF(p) with the digit encoding of
 ``linalg``: a residue of GF(q)[θ]/𝔓, q = p^e, is the vector of the e base-p
 digits of each of its d coordinates.  Every step of the definition is one
-array operation across the primes.  Each degree's tables (the reduction of
-x^c θ^k mod 𝔓, which gives both P mod 𝔓 and the product, with θ̄ its k = 1
-column; the Frobenius matrix; (T - θ̄)^n) come from the primes' residue
-contexts on the first call for that degree, in blocks of ``_BLOCK`` primes
-so that no work array grows with the number of primes.  The series is
+array operation across the primes.  Each degree has two tables, the
+reduction of x^c θ^k mod 𝔓 (θ̄ is its k = 1 column) and the Frobenius matrix,
+built from the primes' residue contexts on the first call for that degree,
+in blocks of ``_BLOCK`` primes so that no work array grows with the number of
+primes.  One contraction of the reduction table with the θ-coefficients of
+the τ-matrix gives P̄(T - θ̄)^n; the same table reduces every product.  Those
+coefficients are built here, not read from ``motive``'s band, so that the
+agreement with the determinant still tests the band.  The series is
 assembled per degree: when 2d > D the degree-d factors multiply to
 1 + (sum of N_𝔓) U^d mod U^(D+1), one digit-wise sum; only degrees
 d <= D/2 take the per-prime recurrence.  numpy is imported inside the
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import ResidueCtx
+from .ff import ResidueCtx, binom_mod_p
 from .lfun import LFun
 from .motive import TwistedPower
 from .poly import Poly, irreducibles_of_degree
@@ -145,9 +148,10 @@ class _Block:
     digit a of its θ^i coordinate; a polynomial in T over the residue fields
     of the block is a (primes, T-coefficients, D) array.  ``red[b, :, k, c]``
     is x^c θ^k mod 𝔓_b for k <= k_max and c <= 2e-2 (x the generator of
-    GF(q)), so one contraction reduces P, or the digit-and-θ convolution of
-    two residues, to D digits; its k = 1, c = 0 column is θ̄.  ``frob[b]``
-    maps a row v to v^q.  All entries are reduced mod p.
+    GF(q)), so one contraction reduces the θ-coefficients of the τ-matrix,
+    or the digit-and-θ convolution of two residues, to D digits.  Its k = 1,
+    c = 0 column is θ̄, which no other table holds.  ``frob[b]`` maps a row
+    v to v^q.  All entries are reduced mod p.
     """
 
     def __init__(self, ctx, primes):
@@ -161,7 +165,6 @@ class _Block:
                  for i in range(d) for a in range(e)]  # x^a θ^i
         self.frob = np.array([[self._digits(rc.frobenius(x, 1)) for x in basis]
                               for rc in self.rcs], dtype=np.int64)
-        self._lins = {}
         self._grow(max(1, 2 * d - 2))
 
     def _digits(self, r):
@@ -206,34 +209,27 @@ class _Block:
         red = self.red[:, :, : 2 * d - 1].reshape(nb, d * e, -1)
         return conv.reshape(nb, ta + tb - 1, -1) @ red.transpose(0, 2, 1) % p
 
-    def _lin(self, n: int):
-        """(T - θ̄)^n, cached per n."""
-        if n not in self._lins:
-            import numpy as np
-
-            theta = self.red[:, :, 1, 0]
-            one = np.zeros_like(theta)
-            one[:, 0] = 1
-            lin = np.stack([-theta % self.p, one], axis=1)
-            out = lin
-            for _ in range(n - 1):
-                out = self._mul(out, lin)
-            self._lins[n] = out
-        return self._lins[n]
-
     def norms(self, tp: TwistedPower):
-        """N_𝔓 for each prime of the block: (B, n*d + 1, e) base-p digits."""
+        """N_𝔓 for each prime of the block, (B, n*d + 1, e) base-p digits: the
+        d-fold Frobenius product of P̄(T - θ̄)^n, one contraction of ``red``."""
         import numpy as np
 
         _check_field(tp, self.ctx)
         p, e, d, n = self.p, self.e, self.d, tp.n
         coeffs = tp.P.coeffs
-        if len(coeffs) > self.red.shape[2]:
-            self._grow(len(coeffs) - 1)
+        width = len(coeffs) + n  # θ^0 .. θ^(m+n)
+        if width > self.red.shape[2]:
+            self._grow(width - 1)
+        # tau[x, a, n - l]: digit a of (-1)^l C(n, l) a_(x-l), the θ^x
+        # coefficient of the T^(n-l) coefficient of P(θ)(T - θ)^n
         digits = np.array(coeffs, dtype=np.int64)[:, None] // p ** np.arange(e) % p
-        pbar = np.tensordot(self.red[:, :, : len(coeffs), :e], digits,
-                            axes=2) % p
-        red = self._mul(self._lin(n), pbar[:, None])
+        tau = np.zeros((width, e, n + 1), dtype=np.int64)
+        for l in range(n + 1):
+            tau[l : l + len(coeffs), :, n - l] = (
+                (-1) ** l * binom_mod_p(n, l, p) * digits % p)
+        # P̄(T - θ̄)^n as (B, n + 1, D), P̄ (zero iff 𝔓 | P) at T^n
+        red = np.tensordot(self.red[:, :, :width, :e], tau,
+                           axes=2).transpose(0, 2, 1) % p
         acc = cur = red
         for _ in range(d - 1):
             cur = cur @ self.frob % p
@@ -246,7 +242,7 @@ class _Block:
         if acc[:, :, 1:].any():
             raise AssertionError("twisted product not in the base field")
         norms = acc[:, :, 0]
-        if (pbar.any(axis=1) & ~norms[:, -1].any(axis=1)).any():
+        if (red[:, n].any(axis=1) & ~norms[:, -1].any(axis=1)).any():
             raise AssertionError("local factor has wrong T-degree")
         return norms
 

@@ -110,15 +110,19 @@ class LFun:
         return "LFun<" + (" + ".join(terms) or "0") + ">"
 
 
+def _check_gamma(ctx, gamma):
+    if not 0 < gamma < ctx.order:  # a code of GF(q)^*, not 0 nor read mod q
+        raise ValueError(f"γ must be a code in 1..{ctx.order - 1}, got {gamma!r}")
+
+
 def lfun_order_at(l: LFun, gamma) -> int:
     """Largest r with (U - γ)^r dividing L, by repeated synthetic division.
 
-    γ must be a nonzero base-field element; the order at U = 0 is always 0
-    because L(0) = 1, so γ = 0 is rejected to avoid misuse.
+    γ must be a nonzero base-field element, a code in 1..q-1; the order at
+    U = 0 is always 0 because L(0) = 1, so γ = 0 is rejected to avoid misuse.
     """
     ctx = l.ctx
-    if gamma == ctx.zero:
-        raise ValueError("order at U = 0 is always 0 (L(0) = 1); use nonzero γ")
+    _check_gamma(ctx, gamma)
     c = list(l.cs)
     order = 0
     while True:
@@ -166,7 +170,6 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
             raise ValueError(f"unknown T-substitution {kind!r}")
         out = LFun(ctx, cs)
     if u_scale is not None:
-        if u_scale == l.ctx.zero:
-            raise ValueError("U-scaling must be nonzero")
+        _check_gamma(l.ctx, u_scale)
         out = out.scale_u(u_scale)
     return out

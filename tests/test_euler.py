@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from carlitz import field_make, Poly, LFun, TwistedPower, l_function
@@ -96,7 +97,8 @@ def test_local_factors_match_scalar(rng):
     for ctx, dmax in cases:
         q = ctx.order
         powers = [ctx.char**a for a in range(ctx.e)]
-        for n in (1, 2):
+        # n = p: C(n, l) = 0 mod p for 0 < l < n, so (T - θ)^p = T^p - θ^p
+        for n in (1, 2, ctx.char):
             for _ in range(2):
                 p = Poly(ctx, [rng.randrange(q) for _ in range(3)]
                          + [rng.randrange(1, q)])
@@ -194,17 +196,21 @@ def fresh_tables():
 
 
 @pytest.mark.parametrize("patch, message", [
-    ("zero", "wrong T-degree"), ("perturb", "not Frobenius-fixed")])
+    ("zero", "wrong T-degree"), ("perturb", "not Frobenius-fixed"),
+    ("identity", "not in the base field")])
 def test_batch_frobenius_table_is_checked(f3, fresh_tables, monkeypatch,
                                           patch, message):
     # one degree-2 prime (θ² + θ + 2, which does not divide P) gets a wrong
-    # Frobenius matrix
+    # Frobenius matrix; the identity leaves every product Frobenius-fixed,
+    # so only the base-field check sees it
     tp = tp3([1, 2, 0, 1])
     assert not (tp.P % primes_of_degree(f3, 2)[1]).is_zero()
     block = _degree_tables(f3, 2)[0]
     frob = block.frob.copy()
     if patch == "zero":
         frob[1] = 0
+    elif patch == "identity":
+        frob[1] = np.eye(len(frob[1]), dtype=frob.dtype)
     else:
         frob[1, 0, 1] = (frob[1, 0, 1] + 1) % 3
     monkeypatch.setattr(block, "frob", frob)
@@ -213,12 +219,13 @@ def test_batch_frobenius_table_is_checked(f3, fresh_tables, monkeypatch,
 
 
 @pytest.mark.parametrize("coeffs, message", [
-    ([1, 2, 0, 1], "not Frobenius-fixed"), ([0, 2, 1, 1], "wrong T-degree")])
+    ([1, 2, 0, 1], "not Frobenius-fixed"),
+    ([0, 2, 1, 1], "not Frobenius-fixed")])
 def test_batch_theta_is_checked(f3, fresh_tables, monkeypatch, coeffs,
                                 message):
     # θ̄ of one degree-3 prime (θ³ + 2θ + 2, not dividing P) becomes θ̄ + 1;
     # the batch keeps θ̄ as the θ^1 column of its reduction table, which
-    # gives P mod 𝔓, (T - θ̄)^n and the reduction of every product
+    # reduces P(θ)(T - θ)^n and every product mod 𝔓
     block = _degree_tables(f3, 3)[0]
     red = block.red.copy()
     red[1, 0, 1, 0] = (red[1, 0, 1, 0] + 1) % 3

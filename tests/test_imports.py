@@ -1,9 +1,14 @@
-"""Every module-level import in ``src/carlitz`` is used or exported.
+"""Static checks on the imports of ``src/carlitz``.
 
-A name imported at module level that the module never reads and does not
-list in ``__all__`` is dead code.  The only ones allowed are those the
-benchmark's tracer patches by name (ROADMAP item 2); the list can only
-shrink, since an entry that is used again or no longer imported fails too.
+Every module-level import is used or exported: a name imported at module
+level that the module never reads and does not list in ``__all__`` is dead
+code.  The only ones allowed are those the benchmark's tracer patches by
+name (ROADMAP item 2); the list can only shrink, since an entry that is
+used again or no longer imported fails too.
+
+The Euler route stays independent of the other two: ``euler`` builds the
+τ-matrix's coefficients itself, so its agreement with the determinant
+still tests the determinant's band.
 """
 
 import ast
@@ -42,3 +47,29 @@ def test_no_unused_module_imports():
     assert unused - ALLOWED == set(), "unused imports"
     # an allowed name that is used again, or gone, leaves the list
     assert ALLOWED <= unused, "stale entries in ALLOWED"
+
+
+def _package_imports(path):
+    """(module, name) for every import of a ``carlitz`` module, at any depth:
+    ``from .m import x`` gives ("m", "x"); ``from . import m`` and
+    ``import carlitz.m`` give ("m", "*")."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("carlitz")):
+            mod = (node.module or "").removeprefix("carlitz").lstrip(".")
+            out.update((mod, a.name) if mod else (a.name, "*")
+                       for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update((a.name.removeprefix("carlitz."), "*")
+                       for a in node.names if a.name.startswith("carlitz."))
+    return out
+
+
+def test_euler_reads_only_the_twist_from_the_other_routes():
+    # the batch builds P(θ)(T - θ)^n's coefficients itself; reading the
+    # determinant's band (motive._band_codes, band_signs) or the point
+    # engine would make the cross-check between the routes circular
+    got = {(mod, name) for mod, name in _package_imports(SRC / "euler.py")
+           if mod in ("motive", "fastrank")}
+    assert got == {("motive", "TwistedPower")}

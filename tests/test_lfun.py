@@ -27,6 +27,21 @@ def test_order_at_examples(f3):
         lfun_order_at(LFun.one(f3), f3.zero)
 
 
+def test_gamma_must_be_a_field_code(f3, f9):
+    # an int outside 1..q-1 is no nonzero element of GF(q); answering would
+    # read it as some element (over GF(3), 3 as 0 and 4 as 1)
+    l = l_function(TwistedPower(Poly(f3, [0, 2, 0, 2]), 1))
+    assert lfun_order_at(l, 1) == 2
+    l9 = l_function(TwistedPower(Poly(f9, [6, 0, 7, 4, 3, 1, 5, 1]), 1))
+    assert l9.u_degree > 0
+    for ll, gammas in ((l, (3, 4, -1)), (l9, (9,))):
+        for gamma in gammas:
+            with pytest.raises(ValueError, match="code in 1"):
+                lfun_order_at(ll, gamma)
+            with pytest.raises(ValueError, match="code in 1"):
+                lfun_substitute(ll, u_scale=gamma)
+
+
 def test_substitute_shift_and_scale(f3):
     l = lf3([1], [0, 2])  # 1 - TU
     shifted = lfun_substitute(l, ("shift", 1))
