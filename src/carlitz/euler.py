@@ -199,7 +199,8 @@ class _Block:
         nb, ta, tb = a.shape[0], a.shape[1], b.shape[1]
         # a convolution entry sums at most tb*d*e digit products < p^2; the
         # reduction adds (2d-1)(2e-1) of those times a digit < p
-        assert tb * d * e * (2 * d - 1) * (2 * e - 1) * (p - 1) ** 3 < 2**63
+        if tb * d * e * (2 * d - 1) * (2 * e - 1) * (p - 1) ** 3 >= 2**63:
+            raise OverflowError(f"int64 sums overflow at d={d}, {self.ctx}")
         a4 = a.reshape(nb, ta, d, e)
         b4 = b.reshape(nb, tb, d, e)
         conv = np.zeros((nb, ta + tb - 1, 2 * d - 1, 2 * e - 1), dtype=np.int64)

@@ -47,7 +47,7 @@ size ``reduced_block_size``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .ff import binom_mod_p
 # lfun_order_at is unused here; the benchmark's tracer patches it (item 2)
@@ -159,13 +159,23 @@ def _band_codes(rows, n: int, ctx):
     return band @ powers
 
 
+@lru_cache(maxsize=None)
+def _band_gather(q: int, k: int, width: int):
+    """``band_index`` as a read-only int64 array, cached per (q, k, width)."""
+    import numpy as np
+
+    out = np.array(band_index(q, k, width), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
 def _matrix_codes(rows, n: int, ctx):
     """(N, k_min, k_min, n+1) int64: the rows' stable matrices as field
     codes, gathered from ``_band_codes`` through ``band_index``."""
     band = _band_codes(rows, n, ctx)
     width = band.shape[1] - 1
     k = stable_size(ctx.order, n, width - n - 1)
-    return band[:, band_index(ctx.order, k, width)]
+    return band[:, _band_gather(ctx.order, k, width)]
 
 
 def _matrix_rows(tp: TwistedPower, k: int):

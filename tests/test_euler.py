@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from carlitz import field_make, Poly, LFun, TwistedPower, l_function
+from carlitz import (field_make, field_from_cardinality, Poly, LFun,
+                     TwistedPower, l_function)
 from carlitz.euler import (reduce_tau, twisted_power, local_factor,
                            local_factors, truncated_product, primes_of_degree,
-                           distinct_prime_factors, residue_ctx, _degree_tables)
+                           distinct_prime_factors, residue_ctx, _degree_tables,
+                           _Block)
 
 
 def tp3(coeffs, n=1):
@@ -234,6 +236,17 @@ def test_batch_theta_is_checked(f3, fresh_tables, monkeypatch, coeffs,
     assert not (tp.P % primes_of_degree(f3, 3)[1]).is_zero()
     with pytest.raises(AssertionError, match=message):
         truncated_product(tp, 3)
+
+
+def test_batch_overflow_guard_raises():
+    # over GF(10^9 + 7) a digit product times a digit passes 2^63, so the
+    # batch's residue product refuses instead of wrapping (an exception, not
+    # an assert, so it holds under python -O too); θ² + 1 is irreducible
+    # since 10^9 + 7 = 3 mod 4, and d = 2 takes one residue product
+    ctx = field_from_cardinality(1000000007)
+    block = _Block(ctx, [Poly(ctx, [1, 0, 1])])
+    with pytest.raises(OverflowError, match="int64"):
+        block.norms(TwistedPower(Poly(ctx, [5, 1]), 1))
 
 
 def test_same_class_same_factors(rng):

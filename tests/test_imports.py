@@ -6,6 +6,10 @@ code.  The only ones allowed are those the benchmark's tracer patches by
 name (ROADMAP item 2); the list can only shrink, since an entry that is
 used again or no longer imported fails too.
 
+No module holds an ``assert`` statement: ``python -O`` strips them, so a
+guard (the overflow bounds of ``linalg`` and ``euler``) or an invariant
+check must raise.
+
 The Euler route stays independent of the other two: ``euler`` builds the
 τ-matrix's coefficients itself, so its agreement with the determinant
 still tests the determinant's band.
@@ -73,3 +77,10 @@ def test_euler_reads_only_the_twist_from_the_other_routes():
     got = {(mod, name) for mod, name in _package_imports(SRC / "euler.py")
            if mod in ("motive", "fastrank")}
     assert got == {("motive", "TwistedPower")}
+
+
+def test_no_assert_statements():
+    found = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -12,8 +12,8 @@ from carlitz import (field_make, field_from_cardinality, Poly, LFun,
                      analytic_rank, infinity_factor, d_coefficients)
 from carlitz.euler import truncated_product
 from carlitz.fastrank import RankEngine
-from carlitz.motive import (_band_codes, _matrix_rows, analytic_ranks,
-                            band_index)
+from carlitz.motive import (_band_codes, _band_gather, _matrix_rows,
+                            analytic_ranks, band_index)
 from carlitz.linalg import berkowitz_stack, det_identity_minus_mu, det_cofactor
 
 
@@ -219,6 +219,66 @@ def test_berkowitz_stack_matches_single_matrices(q):
                                              ctx)
                 vec = (got[b] * powers[:, None]).sum(axis=1).tolist()
                 assert [Poly(ctx, c) for c in vec] == want, (k, count, b)
+
+
+# berkowitz_stack on random dense stacks, recorded before the Krylov phase
+# served every principal block in one loop: for q in (2, 3, 4, 9, 25), k in
+# 0..16 and count in (0, 1, 5), random.Random(33) draws each member's
+# T-degree in 0..3 (the stack's deg is their maximum, or one more draw for
+# an empty stack) and then its codes; sha256 over the output bytes
+_PINNED_DENSE_SHA256 = (
+    "f95174b161c37861f2d2ae8a5ed9bfcb82c762596df8c8c77ad31338c26e1cc9")
+
+
+def test_berkowitz_stack_pinned_dense_digest():
+    # the twist-grid digest sees banded matrices only; these are dense
+    rng = random.Random(33)
+    h = hashlib.sha256()
+    for q in (2, 3, 4, 9, 25):
+        ctx = field_from_cardinality(q)
+        for k in range(17):
+            for count in (0, 1, 5):
+                degs = [rng.randrange(4) for _ in range(count)]
+                deg = max(degs, default=rng.randrange(4))
+                codes = np.zeros((count, k, k, deg + 1), dtype=np.int64)
+                for b, d in enumerate(degs):
+                    codes[b, ..., : d + 1] = np.reshape(
+                        [rng.randrange(q) for _ in range(k * k * (d + 1))],
+                        (k, k, d + 1))
+                got = berkowitz_stack(codes, ctx)
+                assert got.dtype == np.int64
+                assert got.shape == (count, k + 1, ctx.e, k * deg + 1)
+                h.update(got.tobytes())
+    assert h.hexdigest() == _PINNED_DENSE_SHA256
+
+
+def test_berkowitz_overflow_guards_raise():
+    # exceptions, not asserts, so they hold under python -O too.  Over
+    # GF(10^9 + 7) at k = 6 the sums pass both bounds; without the guard
+    # int64 wraps and the U^6 coefficient differs from the cofactor one.
+    big = field_from_cardinality(1000000007)
+    rng = random.Random(6)
+    codes = np.array([[[rng.randrange(big.p - 1000, big.p) for _ in range(3)]
+                       for _ in range(6)] for _ in range(6)])
+    with pytest.raises(OverflowError):
+        det_identity_minus_mu(codes, big)
+    # each bound alone: GF(2097169) at k = 1 passes 2^63 only, GF(2) at
+    # T-degree 2^53 passes 2^53 only (a stack of no matrices, so nothing is
+    # allocated)
+    with pytest.raises(OverflowError, match="int64"):
+        det_identity_minus_mu([[[1]]], field_from_cardinality(2097169))
+    with pytest.raises(OverflowError, match="float64"):
+        berkowitz_stack(np.zeros((0, 1, 1, 2**53 + 1), dtype=np.int64),
+                        field_from_cardinality(2))
+
+
+def test_band_gather_is_band_index():
+    # the cached gather array of _matrix_codes reads band_index's positions
+    for q, k, width in ((2, 14, 15), (3, 1, 3), (9, 3, 20)):
+        got = _band_gather(q, k, width)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == band_index(q, k, width)
+        assert _band_gather(q, k, width) is got
 
 
 def _shift_stable_rows(ctx, d):
