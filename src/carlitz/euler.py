@@ -15,7 +15,7 @@ the decisive end-to-end verification and lives in the test suite.
 
 ``truncated_product`` computes the N_𝔓 of all primes of one degree at once
 (``local_factors``), on int64 arrays over GF(p) with the digit encoding of
-``linalg``: a residue of GF(q)[θ]/𝔓, q = p^e, is the vector of the e base-p
+``ff``: a residue of GF(q)[θ]/𝔓, q = p^e, is the vector of the e base-p
 digits of each of its d coordinates.  Every step of the definition is one
 array operation across the primes.  Each degree has two tables, the
 reduction of x^c θ^k mod 𝔓 (θ̄ is its k = 1 column) and the Frobenius matrix,
@@ -46,7 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import ResidueCtx, binom_mod_p
+from .ff import (ResidueCtx, binom_mod_p, from_digits, generator_digits,
+                 to_digits)
 from .lfun import LFun
 from .motive import TwistedPower
 from .poly import Poly, irreducibles_of_degree
@@ -155,39 +156,31 @@ class _Block:
     """
 
     def __init__(self, ctx, primes):
-        import numpy as np
-
         self.ctx = ctx
         self.p, self.e, self.d = ctx.char, ctx.e, int(primes[0].degree)
         self.rcs = [residue_ctx(prime) for prime in primes]
         p, e, d = self.p, self.e, self.d
         basis = [tuple(p**a if j == i else 0 for j in range(d))
                  for i in range(d) for a in range(e)]  # x^a θ^i
-        self.frob = np.array([[self._digits(rc.frobenius(x, 1)) for x in basis]
-                              for rc in self.rcs], dtype=np.int64)
+        self.frob = to_digits([[rc.frobenius(x, 1) for x in basis]
+                               for rc in self.rcs], p, e).reshape(
+            len(self.rcs), d * e, d * e)
         self._grow(max(1, 2 * d - 2))
-
-    def _digits(self, r):
-        p = self.p
-        return [c // p**a % p for c in r for a in range(self.e)]
 
     def _grow(self, k_max: int):
         """Build ``red`` for θ^0 .. θ^k_max, from the residue contexts."""
         import numpy as np
 
-        from .linalg import generator_digits
-
         p, e, d = self.p, self.e, self.d
-        rows = []
+        codes = []
         for rc in self.rcs:
             cur, theta = rc.one, rc.theta()
             for _ in range(k_max + 1):
-                rows.append(self._digits(cur))
+                codes.append(cur)
                 cur = rc.mul(cur, theta)
-        rows = np.array(rows, dtype=np.int64).reshape(-1, k_max + 1, d, e)
+        rows = to_digits(codes, p, e).reshape(-1, k_max + 1, d, e)
         # xs[A, c, a]: digit A of x^(c+a), so x^c times a digit row a
-        xs = generator_digits(self.ctx, 3 * e - 2)[
-            :, np.arange(2 * e - 1)[:, None] + np.arange(e)]
+        xs = generator_digits(self.ctx, 2 * e - 1)
         self.red = np.einsum("Aca,bkia->biAkc", xs, rows).reshape(
             len(self.rcs), d * e, k_max + 1, 2 * e - 1) % p
 
@@ -223,7 +216,7 @@ class _Block:
             self._grow(width - 1)
         # tau[x, a, n - l]: digit a of (-1)^l C(n, l) a_(x-l), the θ^x
         # coefficient of the T^(n-l) coefficient of P(θ)(T - θ)^n
-        digits = np.array(coeffs, dtype=np.int64)[:, None] // p ** np.arange(e) % p
+        digits = to_digits(coeffs, p, e)
         tau = np.zeros((width, e, n + 1), dtype=np.int64)
         for l in range(n + 1):
             tau[l : l + len(coeffs), :, n - l] = (
@@ -277,7 +270,6 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
     if bound < 1:
         raise ValueError("truncation bound must be >= 1")
     ctx = tp.ctx
-    powers = [ctx.char**a for a in range(ctx.e)]
     series = [Poly.one(ctx)] + [Poly.zero(ctx)] * bound
     for d in range(1, bound + 1):
         digits = local_factors(tp, d)
@@ -285,7 +277,7 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
             # the cross terms of the degree-d factors lie beyond U^bound:
             # their product is 1 + (sum of N) U^d, a digit-wise sum mod p
             digits = digits.sum(axis=0, keepdims=True) % ctx.char
-        for row in (digits @ powers).tolist():
+        for row in from_digits(digits, ctx.char, ctx.e).tolist():
             npoly = Poly(ctx, row)
             # series / (1 - N U^d), from the lowest power up
             for j in range(d, bound + 1):

@@ -53,7 +53,7 @@ mod p, where the basis holds the rows of φ^i (``_powers``; the identity for
 φ = θ).  So φ alone fixes what a digit row means and which points the
 engine takes.  The engine builds the basis and its certify plan on its
 first batched call, and runs the live rows in lockstep with numpy, in two
-phases, over uint16 copies of the point field's lookup tables.
+phases, over uint16 copies of the point field's tables (``_ops``).
 
 Certify: at every point, a nonzero det(M(t) - I) settles order 0 and the
 row leaves.  Rows run in groups: runs of consecutive rows with equal digits
@@ -100,10 +100,10 @@ themselves).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .ff import _TABLE_LIMIT, field_make, is_prime
-from .motive import band_index, band_signs, stable_size
+from .ff import _TABLE_LIMIT, field_make, from_digits, is_prime, to_digits
+from .motive import _band_gather, band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
 
@@ -121,45 +121,38 @@ def _powers(p, phi, count):
     return rows
 
 
-class _Tables:
-    """The point field GF(p^s)'s ``ff`` tables, with numpy ops over them."""
+def _Tables(p: int, s: int):
+    """The point field GF(p^s)'s ``ff`` tables, a ``FieldTables``."""
+    if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
+        raise ValueError(f"point field GF({p}^{s}) above table cap")
+    return field_make(p, s).tables()
 
-    __slots__ = ("q", "e", "mul", "add", "sub", "inv", "frob", "_ops")
 
-    def __init__(self, p: int, s: int):
-        if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
-            raise ValueError(f"point field GF({p}^{s}) above table cap")
-        t = field_make(p, s).tables()
-        self.q, self.e = t.q, t.e
-        self.mul, self.add, self.sub, self.inv, self.frob = (
-            t.mul, t.add, t.sub, t.inv, t.frob)
-        self._ops = None
+@lru_cache(maxsize=None)
+def _ops(p: int, s: int):
+    """Elementwise numpy mul, add and sub over GF(p^s), and its inv table,
+    built once per field and shared by every engine over it.
 
-    def ops(self):
-        """Elementwise numpy mul, add and sub, and the inv table, built once.
+    They act on uint16 arrays through flat uint16 copies of the tables:
+    q <= 256, so an element and the flat index a*q + b both fit uint16, and
+    a take on uint16 runs about 3x faster than on intp.
+    """
+    import numpy as np
+    t = field_make(p, s).tables()
+    q = t.q
+    t_mul, t_add, t_sub, t_inv = (np.asarray(x, dtype=np.uint16)
+                                  for x in (t.mul, t.add, t.sub, t.inv))
 
-        They act on uint16 arrays through flat uint16 copies of the tables:
-        q <= 256, so an element and the flat index a*q + b both fit uint16,
-        and a take on uint16 runs about 3x faster than on intp.
-        """
-        if self._ops is None:
-            import numpy as np
-            q = self.q
-            t_mul, t_add, t_sub, t_inv = (
-                np.asarray(t, dtype=np.uint16)
-                for t in (self.mul, self.add, self.sub, self.inv))
+    def mul(a, b):
+        return t_mul.take(a * q + b)
 
-            def mul(a, b):
-                return t_mul.take(a * q + b)
+    def add(a, b):
+        return t_add.take(a * q + b)
 
-            def add(a, b):
-                return t_add.take(a * q + b)
+    def sub(a, b):
+        return t_sub.take(a * q + b)
 
-            def sub(a, b):
-                return t_sub.take(a * q + b)
-
-            self._ops = (mul, add, sub, t_inv)
-        return self._ops
+    return mul, add, sub, t_inv
 
 
 class _Plan:
@@ -192,7 +185,7 @@ class _Plan:
         import numpy as np
         k, p, basis = eng.k, eng.p, eng._basis
         q, e = eng.tables.q, eng.tables.e  # the point field is GF(p^e)
-        idx = np.asarray(eng._idx)
+        idx = _band_gather(p, k, eng.m + eng.n + 1)
         reach = [0]
         for row in basis:
             slots = np.flatnonzero(row)[:, None] + np.arange(eng.n + 1)
@@ -223,11 +216,10 @@ class _Plan:
             eng._band(basis[:s], ws)[idx[:r].T].transpose(0, 2, 1)
             .reshape(k, s * r) for ws in eng.point_weights]
         shifts = b * np.arange(e)
-        digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+        digits = to_digits(np.arange(q), p, e)
         self.pack = (digits << shifts).sum(axis=1).astype(np.uint16)
         sums = np.arange(1 << (b * e))[:, None] >> shifts & ((1 << b) - 1)
-        self.unpack = (sums % p * p ** np.arange(e)).sum(axis=1).astype(
-            np.uint16)
+        self.unpack = from_digits(sums % p, p, e).astype(np.uint16)
 
 
 class RankEngine:
@@ -365,7 +357,7 @@ class RankEngine:
         # det(M(t) - I) != 0 at the i-th point for every row of digits, by
         # one elimination of the shared rows per group (module doc)
         import numpy as np
-        _, _, sub, _ = self.tables.ops()
+        _, _, sub, _ = _ops(self.p, self.tables.e)
         plan = self._plan
         k, s, r = self.k, plan.s, plan.r
         # groups: runs of rows with equal digits from position s up
@@ -395,7 +387,7 @@ class RankEngine:
         # the band v[x] = sum_l w_l(t) a[x - l] at t of every row of an
         # (N, m+1) array, with the zero slot m+n+1, as (m+n+2, N) uint16
         import numpy as np
-        mul, add, _, _ = self.tables.ops()
+        mul, add, _, _ = _ops(self.p, self.tables.e)
         n, m = self.n, self.m
         cols = np.asarray(rows, dtype=np.uint16).T  # coefficient-major
         v = np.zeros((m + n + 2, cols.shape[1]), dtype=np.uint16)
@@ -409,8 +401,9 @@ class RankEngine:
         # array: row axis last, where the eliminations run fastest.  One
         # gather of the band through motive's band index
         import numpy as np
-        _, _, sub, _ = self.tables.ops()
-        h = self._band(rows, ws)[np.asarray(self._idx)]
+        _, _, sub, _ = _ops(self.p, self.tables.e)
+        idx = _band_gather(self.p, self.k, self.m + self.n + 1)
+        h = self._band(rows, ws)[idx]
         diag = np.arange(self.k)
         h[diag, diag] = sub(h[diag, diag], 1)  # M - I
         return h
@@ -427,7 +420,7 @@ class RankEngine:
         # pivot is nonzero.  Only the matrices whose pivot row moves take
         # part in the swap.  Overwrites a
         import numpy as np
-        mul, _, sub, inv = self.tables.ops()
+        mul, _, sub, inv = _ops(self.p, self.tables.e)
         ok = np.ones(a.shape[2], dtype=bool)
         for c in range(ncols):
             piv = c + (a[c:, c] != 0).argmax(axis=0)
@@ -446,7 +439,7 @@ class RankEngine:
         # multiplicity of eigenvalue 0 of each matrix of a (k, k, N) array;
         # overwrites h
         import numpy as np
-        mul, add, sub, inv = self.tables.ops()
+        mul, add, sub, inv = _ops(self.p, self.tables.e)
         k, count = self.k, h.shape[2]
         # Hessenberg reduction by similarity, pivot per row (a row with no
         # pivot swaps row and column c+1 with themselves)

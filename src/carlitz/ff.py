@@ -27,6 +27,10 @@ digit-wise mod p.  ExtField and the point engine (``fastrank``) read them.
 Larger contexts, up to a machine word (>= 2^16), run on plain Python ints,
 so their ceiling is time, not overflow.
 
+The array form is this module's too: the batched routes compute on base-p
+digits from ``to_digits``, back through ``from_digits``, and fold digit
+products with ``generator_digits`` (numpy is imported inside them).
+
 Polynomial arithmetic over a field (irreducibility, gcd) lives in ``poly``;
 this module imports it inside the functions that need it, because ``poly``
 imports this one.
@@ -46,6 +50,10 @@ __all__ = [
     "field_from_cardinality",
     "binom_mod_p",
     "is_prime",
+    "check_code",
+    "to_digits",
+    "from_digits",
+    "generator_digits",
 ]
 
 _TABLE_LIMIT = 256  # build q*q lookup tables only for q <= this
@@ -331,6 +339,45 @@ def field_from_cardinality(q: int):
     if p**e != q:
         raise ValueError(f"{q} is not a prime power")
     return field_make(p, e)
+
+
+def check_code(ctx, c, low: int, name: str):
+    """ValueError unless ``c`` is an int code of ``ctx`` in low..q-1."""
+    if type(c) is not int or not low <= c < ctx.order:
+        raise ValueError(f"{name} must be a code in {low}..{ctx.order - 1}, "
+                         f"got {c!r}")
+
+
+@lru_cache(maxsize=None)
+def _place_values(p: int, e: int):
+    """p^0 .. p^(e-1), a read-only int64 array cached per (p, e)."""
+    import numpy as np
+    out = p ** np.arange(e, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def to_digits(codes, p: int, e: int):
+    """int64 base-p digits of GF(p^e) codes, on a new last axis of length e."""
+    import numpy as np
+    return np.asarray(codes, np.int64)[..., None] // _place_values(p, e) % p
+
+
+def from_digits(digits, p: int, e: int):
+    """The codes of base-p digits on the last axis (inverts ``to_digits``)."""
+    return digits @ _place_values(p, e)
+
+
+@lru_cache(maxsize=None)
+def generator_digits(ctx, count: int):
+    """(e, count, e) int64, cached and read-only: [c, r, a] is digit c of
+    x^(r+a), x the generator (code p; x^0 = 1 over GF(p)).  [:, :, 0] folds
+    a digit product of degree < count back to e digits."""
+    p, e = ctx.char, ctx.e
+    out = to_digits([[ctx.pow_(p, r + a) for a in range(e)]
+                     for r in range(count)], p, e).transpose(2, 0, 1).copy()
+    out.flags.writeable = False
+    return out
 
 
 class ResidueCtx:

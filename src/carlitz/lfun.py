@@ -13,6 +13,7 @@ integer coefficient lists (zero polynomial encodes as ``[0]``).
 
 from __future__ import annotations
 
+from .ff import check_code
 from .poly import Poly
 
 __all__ = ["LFun", "lfun_order_at", "lfun_substitute"]
@@ -110,11 +111,6 @@ class LFun:
         return "LFun<" + (" + ".join(terms) or "0") + ">"
 
 
-def _check_gamma(ctx, gamma):
-    if not 0 < gamma < ctx.order:  # a code of GF(q)^*, not 0 nor read mod q
-        raise ValueError(f"γ must be a code in 1..{ctx.order - 1}, got {gamma!r}")
-
-
 def lfun_order_at(l: LFun, gamma) -> int:
     """Largest r with (U - γ)^r dividing L, by repeated synthetic division.
 
@@ -122,7 +118,7 @@ def lfun_order_at(l: LFun, gamma) -> int:
     U = 0 is always 0 because L(0) = 1, so γ = 0 is rejected to avoid misuse.
     """
     ctx = l.ctx
-    _check_gamma(ctx, gamma)
+    check_code(ctx, gamma, 1, "γ")
     c = list(l.cs)
     order = 0
     while True:
@@ -148,16 +144,18 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
     ``t_map`` is one of ``("shift", d)`` for T -> T-d, ``("scale", c)`` for
     T -> c^(-1) T, ``("power", k)`` for T -> T^(q^k), or ``("invert", n)``
     for the degree-bounded inversion with clearing factor (-T)^n.
-    ``u_scale`` is a nonzero base-field element γ for U -> γU.
+    ``u_scale`` is γ for U -> γU.  d is a code in 0..q-1, c and γ in 1..q-1.
     """
     out = l
     if t_map is not None:
         ctx = l.ctx
         kind, arg = t_map
         if kind == "shift":
+            check_code(ctx, arg, 0, "shift")
             inner = Poly(ctx, (ctx.neg(arg), ctx.one))
             cs = [c.compose(inner) for c in l.cs]
         elif kind == "scale":
+            check_code(ctx, arg, 1, "scale")
             s = ctx.inv(arg)
             cs = [c.scale_var(s) for c in l.cs]
         elif kind == "power":
@@ -170,6 +168,6 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
             raise ValueError(f"unknown T-substitution {kind!r}")
         out = LFun(ctx, cs)
     if u_scale is not None:
-        _check_gamma(l.ctx, u_scale)
+        check_code(l.ctx, u_scale, 1, "γ")
         out = out.scale_u(u_scale)
     return out

@@ -18,9 +18,9 @@ power of T.  With every entry of T-degree <= deg, the coefficients of a
 principal j x j block's characteristic polynomial have T-degree <= j*deg,
 so k*deg + 1 columns bound every array.
 
-Digit products have degree up to 2e-2; a (2e-1) x e matrix of powers of the
-field generator folds them back to e digits.  Each T-coefficient of an entry
-is expanded once into the e x e GF(p)-matrix of multiplication by it.
+Digit products have degree up to 2e-2; ``ff``'s generator-power table folds
+them back to e digits.  Each T-coefficient of an entry is expanded once into
+the e x e GF(p)-matrix of multiplication by it.
 
 Block n, the principal n x n block with pivot row and column n-1, needs
 R A^j C for j <= n-2, with A its leading (n-1) x (n-1) corner, R the pivot
@@ -56,41 +56,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .ff import from_digits, generator_digits, to_digits
 from .poly import Poly
 
-__all__ = ["berkowitz_stack", "det_identity_minus_mu", "det_cofactor",
-           "generator_digits"]
-
-
-@lru_cache(maxsize=None)
-def generator_digits(ctx, count: int):
-    """(e, count) int64 array: column r holds the base-p digits of x^r.
-
-    x is the generator of GF(p^e), encoded as p (x^0 = 1 over GF(p)).  The
-    columns r >= e fold a digit product of degree r back to e digits.  The
-    array is cached per (ctx, count) and read-only.
-    """
-    import numpy as np
-
-    p = ctx.char
-    out = np.array([[ctx.pow_(p, r) // p**c % p for r in range(count)]
-                    for c in range(ctx.e)], dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def _digit_products(ctx):
-    """(e*e, e) int64, read-only: row (c, x), column a is digit c of x^(a+x),
-    so a digit vector times it gives the digits of its products with x^x."""
-    import numpy as np
-
-    e = ctx.e
-    digits = np.arange(e)
-    out = generator_digits(ctx, 2 * e - 1)[
-        :, digits[:, None] + digits].reshape(e * e, e)
-    out.flags.writeable = False
-    return out
+__all__ = ["berkowitz_stack", "det_identity_minus_mu", "det_cofactor"]
 
 
 @lru_cache(maxsize=None)
@@ -136,15 +105,15 @@ def berkowitz_stack(codes, ctx):
         return vec
     h = k - 1  # rows and columns of the Krylov vectors
 
-    powers = p ** np.arange(e, dtype=np.int64)
     # mat[b, d, a, i, j]: digit a of the T^d coefficient of M_b[i][j]
-    mat = (codes[..., None] // powers % p).transpose(0, 3, 4, 1, 2)
-    fold = generator_digits(ctx, e2)
+    mat = to_digits(codes, p, e).transpose(0, 3, 4, 1, 2)
+    fold = generator_digits(ctx, e2)[:, :, 0]
     # mul[b, i, c, d, j, x]: digit c of (T^d coefficient of M_b[i][j]) *
     # gen^x, so that M times deg+1 T-shifted copies of a vector is one
     # GF(p)-matmul over (shift, entry, digit); the columns j < k-1 suffice,
     # since every Krylov vector is zero on row k-1
-    mul = (_digit_products(ctx) @ mat.reshape(count, deg + 1, e, k * k)
+    mul = (generator_digits(ctx, e).reshape(e * e, e)
+           @ mat.reshape(count, deg + 1, e, k * k)
            % p).reshape(count, deg + 1, e, e, k, k)[..., :h]
     mul = mul.transpose(0, 4, 2, 1, 5, 3).astype(np.float64, order="C")
     mul = mul.reshape(count, k * e, (deg + 1) * h * e)
@@ -210,8 +179,7 @@ def det_identity_minus_mu(codes, ctx):
     import numpy as np
 
     vec = berkowitz_stack(np.asarray(codes)[None], ctx)[0]
-    powers = ctx.char ** np.arange(ctx.e, dtype=np.int64)
-    out = (vec * powers[:, None]).sum(axis=1)
+    out = from_digits(vec.transpose(0, 2, 1), ctx.char, ctx.e)
     return [Poly(ctx, row) for row in out.tolist()]
 
 

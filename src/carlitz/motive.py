@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ff import binom_mod_p
+from .ff import binom_mod_p, check_code, from_digits, to_digits
 # lfun_order_at is unused here; the benchmark's tracer patches it (item 2)
 from .lfun import LFun, lfun_order_at  # noqa: F401
 from .linalg import berkowitz_stack, det_identity_minus_mu
@@ -120,6 +120,8 @@ class TwistedPower:
             raise ValueError("twist polynomial must be nonzero")
         if self.n < 1:
             raise ValueError("tensor exponent must be >= 1")
+        for c in self.P.coeffs:
+            check_code(self.ctx, c, 0, "twist coefficient")
 
     @property
     def ctx(self):
@@ -150,13 +152,12 @@ def _band_codes(rows, n: int, ctx):
 
     rows = np.asarray(rows, dtype=np.int64)
     p, e, m = ctx.char, ctx.e, rows.shape[1] - 1
-    powers = p ** np.arange(e, dtype=np.int64)
     # band[r, x, n-l, c]: digit c of (-1)^l C(n, l) a_(x-l)
-    digits = rows[:, :, None] // powers % p
+    digits = to_digits(rows, p, e)
     band = np.zeros((len(rows), m + n + 2, n + 1, e), dtype=np.int64)
     for l, sign in enumerate(band_signs(n, p)):
         band[:, l : l + m + 1, n - l] = digits * sign % p
-    return band @ powers
+    return from_digits(band, p, e)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ff import binom_mod_p
+from .ff import binom_mod_p, check_code
 from .lfun import LFun, lfun_substitute
 from .motive import (TwistedPower, l_function, _matrix_rows, on_coset,
                      reduced_block_size)
@@ -85,16 +85,16 @@ def smallest_iota_degree(tp: TwistedPower) -> int:
 
 
 def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
-    """Apply one generator; returns the acted twisted power."""
+    """Apply one generator, whose scalar or multiplier lies over GF(q)."""
     ctx = tp.ctx
     q = ctx.order
     P = tp.P
     if isinstance(g, Mu):
+        check_code(ctx, g.d, 0, "Mu's d")
         inner = Poly(ctx, (g.d, ctx.one))  # θ + d
         return TwistedPower(P.compose(inner), tp.n)
     if isinstance(g, Nu):
-        if g.c == ctx.zero:
-            raise ValueError("Nu needs a nonzero scalar")
+        check_code(ctx, g.c, 1, "Nu's c")
         return TwistedPower(P.scale_var(g.c), tp.n)
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
@@ -102,8 +102,7 @@ def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
             raise ValueError(f"inadmissible reversal degree {m}")
         return TwistedPower(P.reversed_to(m), tp.n)
     if isinstance(g, Tau):
-        if g.c == ctx.zero:
-            raise ValueError("Tau needs a nonzero scalar")
+        check_code(ctx, g.c, 1, "Tau's c")
         s = ctx.pow_(ctx.inv(g.c), tp.n)
         return TwistedPower(P.scalar_mul(s), tp.n)
     if isinstance(g, Sigma):
@@ -111,8 +110,8 @@ def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
             raise ValueError("Sigma exponent must be >= 1")
         return TwistedPower(P, tp.n * q**g.k)
     if isinstance(g, TwistMul):
-        if g.q_poly.is_zero():
-            raise ValueError("twist multiplier must be nonzero")
+        if g.q_poly.ctx != ctx or g.q_poly.is_zero():
+            raise ValueError(f"twist multiplier must be nonzero over {ctx!r}")
         return TwistedPower(P * g.q_poly ** (q - 1), tp.n)
     raise TypeError(f"unknown generator {g!r}")
 
@@ -223,6 +222,7 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
     if K < 1:
         raise ValueError("window must be >= 1")
     if isinstance(g, Mu):
+        acted = act_on_poly(g, tp)  # raises unless d is a code
         inner = Poly(ctx, (ctx.neg(g.d), ctx.one))  # T - d
         r = q * K + tp.m + tp.n
         w = conjugator(ctx, "w1", r, d=g.d)[:K]
@@ -230,9 +230,9 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
                                                    d=ctx.neg(g.d)))
         corner = _matmul(_matmul(w, _matrix_rows(tp, r)), winv)
         return corner == tuple(tuple(e.compose(inner) for e in row)
-                               for row in _matrix_rows(act_on_poly(g, tp), K))
+                               for row in _matrix_rows(acted, K))
     if isinstance(g, Nu):
-        acted = act_on_poly(g, tp)  # raises on c = 0
+        acted = act_on_poly(g, tp)  # raises unless c is a code
         cinv = ctx.inv(g.c)
         scale = ctx.pow_(cinv, tp.n)
         lhs = tuple(tuple(e.scale_var(cinv) for e in row)
@@ -250,7 +250,7 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
             tuple(tuple(e.invert_var(tp.n) for e in row)
                   for row in _matrix_rows(acted, k3))
     if isinstance(g, Tau):
-        acted = act_on_poly(g, tp)  # raises on c = 0
+        acted = act_on_poly(g, tp)  # raises unless c is a code
         s = ctx.pow_(ctx.inv(g.c), tp.n)
         return _matrix_rows(acted, K) == tuple(
             tuple(e.scalar_mul(s) for e in row) for row in _matrix_rows(tp, K))

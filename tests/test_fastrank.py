@@ -6,7 +6,7 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank
-from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _powers
+from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _ops, _powers
 from carlitz.motive import on_coset, reduced_block_size
 from carlitz.scan import _mode_phi
 
@@ -108,6 +108,21 @@ def test_point_field_table_cap():
     with pytest.raises(ValueError, match="above table cap"):
         _Tables(2, 9)
     assert _Tables(2, 8).q == 256
+
+
+def test_engines_share_the_point_field_tables(rng):
+    # the engine reads ff's tables as they are, and the uint16 ops over them
+    # are built once per field: two engines over GF(9) share one ops tuple
+    a, b = RankEngine(3, 1, 5), RankEngine(3, 2, 4)
+    assert a.tables is b.tables is field_make(3, 2).tables()
+    ops = _ops(3, 2)
+    misses = _ops.cache_info().misses
+    for eng, m in ((a, 5), (b, 4)):
+        rows = np.array([[rng.randrange(3) for _ in range(m)] + [1]
+                         for _ in range(20)])
+        assert eng.vanishing_orders(rows).tolist() == [
+            eng.vanishing_order(tuple(r)) for r in rows.tolist()]
+    assert _ops.cache_info().misses == misses and _ops(3, 2) is ops
 
 
 def test_reduced_block_composition(rng):

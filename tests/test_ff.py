@@ -3,13 +3,15 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carlitz import (field_make, field_from_cardinality, binom_mod_p, ExtField,
                      ResidueCtx, Poly)
-from carlitz.ff import is_prime
+from carlitz.ff import (check_code, from_digits, generator_digits, is_prime,
+                        to_digits)
 
 
 def test_field_make_prime_fields():
@@ -282,3 +284,51 @@ def test_residue_ctx_over_extension_field():
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2),
+                                 (3, 3), (2, 9), (3, 6), (10**9 + 7, 1)])
+def test_codec_round_trip(p, e, rng):
+    # every code up to GF(3^6), random codes of GF(10^9 + 7): the digits on
+    # a new last axis are the little-endian base-p digits, and from_digits
+    # inverts to_digits
+    q = p**e
+    codes = (list(range(q)) if q <= 729 else
+             [0, 1, q - 1] + [rng.randrange(q) for _ in range(300)])
+    digits = to_digits(codes, p, e)
+    assert digits.shape == (len(codes), e) and digits.dtype == np.int64
+    assert digits.tolist() == [[c // p**a % p for a in range(e)]
+                               for c in codes]
+    assert from_digits(digits, p, e).tolist() == codes
+    grid = np.resize(codes, (2, 3))
+    assert to_digits(grid, p, e).shape == (2, 3, e)
+    assert (from_digits(to_digits(grid, p, e), p, e) == grid).all()
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 512, 729])
+def test_generator_digits_are_generator_powers(q):
+    # [c, r, a] is digit c of x^(r+a), x the generator (code p), checked
+    # against the field's own arithmetic for the counts the routes read
+    ctx = field_from_cardinality(q)
+    p, e = ctx.char, ctx.e
+    for count in (1, e, 2 * e - 1):
+        table = generator_digits(ctx, count)
+        assert table.shape == (e, count, e) and table.dtype == np.int64
+        assert not table.flags.writeable
+        assert table is generator_digits(ctx, count)
+        for r in range(count):
+            want = [ctx.mul(ctx.pow_(p, r), ctx.pow_(p, a)) for a in range(e)]
+            assert from_digits(table[:, r, :].T, p, e).tolist() == want
+
+
+def test_generator_digits_over_prime_fields():
+    for p in (2, 3, 7, 10**9 + 7):
+        assert generator_digits(field_make(p), 1).tolist() == [[[1]]]
+
+
+def test_check_code(f9):
+    check_code(f9, 0, 0, "d")
+    check_code(f9, 8, 1, "c")
+    for c, low in ((9, 0), (-1, 0), (0, 1), (1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="must be a code in"):
+            check_code(f9, c, low, "c")

@@ -12,7 +12,10 @@ check must raise.
 
 The Euler route stays independent of the other two: ``euler`` builds the
 τ-matrix's coefficients itself, so its agreement with the determinant
-still tests the determinant's band.
+still tests the determinant's band, and it reads nothing of ``linalg``.
+
+``ff`` alone converts GF(p^e) codes to base-p digits and back: no other
+module raises p to an ``arange`` of digit positions.
 """
 
 import ast
@@ -72,11 +75,30 @@ def _package_imports(path):
 
 def test_euler_reads_only_the_twist_from_the_other_routes():
     # the batch builds P(θ)(T - θ)^n's coefficients itself; reading the
-    # determinant's band (motive._band_codes, band_signs) or the point
-    # engine would make the cross-check between the routes circular
+    # determinant's band (motive._band_codes, band_signs), the determinant
+    # or the point engine would make the cross-check between the routes
+    # circular; the generator table it shares with linalg comes from ff
     got = {(mod, name) for mod, name in _package_imports(SRC / "euler.py")
-           if mod in ("motive", "fastrank")}
+           if mod in ("motive", "fastrank", "linalg")}
     assert got == {("motive", "TwistedPower")}
+
+
+def _digit_place_values(path):
+    """Lines of ``x ** arange(...)``: the place values of a by-hand digit
+    decode or encode."""
+    return [node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Call)
+            and getattr(node.right.func, "attr",
+                        getattr(node.right.func, "id", None)) == "arange"]
+
+
+def test_only_ff_converts_codes_to_digits():
+    found = {(path.name, line) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "ff" for line in _digit_place_values(path)}
+    assert found == set(), "use ff.to_digits / ff.from_digits"
+    assert _digit_place_values(SRC / "ff.py"), "the check sees ff's own"
 
 
 def test_no_assert_statements():

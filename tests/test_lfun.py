@@ -42,6 +42,18 @@ def test_gamma_must_be_a_field_code(f3, f9):
                 lfun_substitute(ll, u_scale=gamma)
 
 
+def test_substitution_arguments_must_be_field_codes(f9):
+    # a shift d outside 0..q-1 or a scale c outside 1..q-1 read negative
+    # table indices (-1 answered) or past the tables (9 raised IndexError)
+    l9 = l_function(TwistedPower(Poly(f9, [6, 0, 7, 4, 3, 1, 5, 1]), 1))
+    assert l9.u_degree > 0
+    for t_map in (("shift", -1), ("shift", 9), ("scale", -1), ("scale", 9),
+                  ("scale", 0)):
+        with pytest.raises(ValueError, match=f"{t_map[0]} must be a code in"):
+            lfun_substitute(l9, t_map)
+    assert lfun_substitute(l9, ("shift", 0)) == l9
+
+
 def test_substitute_shift_and_scale(f3):
     l = lf3([1], [0, 2])  # 1 - TU
     shifted = lfun_substitute(l, ("shift", 1))

@@ -27,13 +27,18 @@ def _codes_at(t, k):
     return band[band_index(t.ctx.order, k, len(band) - 1)]
 
 
-def test_twisted_power_validation(f3):
+def test_twisted_power_validation(f3, f9):
     with pytest.raises(ValueError):
         TwistedPower(Poly.zero(f3), 1)
     with pytest.raises(ValueError):
         TwistedPower(Poly.one(f3), 0)
     t = tp3([0, 2, 0, 2])
     assert (t.m, t.k_min) == (3, 2)
+    # a coefficient outside GF(9)'s codes: l_function read 10 as 1, while
+    # analytic_rank refused it
+    for coeffs in ([10, 0, 1], [-1, 1], [0, 9]):
+        with pytest.raises(ValueError, match=r"code in 0\.\.8"):
+            TwistedPower(Poly(f9, coeffs), 1)
 
 
 def test_matrix_rank2_witness():

@@ -26,6 +26,26 @@ def test_act_examples(f3):
     assert act_on_poly(TwistMul(Poly(f3, [0, 1])), tp3([1])).P == Poly(f3, [0, 0, 1])
 
 
+def test_generator_scalars_must_be_field_codes(f3, f9):
+    # a scalar outside GF(q) was read as some element or indexed past a
+    # table: over GF(9) Nu(9) gave the constant twist, Mu(10) acted and
+    # Tau(-1) read inv[-1]; over GF(3) Mu(4) acted as Mu(1), and its
+    # identity held
+    t9 = TwistedPower(Poly(f9, [1, 2, 0, 1]), 1)
+    t3 = tp3([1, 2, 0, 1])
+    cases = [(t9, Nu(9)), (t9, Nu(0)), (t9, Mu(10)), (t9, Mu(-1)),
+             (t9, Tau(-1)), (t9, Tau(9)), (t3, Mu(4)), (t3, Tau(3))]
+    for t, g in cases:
+        for check in (act_on_poly, check_l_identity,
+                      lambda g, t: verify_conjugacy(g, t, 3)):
+            with pytest.raises(ValueError, match="must be a code in"):
+                check(g, t)
+    # a multiplier over GF(9) on a GF(3) twist: its codes were read mod 3
+    for check in (act_on_poly, check_l_identity):
+        with pytest.raises(ValueError, match=r"nonzero over GF\(3\)"):
+            check(TwistMul(Poly(f9, [4, 1])), t3)
+
+
 def test_iota_admissibility(f3):
     t = tp3([1, 0, 1])  # deg 2, n=1: smallest admissible window is 3
     assert smallest_iota_degree(t) == 3
