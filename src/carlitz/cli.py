@@ -13,7 +13,7 @@ import json
 import random
 import sys
 
-from .ff import field_from_cardinality
+from .ff import check_int, field_from_cardinality
 from .poly import Poly, poly_from_str, poly_to_str
 from .lfun import lfun_order_at
 from .motive import TwistedPower, l_function, analytic_rank
@@ -29,27 +29,18 @@ class UsageError(Exception):
     pass
 
 
-def _field(args):
-    try:
-        return field_from_cardinality(args.q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _twisted(args):
-    ctx = _field(args)
+    ctx = field_from_cardinality(args.q)
     try:
         p = poly_from_str(ctx, args.poly)
     except ValueError as exc:
         raise UsageError(f"bad --poly: {exc}") from None
-    if p.is_zero():
-        raise UsageError("P must be nonzero")
     return TwistedPower(p, args.n)
 
 
 def _lfun_json(l) -> str:
-    return json.dumps({str(j): [int(c) for c in l.coeff(j).coeffs] or [0]
-                       for j in range(l.u_degree + 1)})
+    return json.dumps({str(t["u_deg"]): t["coeffs_T"]
+                       for t in l.to_json_obj()})
 
 
 def cmd_lfun(args) -> int:
@@ -63,9 +54,7 @@ def cmd_rank(args) -> int:
     if args.at is not None:
         # a field element, digit-encoded like a --poly coefficient; the order
         # at U = 0 is constant (L(0) = 1)
-        if not 0 < args.at < tp.ctx.order:
-            raise UsageError("--at must be a nonzero field element in "
-                             f"[1, {tp.ctx.order})")
+        check_int(args.at, 1, "--at (a nonzero field element)", tp.ctx.order)
         print(lfun_order_at(l_function(tp), args.at))
     else:
         print(analytic_rank(tp))
@@ -185,10 +174,8 @@ def _verify_conj(args, rng, gens=None):
 
 
 def cmd_verify(args) -> int:
-    if args.cases < 1:
-        raise UsageError("--cases must be >= 1")
-    if args.window < 1:
-        raise UsageError("--window must be >= 1")
+    check_int(args.cases, 1, "--cases")
+    check_int(args.window, 1, "--window")
     rng = random.Random(args.seed)
     suites = []
     which = args.suite

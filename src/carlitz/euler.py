@@ -46,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import (ResidueCtx, binom_mod_p, from_digits, generator_digits,
-                 to_digits)
+from .ff import (ResidueCtx, binom_mod_p, check_int, from_digits,
+                 generator_digits, to_digits)
 from .lfun import LFun
 from .motive import TwistedPower
 from .poly import Poly, irreducibles_of_degree
@@ -267,8 +267,7 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
     Equals the matrix-formula L-function through U-degree ``bound``, and
     exactly when ``bound`` >= the stable matrix size.
     """
-    if bound < 1:
-        raise ValueError("truncation bound must be >= 1")
+    check_int(bound, 1, "truncation bound")
     ctx = tp.ctx
     series = [Poly.one(ctx)] + [Poly.zero(ctx)] * bound
     for d in range(1, bound + 1):

@@ -102,7 +102,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from .ff import _TABLE_LIMIT, field_make, from_digits, is_prime, to_digits
+from .ff import check_int, field_make, from_digits, is_prime, to_digits
 from .motive import _band_gather, band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
@@ -123,9 +123,10 @@ def _powers(p, phi, count):
 
 def _Tables(p: int, s: int):
     """The point field GF(p^s)'s ``ff`` tables, a ``FieldTables``."""
-    if p**s > _TABLE_LIMIT:  # flat q^s * q^s tables
+    t = field_make(p, s).tables()
+    if t is None:  # ff builds no flat q^s * q^s tables above its cap
         raise ValueError(f"point field GF({p}^{s}) above table cap")
-    return field_make(p, s).tables()
+    return t
 
 
 @lru_cache(maxsize=None)
@@ -232,12 +233,15 @@ class RankEngine:
         phi = tuple(c % p for c in phi)
         if len(phi) < 2 or not phi[-1]:
             raise ValueError("φ must have degree >= 1")
+        check_int(n, 1, "n")
+        check_int(m, 0, "m")
+        if k is None:
+            k = stable_size(p, n, m)
+        check_int(k, 0, "k")
         self.p = p
         self.n = n
         self.m = m
         self.phi = phi
-        if k is None:
-            k = stable_size(p, n, m)
         self.k = k
         self._idx = band_index(p, k, m + n + 1)  # M(t) from the band at t
         if k == 0:

@@ -31,6 +31,9 @@ The array form is this module's too: the batched routes compute on base-p
 digits from ``to_digits``, back through ``from_digits``, and fold digit
 products with ``generator_digits`` (numpy is imported inside them).
 
+So is the one check of every int a caller passes, field codes and all
+other bounds, in every module and the CLI: ``check_int``.
+
 Polynomial arithmetic over a field (irreducibility, gcd) lives in ``poly``;
 this module imports it inside the functions that need it, because ``poly``
 imports this one.
@@ -50,7 +53,7 @@ __all__ = [
     "field_from_cardinality",
     "binom_mod_p",
     "is_prime",
-    "check_code",
+    "check_int",
     "to_digits",
     "from_digits",
     "generator_digits",
@@ -317,21 +320,20 @@ class ExtField:
         return f"GF({self.p}^{self.e})"
 
 
-@lru_cache(maxsize=None)
+# typed, so that e = 1.0 or True misses the cache of e = 1 and is refused
+@lru_cache(maxsize=None, typed=True)
 def field_make(p: int, e: int = 1):
     """Field context for GF(p^e); e > 1 gets the deterministic lex modulus."""
-    if e < 1:
-        raise ValueError("extension degree must be >= 1")
+    check_int(e, 1, "extension degree")
     if e == 1:
         return PrimeField(p)
     return ExtField(p, e)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def field_from_cardinality(q: int):
     """Field context for GF(q), factoring q = p^e."""
-    if q < 2:
-        raise ValueError("field cardinality must be >= 2")
+    check_int(q, 2, "field cardinality")
     p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
     e = 1
     while p**e < q:
@@ -341,11 +343,18 @@ def field_from_cardinality(q: int):
     return field_make(p, e)
 
 
-def check_code(ctx, c, low: int, name: str):
-    """ValueError unless ``c`` is an int code of ``ctx`` in low..q-1."""
-    if type(c) is not int or not low <= c < ctx.order:
-        raise ValueError(f"{name} must be a code in {low}..{ctx.order - 1}, "
-                         f"got {c!r}")
+def check_int(x, low: int, name: str, high: int | None = None):
+    """ValueError unless ``x`` is an int >= ``low``, and < ``high`` if given
+    (a code of GF(q) is ``high = q``); bools, floats and numpy ints are not.
+    """
+    if type(x) is int and low <= x and (high is None or x < high):
+        return
+    if high is not None:
+        raise ValueError(f"{name} must be a code in {low}..{high - 1}, "
+                         f"got {x!r}")
+    if type(x) is not int:
+        raise ValueError(f"{name} must be an int, got {x!r}")
+    raise ValueError(f"{name} must be >= {low}, got {x!r}")
 
 
 @lru_cache(maxsize=None)

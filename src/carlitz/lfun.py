@@ -13,7 +13,7 @@ integer coefficient lists (zero polynomial encodes as ``[0]``).
 
 from __future__ import annotations
 
-from .ff import check_code
+from .ff import check_int
 from .poly import Poly
 
 __all__ = ["LFun", "lfun_order_at", "lfun_substitute"]
@@ -91,14 +91,14 @@ class LFun:
                 raise ValueError("each entry needs u_deg and coeffs_T, "
                                  f"got {e!r}")
             j, coeffs = e["u_deg"], e["coeffs_T"]
-            if type(j) is not int or j < 0:
-                raise ValueError(f"u_deg must be an int >= 0, got {j!r}")
+            check_int(j, 0, "u_deg")
             if j in terms:
                 raise ValueError(f"repeated u_deg {j}")
-            if not isinstance(coeffs, list) or not all(
-                    type(v) is int and 0 <= v < ctx.order for v in coeffs):
-                raise ValueError(f"coefficients of U^{j} must be ints in "
-                                 f"[0, {ctx.order}), got {coeffs!r}")
+            if not isinstance(coeffs, list):
+                raise ValueError(f"coeffs_T of U^{j} must be a list, "
+                                 f"got {coeffs!r}")
+            for v in coeffs:
+                check_int(v, 0, f"coefficient of U^{j}", ctx.order)
             terms[j] = Poly(ctx, coeffs)
         return cls(ctx, [terms.get(j, Poly.zero(ctx))
                          for j in range(max(terms, default=0) + 1)])
@@ -118,7 +118,7 @@ def lfun_order_at(l: LFun, gamma) -> int:
     U = 0 is always 0 because L(0) = 1, so γ = 0 is rejected to avoid misuse.
     """
     ctx = l.ctx
-    check_code(ctx, gamma, 1, "γ")
+    check_int(gamma, 1, "γ", ctx.order)
     c = list(l.cs)
     order = 0
     while True:
@@ -151,11 +151,11 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
         ctx = l.ctx
         kind, arg = t_map
         if kind == "shift":
-            check_code(ctx, arg, 0, "shift")
+            check_int(arg, 0, "shift", ctx.order)
             inner = Poly(ctx, (ctx.neg(arg), ctx.one))
             cs = [c.compose(inner) for c in l.cs]
         elif kind == "scale":
-            check_code(ctx, arg, 1, "scale")
+            check_int(arg, 1, "scale", ctx.order)
             s = ctx.inv(arg)
             cs = [c.scale_var(s) for c in l.cs]
         elif kind == "power":
@@ -168,6 +168,6 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
             raise ValueError(f"unknown T-substitution {kind!r}")
         out = LFun(ctx, cs)
     if u_scale is not None:
-        check_code(l.ctx, u_scale, 1, "γ")
+        check_int(u_scale, 1, "γ", l.ctx.order)
         out = out.scale_u(u_scale)
     return out

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .ff import binom_mod_p, check_code, from_digits, to_digits
+from .ff import binom_mod_p, check_int, from_digits, to_digits
 # lfun_order_at is unused here; the benchmark's tracer patches it (item 2)
 from .lfun import LFun, lfun_order_at  # noqa: F401
 from .linalg import berkowitz_stack, det_identity_minus_mu
@@ -118,10 +118,10 @@ class TwistedPower:
     def __post_init__(self):
         if self.P.is_zero():
             raise ValueError("twist polynomial must be nonzero")
-        if self.n < 1:
-            raise ValueError("tensor exponent must be >= 1")
+        check_int(self.n, 1, "tensor exponent")
+        q = self.ctx.order
         for c in self.P.coeffs:
-            check_code(self.ctx, c, 0, "twist coefficient")
+            check_int(c, 0, "twist coefficient", q)
 
     @property
     def ctx(self):
@@ -189,8 +189,7 @@ def _matrix_rows(tp: TwistedPower, k: int):
 
 def build_matrix(tp: TwistedPower, k: int) -> tuple:
     """The k x k rows; requires k >= k_min for the stable determinant."""
-    if k < tp.k_min:
-        raise ValueError(f"k = {k} below the stable threshold {tp.k_min}")
+    check_int(k, tp.k_min, "matrix size k")
     return _matrix_rows(tp, k)
 
 
@@ -221,8 +220,7 @@ def analytic_ranks(rows, n: int, ctx):
     count, width = rows.shape
     m = width - 1
     q, p = ctx.order, ctx.char
-    if n < 1:
-        raise ValueError("tensor exponent must be >= 1")
+    check_int(n, 1, "tensor exponent")
     if m < 0 or not rows[:, m].all():
         raise ValueError("every row needs a nonzero last coefficient")
     if not count:
@@ -271,10 +269,9 @@ def d_coefficients(l: LFun, k: int):
     Write L(U) = V^(-k) * sum_i C_i V^i with V = U^(-1) (so C_i is the
     U^(k-i) coefficient), then substitute V = W + 1 and expand:
     D_j = sum_{i>=j} C(i, j) C_i.  The analytic rank is >= r0 exactly when
-    D_0 = ... = D_{r0-1} = 0.
+    D_0 = ... = D_{r0-1} = 0.  k is at least L's U-degree.
     """
-    if l.u_degree > k:
-        raise ValueError("U-degree of L exceeds k")
+    check_int(k, l.u_degree, "k")
     ctx = l.ctx
     p = ctx.char
     cs = [l.coeff(k - i) for i in range(k + 1)]

@@ -14,6 +14,8 @@ coefficient list ``"a0,a1,...,am"`` with integer entries in ``[0, p^e)``
 
 from __future__ import annotations
 
+from .ff import check_int
+
 __all__ = [
     "Poly",
     "NEG_INF",
@@ -316,8 +318,7 @@ def irreducibles_of_degree(ctx, d: int):
     Order: ascending little-endian encoding of the sub-leading coefficient
     vector (the same convention the field-modulus search uses).
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
+    check_int(d, 1, "degree")
     q = ctx.order
     elems = list(ctx.elements())
     for code in range(q**d):
@@ -371,7 +372,6 @@ def poly_from_str(ctx, s: str) -> Poly:
         if not part:
             raise ValueError("empty coefficient in polynomial string")
         v = int(part)
-        if not 0 <= v < ctx.order:
-            raise ValueError(f"coefficient {v} out of range [0, {ctx.order})")
+        check_int(v, 0, "coefficient", ctx.order)
         vals.append(v)
     return Poly(ctx, vals)

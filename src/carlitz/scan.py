@@ -105,7 +105,7 @@ import os
 from dataclasses import dataclass, field, asdict
 from typing import ClassVar
 
-from .ff import field_from_cardinality, field_make, is_prime
+from .ff import check_int, field_from_cardinality, field_make, is_prime
 from .fastrank import RankEngine, _powers
 from .motive import analytic_ranks, on_coset, reduced_block_size, stable_size
 # analytic_rank is unused here; the benchmark's tracer patches it (item 2)
@@ -177,22 +177,16 @@ class ScanSpec:
     def __post_init__(self):
         if not is_prime(self.q):
             raise ValueError("scans need prime q")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.m < 1:
-            raise ValueError("degree must be >= 1")
-        if not 1 <= self.lead < self.q:
-            raise ValueError("leading coefficient must be a nonzero residue")
+        check_int(self.n, 1, "n")
+        check_int(self.m, 1, "degree")
+        check_int(self.lead, 1, "leading coefficient", self.q)
         if self.mode not in ("squarefree", "shift-stable"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.m % self._deg:
             raise ValueError(f"{self.mode} scans need deg φ = {self._deg} | m")
-        if self.chunk_size < 1:
-            raise ValueError("chunk size must be >= 1")
-        if self.workers < 0:
-            raise ValueError("worker count must be >= 0")
-        if self.witness_cap < 0:
-            raise ValueError("witness cap must be >= 0")
+        check_int(self.chunk_size, 1, "chunk size")
+        check_int(self.workers, 0, "worker count")
+        check_int(self.witness_cap, 0, "witness cap")
 
     @property
     def _deg(self) -> int:
@@ -807,10 +801,8 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     """
     if not is_prime(q):
         raise ValueError("coset audit needs prime q")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    check_int(n, 1, "n")
+    check_int(m_max, 0, "m_max")
     lead_target = (-1) ** n % q
     m_target = (-n) % (q - 1)
     violations = []
@@ -864,8 +856,7 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
     dimensions of the shift-stable loci for the given even/odd m/q class.
     """
     field_from_cardinality(q)  # ValueError unless q is a prime power
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    check_int(r, 1, "r")
     out = {"q": q, "r": r, "mode": mode, "single_max_r": 2 * q - 3}
     if mode == "single":
         if m is not None:

@@ -24,9 +24,10 @@ an equality of such windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .ff import binom_mod_p, check_code
+from .ff import binom_mod_p, check_int
 from .lfun import LFun, lfun_substitute
 from .motive import (TwistedPower, l_function, _matrix_rows, on_coset,
                      reduced_block_size)
@@ -90,24 +91,24 @@ def act_on_poly(g, tp: TwistedPower) -> TwistedPower:
     q = ctx.order
     P = tp.P
     if isinstance(g, Mu):
-        check_code(ctx, g.d, 0, "Mu's d")
+        check_int(g.d, 0, "Mu's d", q)
         inner = Poly(ctx, (g.d, ctx.one))  # θ + d
         return TwistedPower(P.compose(inner), tp.n)
     if isinstance(g, Nu):
-        check_code(ctx, g.c, 1, "Nu's c")
+        check_int(g.c, 1, "Nu's c", q)
         return TwistedPower(P.scale_var(g.c), tp.n)
     if isinstance(g, Iota):
         m = smallest_iota_degree(tp) if g.m is None else g.m
+        check_int(m, 0, "Iota's m")
         if m < tp.m or not on_coset(q, tp.n, m):
             raise ValueError(f"inadmissible reversal degree {m}")
         return TwistedPower(P.reversed_to(m), tp.n)
     if isinstance(g, Tau):
-        check_code(ctx, g.c, 1, "Tau's c")
+        check_int(g.c, 1, "Tau's c", q)
         s = ctx.pow_(ctx.inv(g.c), tp.n)
         return TwistedPower(P.scalar_mul(s), tp.n)
     if isinstance(g, Sigma):
-        if g.k < 1:
-            raise ValueError("Sigma exponent must be >= 1")
+        check_int(g.k, 1, "Sigma exponent")
         return TwistedPower(P, tp.n * q**g.k)
     if isinstance(g, TwistMul):
         if g.q_poly.ctx != ctx or g.q_poly.is_zero():
@@ -178,33 +179,35 @@ def _matmul(a: tuple, b: tuple) -> tuple:
         for row in a)
 
 
-def conjugator(ctx, kind: str, size: int, *, d=None) -> tuple:
-    """Window of a conjugator matrix.
+def conjugator(ctx, kind: str, size: int, *, d=None, n: int = 1) -> tuple:
+    """Window of an upper triangular conjugator matrix (0-based).
 
-    ``"w1"``  upper triangular, entry (i,j) = C(j,i) d^(j-i)   (0-based);
-    ``"w5"``  upper triangular T^(j-i), with ``"w5inv"`` its two-band inverse.
+    ``"w1"``  entry (i,j) = C(j,i) d^(j-i), d a code of GF(q);
+    ``"w5"``  W5^n for any int n, W5 = (1 - T S)^(-1) = (T^(j-i)), S the
+              shift: entry (i,j) is C(n+j-i-1, j-i) T^(j-i), or for n <= 0
+              (-1)^(j-i) C(-n, j-i) T^(j-i), the windows' n-fold product.
     """
-    if size < 1:
-        raise ValueError("window size must be >= 1")
+    check_int(size, 1, "window size")
     p = ctx.char
-    one = Poly.one(ctx)
     zero = Poly.zero(ctx)
     if kind == "w1":
+        check_int(d, 0, "w1's d", ctx.order)
+
         def entry(i, j):
-            b = binom_mod_p(j, i, p) if j >= i else 0
+            b = binom_mod_p(j, i, p)
             return Poly.constant(ctx, ctx.mul(ctx.from_int(b),
                                               ctx.pow_(d, j - i))) if b else zero
     elif kind == "w5":
-        def entry(i, j):
-            return Poly.monomial(ctx, ctx.one, j - i) if j >= i else zero
-    elif kind == "w5inv":
-        x = Poly.x(ctx)
+        check_int(n, -math.inf, "w5's n")
 
         def entry(i, j):
-            return one if i == j else (-x if j == i + 1 else zero)
+            b = (binom_mod_p(n + j - i - 1, j - i, p) if n > 0 else
+                 (-1) ** (j - i) * binom_mod_p(-n, j - i, p) % p)
+            return Poly.monomial(ctx, ctx.from_int(b), j - i) if b else zero
     else:
         raise ValueError(f"unknown conjugator kind {kind!r}")
-    return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
+    return tuple(tuple(entry(i, j) if j >= i else zero for j in range(size))
+                 for i in range(size))
 
 
 def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
@@ -218,9 +221,8 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
     """
     ctx = tp.ctx
     q = ctx.order
+    check_int(window, 1, "window")
     K = window
-    if K < 1:
-        raise ValueError("window must be >= 1")
     if isinstance(g, Mu):
         acted = act_on_poly(g, tp)  # raises unless d is a code
         inner = Poly(ctx, (ctx.neg(g.d), ctx.one))  # T - d
@@ -260,12 +262,8 @@ def verify_conjugacy(g, tp: TwistedPower, window: int) -> bool:
         n = tp.n
         big = act_on_poly(g, tp)  # exponent q*n
         r = q * K + tp.m + q * n + q
-        w5 = conjugator(ctx, "w5", r)
-        w5i = conjugator(ctx, "w5inv", r)
-        top, left = w5[:K], tuple(row[:K] for row in w5i)  # of w5^n, w5^-n
-        for _ in range(n - 1):
-            top = _matmul(top, w5)
-            left = _matmul(w5i, left)
+        top = conjugator(ctx, "w5", r, n=n)[:K]
+        left = tuple(row[:K] for row in conjugator(ctx, "w5", r, n=-n))
         corner = _matmul(_matmul(top, _matrix_rows(big, r)), left)
         # rows [0, n) vanish; the [n, K) block is the stretched small window
         return not any(e for row in corner[:n] for e in row) and \

@@ -10,8 +10,17 @@ from hypothesis import strategies as st
 
 from carlitz import (field_make, field_from_cardinality, binom_mod_p, ExtField,
                      ResidueCtx, Poly)
-from carlitz.ff import (check_code, from_digits, generator_digits, is_prime,
+from carlitz.euler import truncated_product
+from carlitz.fastrank import RankEngine
+from carlitz.ff import (check_int, from_digits, generator_digits, is_prime,
                         to_digits)
+from carlitz.lfun import LFun
+from carlitz.motive import (TwistedPower, analytic_ranks, build_matrix,
+                            d_coefficients)
+from carlitz.poly import irreducibles_of_degree, poly_from_str
+from carlitz.scan import coset_audit, dim_report
+from carlitz.symmetry import Iota, Mu, Sigma, act_on_poly, conjugator, \
+    verify_conjugacy
 
 
 def test_field_make_prime_fields():
@@ -327,8 +336,83 @@ def test_generator_digits_over_prime_fields():
 
 
 def test_check_code(f9):
-    check_code(f9, 0, 0, "d")
-    check_code(f9, 8, 1, "c")
+    check_int(0, 0, "d", f9.order)
+    check_int(8, 1, "c", f9.order)
     for c, low in ((9, 0), (-1, 0), (0, 1), (1.0, 0), (True, 0), ("1", 0)):
         with pytest.raises(ValueError, match="must be a code in"):
-            check_code(f9, c, low, "c")
+            check_int(c, low, "c", f9.order)
+    check_int(0, 0, "n")
+    for x, msg in ((-1, "n must be >= 0, got -1"), (1.0, "n must be an int"),
+                   (True, "n must be an int"),
+                   (np.int64(1), "n must be an int")):
+        with pytest.raises(ValueError, match=msg):
+            check_int(x, 0, "n")
+
+
+def _twist(coeffs, n=1):
+    return TwistedPower(Poly(field_make(3), coeffs), n)
+
+
+# every int argument a caller passes goes through ff.check_int: a float, a
+# bool or an out-of-range value is refused with ValueError (ScanSpec, the
+# L-function JSON, γ, shift, scale and the generators' codes have rows in
+# their modules' tests); a float or a bool was often accepted, as n = 1.5 or
+# d = True, or raised TypeError from deep inside
+_BAD_INTS = {
+    "field_make e=1.0": lambda: field_make(3, 1.0),
+    "field_make e=True": lambda: field_make(3, True),
+    "field_make e=0": lambda: field_make(3, 0),
+    "field_from_cardinality q=9.0": lambda: field_from_cardinality(9.0),
+    "field_from_cardinality q=True": lambda: field_from_cardinality(True),
+    "field_from_cardinality q=1": lambda: field_from_cardinality(1),
+    "TwistedPower n=1.5": lambda: _twist([0, 1], 1.5),
+    "TwistedPower n=True": lambda: _twist([0, 1], True),
+    "TwistedPower n=0": lambda: _twist([0, 1], 0),
+    "TwistedPower coefficient 1.0": lambda: _twist([1.0, 1]),
+    "TwistedPower coefficient 3": lambda: _twist([3, 1]),
+    "build_matrix k=2.0": lambda: build_matrix(_twist([0, 1]), 2.0),
+    "build_matrix k < k_min": lambda: build_matrix(_twist([0, 2, 0, 2]), 1),
+    "d_coefficients k=1.0":
+        lambda: d_coefficients(LFun.one(field_make(3)), 1.0),
+    "analytic_ranks n=1.0": lambda: analytic_ranks([[1, 2]], 1.0,
+                                                   field_make(3)),
+    "poly_from_str coefficient 3": lambda: poly_from_str(field_make(3), "0,3"),
+    "irreducibles_of_degree d=1.0":
+        lambda: next(irreducibles_of_degree(field_make(3), 1.0)),
+    "irreducibles_of_degree d=0":
+        lambda: next(irreducibles_of_degree(field_make(3), 0)),
+    "truncated_product bound=2.0": lambda: truncated_product(_twist([1]), 2.0),
+    "truncated_product bound=True":
+        lambda: truncated_product(_twist([1]), True),
+    "truncated_product bound=0": lambda: truncated_product(_twist([1]), 0),
+    "Sigma k=1.5": lambda: act_on_poly(Sigma(1.5), _twist([0, 1])),
+    "Sigma k=True": lambda: act_on_poly(Sigma(True), _twist([0, 1])),
+    "Sigma k=0": lambda: act_on_poly(Sigma(0), _twist([0, 1])),
+    "Iota m=3.0": lambda: act_on_poly(Iota(3.0), _twist([1, 0, 1])),
+    "conjugator w1 d=4": lambda: conjugator(field_make(3), "w1", 3, d=4),
+    "conjugator w1 d=True": lambda: conjugator(field_make(3), "w1", 3, d=True),
+    "conjugator size=2.5": lambda: conjugator(field_make(3), "w5", 2.5),
+    "conjugator size=0": lambda: conjugator(field_make(3), "w5", 0),
+    "conjugator w5 n=1.5": lambda: conjugator(field_make(3), "w5", 3, n=1.5),
+    "verify_conjugacy window=2.5":
+        lambda: verify_conjugacy(Mu(1), _twist([0, 1]), 2.5),
+    "verify_conjugacy window=0":
+        lambda: verify_conjugacy(Mu(1), _twist([0, 1]), 0),
+    "RankEngine n=0": lambda: RankEngine(3, 0, 5),
+    "RankEngine n=1.0": lambda: RankEngine(3, 1.0, 5),
+    "RankEngine m=-1": lambda: RankEngine(3, 1, -1),
+    "RankEngine k=-1": lambda: RankEngine(3, 1, 5, k=-1),
+    "RankEngine k=2.0": lambda: RankEngine(3, 1, 5, k=2.0),
+    "coset_audit n=1.0": lambda: coset_audit(3, 1.0, 3),
+    "coset_audit m_max=True": lambda: coset_audit(3, 1, True),
+    "coset_audit m_max=-1": lambda: coset_audit(3, 1, -1),
+    "dim_report r=2.5": lambda: dim_report(3, 2.5),
+    "dim_report r=True": lambda: dim_report(3, True),
+    "dim_report r=0": lambda: dim_report(3, 0),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_INTS.values(), ids=_BAD_INTS)
+def test_int_arguments_are_checked(call):
+    with pytest.raises(ValueError, match="must be (an int|>=|a code in)"):
+        call()

@@ -16,6 +16,9 @@ still tests the determinant's band, and it reads nothing of ``linalg``.
 
 ``ff`` alone converts GF(p^e) codes to base-p digits and back: no other
 module raises p to an ``arange`` of digit positions.
+
+``ff.check_int`` alone decides which ints a caller may pass: no other module
+raises a message of a hand-written int bound.
 """
 
 import ast
@@ -106,3 +109,23 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+_BOUND_PHRASES = ("must be >=", "must be a code in", "out of range")
+
+
+def _hand_written_bounds(path):
+    """Lines of a ``raise`` whose message reads like an int bound."""
+    return [node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and any(w in c.value for w in _BOUND_PHRASES)
+                    for c in ast.walk(node.exc))]
+
+
+def test_only_ff_writes_int_bounds():
+    found = {(path.name, line) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "ff" for line in _hand_written_bounds(path)}
+    assert found == set(), "use ff.check_int"
+    assert _hand_written_bounds(SRC / "ff.py"), "the check sees ff's own"

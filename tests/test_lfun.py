@@ -34,7 +34,7 @@ def test_gamma_must_be_a_field_code(f3, f9):
     assert lfun_order_at(l, 1) == 2
     l9 = l_function(TwistedPower(Poly(f9, [6, 0, 7, 4, 3, 1, 5, 1]), 1))
     assert l9.u_degree > 0
-    for ll, gammas in ((l, (3, 4, -1)), (l9, (9,))):
+    for ll, gammas in ((l, (3, 4, -1, 1.0, True)), (l9, (9,))):
         for gamma in gammas:
             with pytest.raises(ValueError, match="code in 1"):
                 lfun_order_at(ll, gamma)
@@ -48,7 +48,7 @@ def test_substitution_arguments_must_be_field_codes(f9):
     l9 = l_function(TwistedPower(Poly(f9, [6, 0, 7, 4, 3, 1, 5, 1]), 1))
     assert l9.u_degree > 0
     for t_map in (("shift", -1), ("shift", 9), ("scale", -1), ("scale", 9),
-                  ("scale", 0)):
+                  ("scale", 0), ("shift", True), ("scale", 2.0)):
         with pytest.raises(ValueError, match=f"{t_map[0]} must be a code in"):
             lfun_substitute(l9, t_map)
     assert lfun_substitute(l9, ("shift", 0)) == l9
@@ -130,6 +130,8 @@ def test_json_rejects_malformed(f9):
     for bad in ([one, entry(1, [10])],         # coefficient >= 9
                 [one, entry(1, [-1])],         # negative coefficient
                 [one, entry(1, [1.0])],        # not an int
+                [one, entry(1, [True])],       # a bool
+                [one, entry(1.0, [2])],        # u_deg not an int
                 [one, entry(1, [2]), entry(-1, [1])],  # negative u_deg
                 [one, entry(1, [2]), entry(1, [1])]):  # repeated u_deg
         with pytest.raises(ValueError):

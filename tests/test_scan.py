@@ -33,9 +33,11 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="scans need prime q"):
             ScanSpec(q=q, n=1, m=3, lead=1)
     for bad in (dict(chunk_size=0), dict(chunk_size=-3), dict(workers=-1),
-                dict(witness_cap=-1)):
+                dict(witness_cap=-1), dict(lead=True), dict(lead=3),
+                dict(chunk_size=100.5), dict(witness_cap=2.5),
+                dict(workers=1.0), dict(n=1.5), dict(m=True)):
         with pytest.raises(ValueError):
-            ScanSpec(q=3, n=1, m=5, lead=1, **bad)
+            ScanSpec(**{**dict(q=3, n=1, m=5, lead=1), **bad})
 
 
 def test_cap_enforced(monkeypatch):

@@ -34,7 +34,8 @@ def test_generator_scalars_must_be_field_codes(f3, f9):
     t9 = TwistedPower(Poly(f9, [1, 2, 0, 1]), 1)
     t3 = tp3([1, 2, 0, 1])
     cases = [(t9, Nu(9)), (t9, Nu(0)), (t9, Mu(10)), (t9, Mu(-1)),
-             (t9, Tau(-1)), (t9, Tau(9)), (t3, Mu(4)), (t3, Tau(3))]
+             (t9, Tau(-1)), (t9, Tau(9)), (t3, Mu(4)), (t3, Tau(3)),
+             (t3, Mu(True)), (t3, Nu(1.0)), (t9, Tau(2.0))]
     for t, g in cases:
         for check in (act_on_poly, check_l_identity,
                       lambda g, t: verify_conjugacy(g, t, 3)):
@@ -94,12 +95,32 @@ def test_w1_one_parameter_subgroup(f3):
 
 def test_w5_inverse(f3):
     w = conjugator(f3, "w5", 6)
-    wi = conjugator(f3, "w5inv", 6)
+    wi = conjugator(f3, "w5", 6, n=-1)
     prod = _matmul(w, wi)
     for i in range(6):
         for j in range(6):
             want_one = i == j
             assert prod[i][j].is_zero() != want_one
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 4, 9])
+def test_w5_powers_are_repeated_products(q):
+    # the closed forms of W5^n and W5^-n against n-fold window products
+    ctx = field_from_cardinality(q)
+    one, zero, x = Poly.one(ctx), Poly.zero(ctx), Poly.x(ctx)
+    for size in (1, 4, 9):
+        w = tuple(tuple(Poly.monomial(ctx, ctx.one, j - i) if j >= i else zero
+                        for j in range(size)) for i in range(size))
+        wi = tuple(tuple(one if j == i else -x if j == i + 1 else zero
+                         for j in range(size)) for i in range(size))
+        assert conjugator(ctx, "w5", size, n=0) == \
+            tuple(tuple(one if i == j else zero for j in range(size))
+                  for i in range(size))
+        top, left = w, wi
+        for n in range(1, 6):
+            assert conjugator(ctx, "w5", size, n=n) == top, (size, n)
+            assert conjugator(ctx, "w5", size, n=-n) == left, (size, n)
+            top, left = _matmul(top, w), _matmul(wi, left)
 
 
 def test_l_identities_random(rng):
