@@ -265,7 +265,9 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
     """Product of local factors over primes of degree <= bound, mod U^(bound+1).
 
     Equals the matrix-formula L-function through U-degree ``bound``, and
-    exactly when ``bound`` >= the stable matrix size.
+    exactly once ``bound`` reaches the stable matrix size ``tp.k_min`` =
+    max(1, floor((m+n)/(q-1))), which bounds deg_U L (``motive``'s module
+    doc): every coefficient past U^k_min is zero.
     """
     check_int(bound, 1, "truncation bound")
     ctx = tp.ctx

@@ -228,6 +228,7 @@ class RankEngine:
 
     def __init__(self, p: int, n: int, m: int, *, phi=(0, 1),
                  k: int | None = None):
+        check_int(p, 0, "p")  # an int; is_prime refuses the rest
         if not is_prime(p):
             raise ValueError("engine requires prime q")
         phi = tuple(c % p for c in phi)

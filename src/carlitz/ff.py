@@ -324,6 +324,7 @@ class ExtField:
 @lru_cache(maxsize=None, typed=True)
 def field_make(p: int, e: int = 1):
     """Field context for GF(p^e); e > 1 gets the deterministic lex modulus."""
+    check_int(p, 0, "characteristic")  # an int; is_prime refuses the rest
     check_int(e, 1, "extension degree")
     if e == 1:
         return PrimeField(p)

@@ -8,10 +8,17 @@ coefficient of P(θ) (T - θ)^n,
 
     sum_{l=0}^{n} T^(n-l) (-1)^l C(n, l) a_{iq-j-l},
 
-with a_* the coefficients of P (zero outside [0, deg P]).  For any
-k >= (m+n)/(q-1) the determinant det(I - M U) is independent of k and equals
-the global L-function L(P, n; T, U); the library always evaluates at the
-minimal such k, ``stable_size``.
+with a_* the coefficients of P (zero outside [0, deg P]).  For any k >= 1
+with k >= K = floor((m+n)/(q-1)) the determinant det(I - M U) is independent
+of k and equals the global L-function L(P, n; T, U).  Entry [i][j] (0-based)
+reads the θ^((i+1)q-(j+1)) coefficient, and for i >= K and j <= i that
+exponent is at least (i+1)(q-1) > m+n, so the entry is zero.  Past its
+leading K x K block M is therefore block upper triangular with a strictly
+upper triangular corner, which adds nothing to det(I - M U); in particular
+deg_U L <= K.  The library always evaluates at the minimal such k,
+``stable_size`` = max(1, K).  The ceiling ceil((m+n)/(q-1)) exceeds it by
+one exactly when q-1 ∤ m+n and m+n > q-1, and the last row at that size
+reads only the zero slot.
 
 This module defines the matrix once, for every consumer: the band
 b_x = sum_l (-1)^l C(n, l) T^(n-l) a_{x-l}, x = 0..m+n, holds the θ^x
@@ -87,8 +94,9 @@ def band_index(q: int, k: int, width: int) -> list:
 
 
 def stable_size(q: int, n: int, m: int) -> int:
-    """k_min = max(1, ceil((m+n)/(q-1))), the minimal stable matrix size."""
-    return max(1, -((m + n) // -(q - 1)))
+    """k_min = max(1, floor((m+n)/(q-1))), the minimal stable matrix size
+    (module doc)."""
+    return max(1, (m + n) // (q - 1))
 
 
 def on_coset(q: int, n: int, m: int, lead=None) -> bool:
@@ -253,8 +261,9 @@ def infinity_factor(tp: TwistedPower, nfrak: int) -> LFun:
     ctx = tp.ctx
     q = ctx.order
     s = tp.m + tp.n
-    if nfrak * (q - 1) > -s:
-        raise ValueError("twisting degree too large for a regular map")
+    # nfrak <= -s/(q-1) is -nfrak >= ceil(s/(q-1)) >= 1; a float stays one
+    # under negation, and a bool negates to 0 or -1
+    check_int(-nfrak, -(s // -(q - 1)), "-nfrak")
     if nfrak * (q - 1) == -s:
         am = tp.P.lead()
         if tp.n % 2 == 1:

@@ -86,9 +86,10 @@ squarefreeness in one kernel call and keeps each chunk's first
 the orbit reduction, and for any run size.  A pick that is not a ranked
 representative gets its rank from one engine call per run, and every pick
 its determinant from one Berkowitz stack per run.
-The audit is skipped when the stable matrix size k_min exceeds
-``_AUDIT_K_CAP`` (``audit_skip_reason``); ``carlitz scan`` and
-``scripts/rank_count_tables.py`` say so.
+The audit is skipped when the stable matrix size k_min = max(1,
+floor((m+n)/(q-1))) exceeds ``_AUDIT_K_CAP`` (``audit_skip_reason``; at q = 3,
+n = 1 the shift-stable m = 24 has k_min 12 and is audited, m = 27 is not);
+``carlitz scan`` and ``scripts/rank_count_tables.py`` say so.
 
 The exhaustive coset audit (``coset_audit``) runs on the same chunk pipeline,
 the odometer and one batched engine call per block, but always with the
@@ -103,6 +104,7 @@ import json
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from typing import ClassVar
 
 from .ff import check_int, field_from_cardinality, field_make, is_prime
@@ -175,6 +177,7 @@ class ScanSpec:
     witness_cap: int = 16
 
     def __post_init__(self):
+        check_int(self.q, 0, "q")  # an int; is_prime refuses the rest
         if not is_prime(self.q):
             raise ValueError("scans need prime q")
         check_int(self.n, 1, "n")
@@ -363,6 +366,13 @@ class RankTable:
 _ENGINES: dict = {}
 
 
+@lru_cache(maxsize=None)
+def _cell_spec(q, n, m, lead, mode):
+    # the chunks' and audit runs' ScanSpec, validated once per cell and
+    # process: a chunk past the ranked rows does no other work
+    return ScanSpec(q, n, m, lead, mode)
+
+
 def _engines_for(q, n, m, mode, on_coset, _screen=None):
     # The sixth argument is ignored: it was the screen switch, and stays
     # while the benchmark passes it (goes with ROADMAP item 1).
@@ -376,14 +386,16 @@ def _engines_for(q, n, m, mode, on_coset, _screen=None):
 def audit_skip_reason(q: int, n: int, m: int) -> str | None:
     """Why a scan of degree m runs no symbolic audit, or None if it runs one.
 
-    Cells with a stable matrix size k_min above ``_AUDIT_K_CAP`` are not
-    audited.  The audit's batched division-free determinant costs about
-    0.3-1.9 ms per twist at k_min = 13-19 in a stack of 16 picks, and
-    0.5-2.4 ms in a stack of 5 (q = 2, 3, n = 1, random twists, median of 5
-    on a 2-core Xeon).  The audit stage stacks up to about ``_AUDIT_RUN``
-    picks per Berkowitz call, and in stacks of 128 and 512 a twist costs
-    0.25-1.7 ms at k_min = 13-19 (same machine, median of 3).  So the cap
-    guards the scans' run time, not the audit's feasibility.
+    Cells with a stable matrix size k_min = max(1, floor((m+n)/(q-1)))
+    above ``_AUDIT_K_CAP`` are not audited: at q = 3, n = 1, shift-stable
+    m = 24 (k_min 12) is audited and m = 27 (k_min 14) is not.  The audit's
+    batched division-free determinant costs about 0.3-1.9 ms per twist at
+    k_min = 13-19 in a stack of 16 picks, and 0.5-2.4 ms in a stack of 5
+    (q = 2, 3, n = 1, random twists, median of 5 on a 2-core Xeon).  The
+    audit stage stacks up to about ``_AUDIT_RUN`` picks per Berkowitz call,
+    and in stacks of 128 and 512 a twist costs 0.25-1.7 ms at k_min = 13-19
+    (same machine, median of 3).  So the cap guards the scans' run time, not
+    the audit's feasibility.
     """
     k_min = stable_size(q, n, m)
     if k_min > _AUDIT_K_CAP:
@@ -490,7 +502,7 @@ def _scan_chunk(args):
     q, n, m, lead, mode, start, end, witness_cap = args
     out = {"hist": {}, "witnesses": {}, "scanned": end - start, "picks": []}
     # the rows the chunk ranks (ScanSpec.ranked); past them it does no work
-    ranked = ScanSpec(q, n, m, lead, mode).ranked(start, end)
+    ranked = _cell_spec(q, n, m, lead, mode).ranked(start, end)
     if ranked is None:
         return out
     import numpy as np
@@ -556,7 +568,7 @@ def _audit_chunks(args):
     q, n, m, lead, mode, chunks = args
     import numpy as np
 
-    spec = ScanSpec(q, n, m, lead, mode)
+    spec = _cell_spec(q, n, m, lead, mode)
     coset = on_coset(q, n, m, lead)
     hits = []
     for start, end, _ in chunks:  # each chunk's index range on its own
@@ -799,6 +811,7 @@ def coset_audit(q: int, n: int, m_max: int) -> dict:
     full-size engines: the reduced block assumes the forced (1-U) factor,
     which is what this audit checks.
     """
+    check_int(q, 0, "q")  # an int; is_prime refuses the rest
     if not is_prime(q):
         raise ValueError("coset audit needs prime q")
     check_int(n, 1, "n")
@@ -857,6 +870,8 @@ def dim_report(q: int, r: int, mode: str = "single", m: int | None = None) -> di
     """
     field_from_cardinality(q)  # ValueError unless q is a prime power
     check_int(r, 1, "r")
+    if m is not None:
+        check_int(m, 0, "m")
     out = {"q": q, "r": r, "mode": mode, "single_max_r": 2 * q - 3}
     if mode == "single":
         if m is not None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carlitz import field_make, Poly, TwistedPower
-from carlitz.motive import analytic_rank
+from carlitz.motive import analytic_rank, analytic_ranks
 from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _ops, _powers
 from carlitz.motive import on_coset, reduced_block_size
 from carlitz.scan import _mode_phi
@@ -28,11 +28,30 @@ def test_engine_matches_symbolic_rank(rng):
             assert eng.vanishing_order(tuple(coeffs)) == analytic_rank(t)
 
 
+@pytest.mark.parametrize("n,m", [(1, 12), (2, 11)])
+def test_engine_at_the_floor_size_matches_symbolic(n, m, rng):
+    # q-1 ∤ m+n: the engine's matrix is one row smaller than the ceiling
+    # size and takes fewer points, yet gives the determinant's orders, on
+    # random rows and on the cell's scan witnesses of rank >= 1
+    from carlitz.scan import ScanSpec, run_scan
+    eng = RankEngine(3, n, m)
+    assert eng.k == (m + n) // 2
+    rows = [[rng.randrange(3) for _ in range(m)] + [rng.randrange(1, 3)]
+            for _ in range(300)]
+    for lead in (1, 2):
+        table = run_scan(ScanSpec(q=3, n=n, m=m, lead=lead, workers=1))
+        rows += [list(map(int, w.split(",")))
+                 for ws in table.witnesses.values() for w in ws]
+    want = analytic_ranks(np.array(rows), n, field_make(3))
+    assert eng.vanishing_orders(np.array(rows)).tolist() == want.tolist()
+    assert max(want) >= 1
+
+
 def test_engine_extension_points_match_symbolic(rng):
     # cells whose points lie in GF(p^s), s > 1; on-coset leads force rank >= 1
     # so the prime-field points alone cannot settle the order
     for q, n, m in [(3, 1, 5), (3, 1, 7), (3, 1, 9), (3, 2, 4), (3, 2, 6),
-                    (2, 1, 3), (5, 2, 7)]:
+                    (2, 1, 3), (5, 2, 11)]:
         ctx = field_make(q)
         eng = RankEngine(q, n, m)
         assert eng.tables.q > q
@@ -64,7 +83,7 @@ def test_points_put_prime_field_last():
     tails = 0
     for p, n, m, shift in [(3, 1, 11, False), (3, 2, 10, False),
                            (3, 1, 27, True), (3, 1, 36, True),
-                           (5, 1, 35, True), (5, 2, 9, False),
+                           (5, 1, 35, True), (5, 2, 11, False),
                            (3, 2, 4, False), (3, 2, 6, True),
                            (3, 1, 48, True)]:
         eng = RankEngine(p, n, m, phi=_phi(p, shift))
@@ -238,7 +257,7 @@ _BATCH_CELLS = [
     (3, 2, 4, "reduced"), (3, 3, 1, "reduced"),
     (5, 1, 2, "full"), (5, 1, 5, "full"), (5, 1, 16, "full"),
     (5, 2, 4, "full"), (5, 2, 8, "full"), (5, 3, 1, "full"),
-    (5, 3, 6, "full"), (5, 3, 30, "full"),
+    (5, 3, 6, "full"), (5, 3, 30, "full"), (5, 3, 34, "full"),
     (5, 1, 10, "stable"), (5, 2, 10, "stable"), (5, 3, 30, "stable"),
     (5, 1, 3, "reduced"), (5, 1, 11, "reduced"), (5, 2, 14, "reduced"),
     (5, 3, 5, "reduced"),
@@ -357,7 +376,7 @@ def test_engine_points_pinned():
                         got = [eng.points, eng.tables.q] if eng.k else []
                         h.update(json.dumps(got).encode() + b"\n")
     assert h.hexdigest() == (
-        "882c0ca710eafb9987e30cf0214acd82fc463c3c15bf77e674f253c71acec75c")
+        "81345d26f375db14407ffc6e541dc8eb998511e74e486ac21ada3e1433bccd27")
 
 
 def test_mult_at_is_frobenius_invariant(rng):

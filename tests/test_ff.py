@@ -16,9 +16,9 @@ from carlitz.ff import (check_int, from_digits, generator_digits, is_prime,
                         to_digits)
 from carlitz.lfun import LFun
 from carlitz.motive import (TwistedPower, analytic_ranks, build_matrix,
-                            d_coefficients)
+                            d_coefficients, infinity_factor)
 from carlitz.poly import irreducibles_of_degree, poly_from_str
-from carlitz.scan import coset_audit, dim_report
+from carlitz.scan import ScanSpec, coset_audit, dim_report
 from carlitz.symmetry import Iota, Mu, Sigma, act_on_poly, conjugator, \
     verify_conjugacy
 
@@ -362,6 +362,7 @@ _BAD_INTS = {
     "field_make e=1.0": lambda: field_make(3, 1.0),
     "field_make e=True": lambda: field_make(3, True),
     "field_make e=0": lambda: field_make(3, 0),
+    "field_make p=3.0": lambda: field_make(3.0),
     "field_from_cardinality q=9.0": lambda: field_from_cardinality(9.0),
     "field_from_cardinality q=True": lambda: field_from_cardinality(True),
     "field_from_cardinality q=1": lambda: field_from_cardinality(1),
@@ -372,6 +373,10 @@ _BAD_INTS = {
     "TwistedPower coefficient 3": lambda: _twist([3, 1]),
     "build_matrix k=2.0": lambda: build_matrix(_twist([0, 1]), 2.0),
     "build_matrix k < k_min": lambda: build_matrix(_twist([0, 2, 0, 2]), 1),
+    "infinity_factor nfrak=-2.0":
+        lambda: infinity_factor(_twist([0, 0, 0, 2]), -2.0),
+    "infinity_factor nfrak=-1":
+        lambda: infinity_factor(_twist([0, 0, 0, 2]), -1),
     "d_coefficients k=1.0":
         lambda: d_coefficients(LFun.one(field_make(3)), 1.0),
     "analytic_ranks n=1.0": lambda: analytic_ranks([[1, 2]], 1.0,
@@ -398,17 +403,21 @@ _BAD_INTS = {
         lambda: verify_conjugacy(Mu(1), _twist([0, 1]), 2.5),
     "verify_conjugacy window=0":
         lambda: verify_conjugacy(Mu(1), _twist([0, 1]), 0),
+    "RankEngine p=3.0": lambda: RankEngine(3.0, 1, 3),
     "RankEngine n=0": lambda: RankEngine(3, 0, 5),
     "RankEngine n=1.0": lambda: RankEngine(3, 1.0, 5),
     "RankEngine m=-1": lambda: RankEngine(3, 1, -1),
     "RankEngine k=-1": lambda: RankEngine(3, 1, 5, k=-1),
     "RankEngine k=2.0": lambda: RankEngine(3, 1, 5, k=2.0),
+    "ScanSpec q=3.0": lambda: ScanSpec(q=3.0, n=1, m=3, lead=1),
+    "coset_audit q=3.0": lambda: coset_audit(3.0, 1, 3),
     "coset_audit n=1.0": lambda: coset_audit(3, 1.0, 3),
     "coset_audit m_max=True": lambda: coset_audit(3, 1, True),
     "coset_audit m_max=-1": lambda: coset_audit(3, 1, -1),
     "dim_report r=2.5": lambda: dim_report(3, 2.5),
     "dim_report r=True": lambda: dim_report(3, True),
     "dim_report r=0": lambda: dim_report(3, 0),
+    "dim_report m=4.5": lambda: dim_report(3, 2, m=4.5),
 }
 
 

@@ -13,7 +13,7 @@ from carlitz import (field_make, field_from_cardinality, Poly, LFun,
 from carlitz.euler import truncated_product
 from carlitz.fastrank import RankEngine
 from carlitz.motive import (_band_codes, _band_gather, _matrix_rows,
-                            analytic_ranks, band_index)
+                            analytic_ranks, band_index, stable_size)
 from carlitz.linalg import berkowitz_stack, det_identity_minus_mu, det_cofactor
 
 
@@ -503,6 +503,67 @@ def test_boundary_determinant_identity(rng):
             continue
         small = LFun(f3, det_identity_minus_mu(_codes_at(t, kstar), f3))
         assert small.mul(infinity_factor(t, -(m + n) // 2)) == l_function(t)
+
+
+def _ceil_size(q, n, m):
+    # the stable size before the zero row was dropped
+    return max(1, -((m + n) // -(q - 1)))
+
+
+def test_stable_size_is_the_floor():
+    # one less than the ceiling exactly when q-1 ∤ m+n, but where both are 1
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for n in (1, 2, 3):
+            for m in range(41):
+                k, ceil = stable_size(q, n, m), _ceil_size(q, n, m)
+                assert k == max(1, (m + n) // (q - 1))
+                dropped = (m + n) % (q - 1) != 0 and m + n > q - 1
+                assert k == ceil - dropped, (q, n, m)
+
+
+def _off_divisor_twists(rng):
+    # seeded twists with q-1 ∤ m+n over GF(3), GF(4), GF(5), GF(7), GF(9),
+    # n = 1..3, small enough for the Euler product one degree past k_min
+    for q in (3, 4, 5, 7, 9):
+        ctx = field_from_cardinality(q)
+        for n in (1, 2, 3):
+            ms = [m for m in range(min(2 * q, 9))
+                  if (m + n) % (q - 1) and m + n > q - 1]
+            for m in rng.sample(ms, min(2, len(ms))):
+                coeffs = [ctx.rand(rng) for _ in range(m)] \
+                    + [rng.randrange(1, q)]
+                yield TwistedPower(Poly(ctx, coeffs), n)
+
+
+def test_ceil_size_adds_a_zero_row(rng):
+    # at the ceiling size the last row reads only band positions above m+n,
+    # the zero slot, so det(I - M U) there is L, the floor size's determinant
+    count = 0
+    for t in _off_divisor_twists(rng):
+        q, n, m = t.ctx.order, t.n, t.m
+        k = _ceil_size(q, n, m)
+        assert k == t.k_min + 1
+        assert band_index(q, k, m + n + 1)[k - 1] == [m + n + 1] * k
+        rows = build_matrix(t, k)
+        assert all(entry.is_zero() for entry in rows[k - 1])
+        codes = np.zeros((k, k, n + 1), dtype=np.int64)
+        for i, j in itertools.product(range(k), repeat=2):
+            cs = rows[i][j].coeffs
+            codes[i, j, :len(cs)] = cs
+        assert LFun(t.ctx, det_identity_minus_mu(codes, t.ctx)) \
+            == l_function(t)
+        count += 1
+    assert count >= 25
+
+
+def test_euler_product_vanishes_past_k_min(rng):
+    # the Euler-side bound deg_U L <= k_min = floor((m+n)/(q-1)): the product
+    # over primes of degree <= k_min + 1 has no U^(k_min+1) term
+    for t in _off_divisor_twists(rng):
+        k = t.k_min
+        euler = truncated_product(t, k + 1)
+        assert euler.coeff(k + 1).is_zero()
+        assert euler == l_function(t)
 
 
 def test_d_coefficients_examples():

@@ -15,23 +15,27 @@ def tables():
 
 
 def test_skipped_audits_are_reported(tables, monkeypatch, capsys):
-    # shift-stable m=24 has k_min 13 > audit_k_cap 12, m=6 has k_min 4
+    # shift-stable m=27 has k_min 14 > audit_k_cap 12; m=24 has k_min 12,
+    # at the cap, and m=6 has k_min 4
     monkeypatch.setitem(tables.TIERS, "tiny",
-                        dict(n=1, mode="shift-stable", degrees=(6, 24)))
+                        dict(n=1, mode="shift-stable", degrees=(6, 24, 27)))
     assert tables.main(["--tier", "tiny", "--workers", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].split()[-2:] == ["max", "audits"]
     cells = [(i, ln.split()) for i, ln in enumerate(lines)
-             if ln.split()[:1] in (["6"], ["24"])]
+             if ln.split()[:1] in (["6"], ["24"], ["27"])]
     assert [c[:2] for _, c in cells] == [["6", "1"], ["6", "2"],
-                                         ["24", "1"], ["24", "2"]]
+                                         ["24", "1"], ["24", "2"],
+                                         ["27", "1"], ["27", "2"]]
     for i, cell in cells:
         following = lines[i + 1].strip()
-        if cell[0] == "24":
+        if cell[0] == "27":
             assert cell[-1] == "0"
-            assert following == "audit skipped: k_min 13 > audit_k_cap 12"
+            assert following == "audit skipped: k_min 14 > audit_k_cap 12"
         else:
             assert not following.startswith("audit skipped")
+        if cell[0] == "24":
+            assert int(cell[-1]) > 0
 
 
 def test_audit_counts_and_failure_exit(tables, monkeypatch, capsys):

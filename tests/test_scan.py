@@ -1244,7 +1244,7 @@ def test_scan_outputs_pinned():
         h.update(json.dumps(table.to_json_obj(), sort_keys=True).encode()
                  + b"\n")
     assert h.hexdigest() == (
-        "de509772f9d3d32cae3934cf7e8b41e9bc8c0cfca7d7924bdd5d4063ee3ccd6c")
+        "27b564939a7d6ba3b57e7e77353f88241b9f5877edb07f2022124ccdbc741b6a")
     h = hashlib.sha256()
     for args in [(3, 1, 7), (2, 2, 8)]:
         h.update(json.dumps(coset_audit(*args), sort_keys=True).encode()
