@@ -1,44 +1,55 @@
 """Local L-factors from the definition, and the truncated Euler product.
 
-This module never touches the matrix formula: for a monic irreducible 𝔓 of
-degree d it reduces the 1x1 τ-matrix P (T - θ)^n modulo 𝔓, forms the d-fold
-Frobenius-twisted product, checks that the result is fixed coefficient-wise
-by x -> x^q (so it descends to GF(q)[T]) and that it has T-degree n·d when
-𝔓 does not divide P, and assembles local factors
+This module never touches the matrix formula.  For a monic irreducible 𝔓 of
+degree d, ``local_factor`` reduces the 1x1 τ-matrix P (T - θ)^n modulo 𝔓,
+forms the d-fold Frobenius-twisted product, checks that the result is fixed
+coefficient-wise by x -> x^q (so it descends to GF(q)[T]) and that it has
+T-degree n·d when 𝔓 does not divide P, and returns the local factor
+(1 - N_𝔓(T) U^d)^(-1).  It works on ``Poly`` objects, one prime at a time
+(``reduce_tau``, ``twisted_power``): the θ factor and twist multipliers of
+``symmetry`` use it, and it is the oracle the series below is tested against.
 
-    (1 - N_𝔓(T) U^d)^(-1)
+``truncated_product`` is the product of the local factors over the primes of
+degree <= D, mod U^(D+1), written as a Dirichlet series.  For monic f put
+χ_P(f) = det P(C_f), C_f the companion matrix of f: the determinant of
+multiplication by P on GF(q)[θ]/(f).  At a prime it is Norm(P̄), so
+N_𝔓(T) = χ_P(𝔓)·𝔓(T)^n.  Both f -> χ_P(f) and f -> f(T)^n are completely
+multiplicative, so the product expands to
 
-into a power series in U.  Truncated at U-degree D the product over all
-primes of degree <= D must agree with det(I - M U) through degree D, and
-equal it exactly once D reaches the stable matrix size — that cross-check is
-the decisive end-to-end verification and lives in the test suite.
+    L(M, U) = Σ_{f monic} χ_P(f)·f(T)^n·U^(deg f),
 
-``truncated_product`` computes the N_𝔓 of all primes of one degree at once
-(``local_factors``), on int64 arrays over GF(p) with the digit encoding of
-``ff``: a residue of GF(q)[θ]/𝔓, q = p^e, is the vector of the e base-p
-digits of each of its d coordinates.  Every step of the definition is one
-array operation across the primes.  Each degree has two tables, the
-reduction of x^c θ^k mod 𝔓 (θ̄ is its k = 1 column) and the Frobenius matrix,
-built from the primes' residue contexts on the first call for that degree,
-in blocks of ``_BLOCK`` primes so that no work array grows with the number of
-primes.  One contraction of the reduction table with the θ-coefficients of
-the τ-matrix gives P̄(T - θ̄)^n; the same table reduces every product.  Those
-coefficients are built here, not read from ``motive``'s band, so that the
-agreement with the determinant still tests the band.  The series is
-assembled per degree: when 2d > D the degree-d factors multiply to
-1 + (sum of N_𝔓) U^d mod U^(D+1), one digit-wise sum; only degrees
-d <= D/2 take the per-prime recurrence.  numpy is imported inside the
-functions that use it, so importing this module or listing primes does not
-load it.
+whose U^j coefficient sums over the q^j monic f of degree j.  It is still
+the Euler product, and reads only P's coefficients: never ``motive``'s band,
+the determinant or the point engine.  So its agreement with det(I - M U)
+through U^D, and exactly once D reaches the stable matrix size, tests them;
+that cross-check is the decisive end-to-end verification and lives in the
+test suite.
 
-The scalar ``local_factor`` (``reduce_tau``, ``twisted_power``) computes one
-prime's factor on ``Poly`` objects.  It is the single-prime path (the θ
-factor and twist multipliers of ``symmetry``) and the oracle the batch is
-tested against.
+The series runs on per-field tables (``_Series``), built with numpy on first
+use, shared by every twist over the field and kept read-only: the monic f of
+degree <= the largest D seen; the logs of x^t mod f, whose windows are the
+columns of C_f^i, for t below the deepest m + D seen; the logs of f(T)^n per
+n; one factorisation g·h of each reducible f.  Logs are ``ff``'s
+(``FieldTables.log`` and ``exp``), with log 0 moved past every sum of three
+logs; fields above ff's 256-element table cap are refused.  A call gathers
+P(C_f) = Σ a_i C_f^i for every f of degree <= D in one step, padded by an
+identity tail to max(D, 3) columns so that one batched determinant serves
+all degrees, takes χ_P(f) = ``_det`` of that stack and sums χ_P(f)·f(T)^n
+per degree.
+``_det`` eliminates down to the last three columns and expands those by
+Leibniz in log form.  At verify's D <= 3 that is the whole determinant, and
+faster than elimination; Leibniz alone would grow as D!.
 
-Primes of each degree, the residue context of each prime (with its
-reduction rows and Frobenius columns) and the batch tables are built once
-per process and shared by every twist.
+Checks.  Building or growing the powers checks x^t mod f = θ^t for
+t < deg f and Cayley–Hamilton, f(C_f)·C_f^t = 0, on every stored window.
+Every call checks χ_P(g·h) = χ_P(g)·χ_P(h) on the factorisation table and
+leading coefficient 1 on each f(T)^n row it reads.  No per-call check sees
+the powers of the irreducible f of degree D: they are a factor of no product
+of degree <= D.
+
+numpy is imported inside the functions that use it, so importing this
+module or listing primes does not load it.  Primes of each degree and the
+residue context of each prime are built once per process.
 """
 
 from __future__ import annotations
@@ -46,8 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import (ResidueCtx, binom_mod_p, check_int, from_digits,
-                 generator_digits, to_digits)
+from .ff import ResidueCtx, check_int, from_digits, to_digits
 from .lfun import LFun
 from .motive import TwistedPower
 from .poly import Poly, irreducibles_of_degree
@@ -58,13 +68,12 @@ __all__ = [
     "reduce_tau",
     "twisted_power",
     "local_factor",
-    "local_factors",
     "truncated_product",
     "primes_of_degree",
     "distinct_prime_factors",
 ]
 
-_BLOCK = 512  # primes per table block
+_CHUNK = 1 << 22  # gathered entries of P(C_f) per block of f
 
 
 @lru_cache(maxsize=None)
@@ -142,148 +151,185 @@ def local_factor(tp: TwistedPower, prime: Poly) -> LocalFactor:
     return LocalFactor(prime=prime, d=d, npoly=n)
 
 
-class _Block:
-    """The stacked tables of up to ``_BLOCK`` primes of one degree d.
+def _readonly(a):
+    a.flags.writeable = False
+    return a
 
-    A residue is a row of D = d*e base-p digits, column i*e + a holding
-    digit a of its θ^i coordinate; a polynomial in T over the residue fields
-    of the block is a (primes, T-coefficients, D) array.  ``red[b, :, k, c]``
-    is x^c θ^k mod 𝔓_b for k <= k_max and c <= 2e-2 (x the generator of
-    GF(q)), so one contraction reduces the θ-coefficients of the τ-matrix,
-    or the digit-and-θ convolution of two residues, to D digits.  Its k = 1,
-    c = 0 column is θ̄, which no other table holds.  ``frob[b]`` maps a row
-    v to v^q.  All entries are reduced mod p.
+
+class _Series:
+    """One field's tables of the monic f of degree <= ``deg`` (module doc).
+
+    Row i of ``f`` holds the codes of one f, constant first, its leading 1
+    at ``fdeg[i]``; the f of degree j are rows ``start[j]`` to
+    ``start[j+1] - 1``, in the order of the code sum Σ c_i q^i of their lower
+    coefficients.  ``logx[i, t, r]`` is the log of coefficient r of x^t mod
+    f, so column k of C_f^t is ``logx[i, t + k]``.  Each column of ``pairs``
+    is f, g, h with f = g·h and g of least degree, sorted by f.  Codes are
+    uint16, so that an index a·q + b of ``ff``'s flat tables fits.
     """
 
-    def __init__(self, ctx, primes):
-        self.ctx = ctx
-        self.p, self.e, self.d = ctx.char, ctx.e, int(primes[0].degree)
-        self.rcs = [residue_ctx(prime) for prime in primes]
-        p, e, d = self.p, self.e, self.d
-        basis = [tuple(p**a if j == i else 0 for j in range(d))
-                 for i in range(d) for a in range(e)]  # x^a θ^i
-        self.frob = to_digits([[rc.frobenius(x, 1) for x in basis]
-                               for rc in self.rcs], p, e).reshape(
-            len(self.rcs), d * e, d * e)
-        self._grow(max(1, 2 * d - 2))
-
-    def _grow(self, k_max: int):
-        """Build ``red`` for θ^0 .. θ^k_max, from the residue contexts."""
+    def __init__(self, ctx, deg: int):
         import numpy as np
 
-        p, e, d = self.p, self.e, self.d
-        codes = []
-        for rc in self.rcs:
-            cur, theta = rc.one, rc.theta()
-            for _ in range(k_max + 1):
-                codes.append(cur)
-                cur = rc.mul(cur, theta)
-        rows = to_digits(codes, p, e).reshape(-1, k_max + 1, d, e)
-        # xs[A, c, a]: digit A of x^(c+a), so x^c times a digit row a
-        xs = generator_digits(self.ctx, 2 * e - 1)
-        self.red = np.einsum("Aca,bkia->biAkc", xs, rows).reshape(
-            len(self.rcs), d * e, k_max + 1, 2 * e - 1) % p
+        t = ctx.tables()
+        if t is None:
+            raise ValueError(f"the Euler series reads ff's field tables, "
+                             f"which stop at 256 elements: {ctx!r}")
+        q, self.p, self.e, self.q, self.deg, self.depth = (
+            t.q, t.p, t.e, t.q, deg, 0)
+        zero = 3 * (q - 1)  # log 0, past any sum of three logs
+        self.log = np.array([zero] + t.log[1:])
+        self.alog = to_digits([t.exp[i % (q - 1)] if i < zero else 0
+                               for i in range(3 * zero + 1)], t.p, t.e)
+        self.dtype = np.min_scalar_type(zero)
+        self.mul, self.add, self.sub, self.neg, self.inv = (
+            np.array(x, dtype=np.uint16)
+            for x in (t.mul, t.add, t.sub, t.neg, t.inv))
+        sizes = [q**j for j in range(deg + 1)]
+        start = self.start = np.cumsum([0] + sizes)
+        self.fdeg = np.repeat(np.arange(deg + 1), sizes)
+        f = self.f = np.zeros((start[-1], deg + 1), dtype=np.uint16)
+        for j in range(deg + 1):
+            f[start[j] : start[j + 1], :j] = to_digits(np.arange(q**j), q, j)
+            f[start[j] : start[j + 1], j] = 1
+        found = [np.zeros((3, 0), dtype=np.int64)]
+        for j in range(2, deg + 1):
+            for d in range(1, j // 2 + 1):  # least degree first
+                g, h = np.divmod(np.arange(q**j), q ** (j - d))
+                g, h = g + start[d], h + start[j - d]
+                prod = self._mul(f[g, : d + 1], f[h, : j - d + 1])
+                found.append(np.stack(
+                    [start[j] + from_digits(prod[:, :j], q, j), g, h]))
+        pairs = np.concatenate(found, axis=1)
+        self.pairs = _readonly(pairs[:, np.unique(pairs[0],
+                                                  return_index=True)[1]])
+        self._fpow = {}
 
-    def _mul(self, a, b):
-        """Products of (B, ta, D) and (B, tb, D) polynomials, per residue field."""
+    def _mul(self, g, h):
+        """The code rows of g·h, for code rows g (K, a) and h (K, b)."""
         import numpy as np
 
-        p, d, e = self.p, self.d, self.e
-        nb, ta, tb = a.shape[0], a.shape[1], b.shape[1]
-        # a convolution entry sums at most tb*d*e digit products < p^2; the
-        # reduction adds (2d-1)(2e-1) of those times a digit < p
-        if tb * d * e * (2 * d - 1) * (2 * e - 1) * (p - 1) ** 3 >= 2**63:
-            raise OverflowError(f"int64 sums overflow at d={d}, {self.ctx}")
-        a4 = a.reshape(nb, ta, d, e)
-        b4 = b.reshape(nb, tb, d, e)
-        conv = np.zeros((nb, ta + tb - 1, 2 * d - 1, 2 * e - 1), dtype=np.int64)
-        for s, j, c in np.ndindex(tb, d, e):
-            conv[:, s : s + ta, j : j + d, c : c + e] += (
-                a4 * b4[:, s, j, c, None, None, None])
-        red = self.red[:, :, : 2 * d - 1].reshape(nb, d * e, -1)
-        return conv.reshape(nb, ta + tb - 1, -1) @ red.transpose(0, 2, 1) % p
+        out = np.zeros((len(g), g.shape[1] + h.shape[1] - 1), dtype=np.uint16)
+        for i in range(g.shape[1]):
+            part = out[:, i : i + h.shape[1]]
+            part[:] = self.add[part * self.q
+                               + self.mul[g[:, i, None] * self.q + h]]
+        return out
 
-    def norms(self, tp: TwistedPower):
-        """N_𝔓 for each prime of the block, (B, n*d + 1, e) base-p digits: the
-        d-fold Frobenius product of P̄(T - θ̄)^n, one contraction of ``red``."""
+    def grow(self, depth: int):
+        """``logx`` for x^0 .. x^(depth-1), by x^t = x·x^(t-1) mod f, checked
+        on the codes: x^t = θ^t for t < deg f and Cayley–Hamilton."""
         import numpy as np
 
-        _check_field(tp, self.ctx)
-        p, e, d, n = self.p, self.e, self.d, tp.n
-        coeffs = tp.P.coeffs
-        width = len(coeffs) + n  # θ^0 .. θ^(m+n)
-        if width > self.red.shape[2]:
-            self._grow(width - 1)
-        # tau[x, a, n - l]: digit a of (-1)^l C(n, l) a_(x-l), the θ^x
-        # coefficient of the T^(n-l) coefficient of P(θ)(T - θ)^n
-        digits = to_digits(coeffs, p, e)
-        tau = np.zeros((width, e, n + 1), dtype=np.int64)
-        for l in range(n + 1):
-            tau[l : l + len(coeffs), :, n - l] = (
-                (-1) ** l * binom_mod_p(n, l, p) * digits % p)
-        # P̄(T - θ̄)^n as (B, n + 1, D), P̄ (zero iff 𝔓 | P) at T^n
-        red = np.tensordot(self.red[:, :, :width, :e], tau,
-                           axes=2).transpose(0, 2, 1) % p
-        acc = cur = red
-        for _ in range(d - 1):
-            cur = cur @ self.frob % p
-            acc = self._mul(acc, cur)
-        # Frobenius invariance forces descent to the base field; its failure
-        # would mean an arithmetic bug, never bad input.
-        if (acc @ self.frob % p != acc).any():
-            raise AssertionError("twisted product not Frobenius-fixed")
-        acc = acc.reshape(len(acc), n * d + 1, d, e)
-        if acc[:, :, 1:].any():
-            raise AssertionError("twisted product not in the base field")
-        norms = acc[:, :, 0]
-        if (red[:, n].any(axis=1) & ~norms[:, -1].any(axis=1)).any():
-            raise AssertionError("local factor has wrong T-degree")
-        return norms
+        q, d, f, fdeg = self.q, self.deg, self.f, self.fdeg
+        v = np.zeros((len(f), depth + d, d), dtype=np.uint16)  # d zeros last
+        v[fdeg > 0, 0, 0] = 1
+        top = (np.arange(len(f)), np.maximum(fdeg - 1, 0))
+        for t in range(1, depth):  # shift up, less the top times f
+            v[:, t, 1:] = v[:, t - 1, :-1]
+            v[:, t] = self.sub[v[:, t] * q + self.mul[
+                v[:, t - 1][top][:, None] * q + f[:, :d]]]
+        ch = np.zeros((len(f), depth, d), dtype=np.uint16)
+        for i in range(d + 1):  # Σ_i f_i x^(t+i), read where t + deg f fits
+            ch = self.add[ch * q + self.mul[f[:, i, None, None] * q
+                                            + v[:, i : i + depth]]]
+        low = np.arange(depth) < fdeg[:, None]
+        fits = np.arange(depth) + fdeg[:, None] < depth
+        if ((v[:, :depth] != np.eye(depth, d))[low].any()
+                or ch[fits].any()):
+            raise AssertionError("companion powers fail Cayley–Hamilton")
+        self.depth = depth
+        self.logx = _readonly(self.log[v[:, :depth]].astype(self.dtype))
+
+    def fpow(self, n: int):
+        """Logs of f(T)^n, one row of n·deg + 1 entries per f."""
+        if n not in self._fpow:
+            out = self.f
+            for _ in range(n - 1):
+                out = self._mul(self.f, out)
+            self._fpow[n] = _readonly(self.log[out].astype(self.dtype))
+        return self._fpow[n]
 
 
-@lru_cache(maxsize=None)
-def _degree_tables(ctx, d: int):
-    """The table blocks of the primes of degree d, built on first use."""
-    primes = primes_of_degree(ctx, d)
-    return tuple(_Block(ctx, primes[i : i + _BLOCK])
-                 for i in range(0, len(primes), _BLOCK))
+_SERIES = {}  # field -> its _Series, rebuilt when a bound passes its degree
+# the 3! permutations of (0, 1, 2) and their signs
+_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_SIGNS = (1, -1, -1, 1, 1, -1)
 
 
-def local_factors(tp: TwistedPower, d: int):
-    """N_𝔓 of every prime of degree d, as one batch.
-
-    An int64 array (primes, n*d + 1, e), one row per prime of
-    ``primes_of_degree(ctx, d)``: the base-p digits of N_𝔓's
-    T-coefficients, little-endian; a zero row exactly when 𝔓 | P.
-    """
+def _det(a, s: _Series):
+    """Determinants of the (F, b, b) code matrices a (overwritten), b >= 3."""
     import numpy as np
 
-    return np.concatenate([b.norms(tp) for b in _degree_tables(tp.ctx, d)])
+    b, q = a.shape[1], s.q
+    rows, det = np.arange(len(a)), np.ones(len(a), dtype=np.int64)
+    for k in range(b - 3):  # elimination down to the last three columns
+        piv = (a[:, k:, k] != 0).argmax(1) + k  # k when the column is zero
+        row = a[rows, piv]
+        a[rows, piv] = a[:, k]
+        det = s.mul[det * q + row[:, k]]
+        det = np.where(piv == k, det, s.neg[det])
+        fac = s.mul[a[:, k + 1 :, k] * q + s.inv[row[:, k, None]]]
+        below = a[:, k + 1 :, k + 1 :]
+        below[:] = s.sub[below * q + s.mul[fac[:, :, None] * q
+                                           + row[:, None, k + 1 :]]]
+    logs = s.log[a[:, -3:, -3:]][:, range(3), _PERMS].sum(-1)  # (F, 3!)
+    terms = s.alog[logs] * np.array(_SIGNS)[:, None]  # (F, 3!, e) digits
+    return s.mul[det * q + from_digits(terms.sum(1) % s.p, s.p, s.e)]
+
+
+def _characters(tp: TwistedPower, bound: int):
+    """The field's ``_Series`` and χ_P(f) = det P(C_f) for its f of degree
+    <= bound, checked for χ_P(g·h) = χ_P(g)·χ_P(h) on ``pairs``."""
+    import numpy as np
+
+    coeffs, b = tp.P.coeffs, max(bound, 3)
+    s = _SERIES.get(tp.ctx)
+    if s is None or s.deg < bound:
+        s = _SERIES[tp.ctx] = _Series(tp.ctx, bound)
+    if s.depth < len(coeffs) + bound - 1:
+        s.grow(len(coeffs) + bound - 1)
+    la, count = s.log[list(coeffs)][:, None, None], s.start[bound + 1]
+    slots = np.arange(len(coeffs))[:, None] + np.arange(bound)  # x^(i+k)
+    step = max(1, _CHUNK // (len(coeffs) * bound * bound * s.e))
+    chi = []
+    for lo in range(0, count, step):
+        # P(C_f) transposed, column k = Σ a_i x^(i+k) mod f, and the
+        # identity tail from column deg f on
+        hi = min(lo + step, count)
+        mat = np.zeros((hi - lo, b, b, s.e), dtype=np.int64)
+        mat[:, :bound, :bound] = s.alog[la + s.logx[lo:hi, slots,
+                                                     :bound]].sum(1)
+        mat[:, range(b), range(b), 0] += np.arange(b) >= s.fdeg[lo:hi, None]
+        chi.append(_det(from_digits(mat % s.p, s.p, s.e), s))
+    chi = np.concatenate(chi)
+    f, g, h = s.pairs[:, : np.searchsorted(s.pairs[0], count)]
+    if (s.mul[chi[g] * s.q + chi[h]] != chi[f]).any():
+        raise AssertionError("χ_P(g·h) != χ_P(g)·χ_P(h)")
+    return s, chi
 
 
 def truncated_product(tp: TwistedPower, bound: int) -> LFun:
-    """Product of local factors over primes of degree <= bound, mod U^(bound+1).
+    """Product of local factors over primes of degree <= bound, mod
+    U^(bound+1), as the series over monic f of degree <= bound (module doc).
 
     Equals the matrix-formula L-function through U-degree ``bound``, and
     exactly once ``bound`` reaches the stable matrix size ``tp.k_min`` =
     max(1, floor((m+n)/(q-1))), which bounds deg_U L (``motive``'s module
     doc): every coefficient past U^k_min is zero.
     """
+    import numpy as np
+
     check_int(bound, 1, "truncation bound")
-    ctx = tp.ctx
-    series = [Poly.one(ctx)] + [Poly.zero(ctx)] * bound
-    for d in range(1, bound + 1):
-        digits = local_factors(tp, d)
-        if 2 * d > bound:
-            # the cross terms of the degree-d factors lie beyond U^bound:
-            # their product is 1 + (sum of N) U^d, a digit-wise sum mod p
-            digits = digits.sum(axis=0, keepdims=True) % ctx.char
-        for row in from_digits(digits, ctx.char, ctx.e).tolist():
-            npoly = Poly(ctx, row)
-            # series / (1 - N U^d), from the lowest power up
-            for j in range(d, bound + 1):
-                series[j] = series[j] + npoly * series[j - d]
-    return LFun(ctx, series)
+    s, chi = _characters(tp, bound)
+    n, count = tp.n, len(chi)
+    fpow = s.fpow(n)[:count, : n * bound + 1]
+    if fpow[np.arange(count), n * s.fdeg[:count]].any():  # log 1 = 0
+        raise AssertionError("f(T)^n is not monic")
+    terms = s.alog[s.log[chi][:, None] + fpow]  # (f, T^i, digits)
+    series = np.add.reduceat(terms, s.start[: bound + 1], axis=0) % s.p
+    return LFun(tp.ctx, [Poly(tp.ctx, row) for row in
+                         from_digits(series, s.p, s.e).tolist()])
 
 
 def distinct_prime_factors(qpoly: Poly):

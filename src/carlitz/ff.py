@@ -88,8 +88,11 @@ def binom_mod_p(j: int, i: int, p: int) -> int:
 
 
 # Flat lookup tables of GF(q), q = p^e: mul, add and sub hold op(a, b) at
-# a*q + b; neg, inv (with inv[0] = 0) and frob (x -> x^p) hold op(a) at a.
-FieldTables = namedtuple("FieldTables", "p e q mul add sub neg inv frob")
+# a*q + b; neg, inv (with inv[0] = 0) and frob (x -> x^p) hold op(a) at a;
+# log[a] is i with g^i = a for the table's primitive g (log[0] = 2q - 2,
+# past every sum of two logs of nonzero elements) and exp[i] = g^i, i < q - 1.
+FieldTables = namedtuple("FieldTables",
+                         "p e q mul add sub neg inv frob log exp")
 
 
 def _build_tables(p: int, e: int, mul) -> FieldTables:
@@ -122,7 +125,7 @@ def _build_tables(p: int, e: int, mul) -> FieldTables:
                for hi in up[a // p * r:(a // p + 1) * r] for lo in low[a % p]]
     neg = [add.index(0, a) - a for a in range(0, q * q, q)]
     sub = [add[a + nb] for a in range(0, q * q, q) for nb in neg]
-    return FieldTables(p, e, q, mul_t, add, sub, neg, inv, frob)
+    return FieldTables(p, e, q, mul_t, add, sub, neg, inv, frob, log, exp)
 
 
 class PrimeField:

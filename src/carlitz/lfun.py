@@ -159,10 +159,12 @@ def lfun_substitute(l: LFun, t_map=None, u_scale=None) -> LFun:
             s = ctx.inv(arg)
             cs = [c.scale_var(s) for c in l.cs]
         elif kind == "power":
+            check_int(arg, 1, "power")
             stride = ctx.order**arg
             cs = [c.stretch(stride) for c in l.cs]
         elif kind == "invert":
             # U^j gets (-T)^(nj) C'_j(1/T): polynomial iff deg C'_j <= n*j
+            check_int(arg, 1, "invert")
             cs = [c.invert_var(arg * j) for j, c in enumerate(l.cs)]
         else:
             raise ValueError(f"unknown T-substitution {kind!r}")

@@ -1,12 +1,15 @@
-import numpy as np
+import hashlib
+import json
+import random
+
 import pytest
 
 from carlitz import (field_make, field_from_cardinality, Poly, LFun,
                      TwistedPower, l_function)
 from carlitz.euler import (reduce_tau, twisted_power, local_factor,
-                           local_factors, truncated_product, primes_of_degree,
-                           distinct_prime_factors, residue_ctx, _degree_tables,
-                           _Block)
+                           truncated_product, primes_of_degree,
+                           distinct_prime_factors, residue_ctx, _characters,
+                           _Series, _SERIES)
 
 
 def tp3(coeffs, n=1):
@@ -87,33 +90,33 @@ def test_local_factor_rejects_prime_over_other_field(f3):
         reduce_tau(tp, prime)
     with pytest.raises(ValueError):
         local_factor(tp, prime)
-    with pytest.raises(ValueError):
-        _degree_tables(field_make(5), 1)[0].norms(tp)
 
 
-def test_local_factors_match_scalar(rng):
-    # every prime's batched N against the scalar path; P is divisible by a
-    # prime of each degree, so zero factors occur at every degree
-    cases = [(field_make(2), 3), (field_make(3), 3), (field_make(2, 2), 3),
-             (field_make(5), 3), (field_make(3, 2), 2)]
-    for ctx, dmax in cases:
-        q = ctx.order
-        powers = [ctx.char**a for a in range(ctx.e)]
-        # n = p: C(n, l) = 0 mod p for 0 < l < n, so (T - θ)^p = T^p - θ^p
+def _series_index(ctx, f):
+    # the row of monic f in the series tables: by degree, then by the code
+    # sum of its lower coefficients
+    q, d = ctx.order, int(f.degree)
+    return sum(q**j for j in range(d)) + sum(
+        c * q**i for i, c in enumerate(f.coeffs[:d]))
+
+
+def test_series_terms_match_scalar_local_factor(rng):
+    # χ_P(𝔓)·𝔓(T)^n, the series' term at a prime, against the scalar N_𝔓
+    # for every prime of degree <= 3; P is divisible by a prime of each
+    # degree, so zero factors occur at every degree
+    for q in (2, 3, 4, 5, 9):
+        ctx = field_from_cardinality(q)
         for n in (1, 2, ctx.char):
-            for _ in range(2):
-                p = Poly(ctx, [rng.randrange(q) for _ in range(3)]
-                         + [rng.randrange(1, q)])
-                for d in range(1, dmax + 1):
-                    p = p * rng.choice(primes_of_degree(ctx, d))
-                tp = TwistedPower(p, n)
-                for d in range(1, dmax + 1):
-                    rows = (local_factors(tp, d) @ powers).tolist()
-                    primes = primes_of_degree(ctx, d)
-                    assert len(rows) == len(primes)
-                    want = [local_factor(tp, prime).npoly for prime in primes]
-                    assert [Poly(ctx, row) for row in rows] == want
-                    assert any(w.is_zero() for w in want)
+            p = Poly(ctx, [ctx.rand(rng) for _ in range(3)]
+                     + [rng.randrange(1, q)])
+            for d in (1, 2, 3):
+                p = p * rng.choice(primes_of_degree(ctx, d))
+            tp = TwistedPower(p, n)
+            chi = _characters(tp, 3)[1].tolist()
+            for d in (1, 2, 3):
+                for prime in primes_of_degree(ctx, d):
+                    got = (prime**n).scalar_mul(chi[_series_index(ctx, prime)])
+                    assert got == local_factor(tp, prime).npoly, (q, n, prime)
 
 
 def test_local_factor_is_norm_times_prime_power(rng):
@@ -133,10 +136,7 @@ def test_local_factor_is_norm_times_prime_power(rng):
                 p = p * rng.choice(primes_of_degree(ctx, 1))
                 tp = TwistedPower(p, n)
                 for d in range(1, dmax + 1):
-                    rows = (local_factors(tp, d) @ powers).tolist()
-                    primes = primes_of_degree(ctx, d)
-                    assert len(rows) == len(primes)
-                    for prime, row in zip(primes, rows):
+                    for prime in primes_of_degree(ctx, d):
                         rc = residue_ctx(prime)
                         rem = (p % prime).coeffs
                         norm = cur = rem + (ctx.zero,) * (d - len(rem))
@@ -144,7 +144,8 @@ def test_local_factor_is_norm_times_prime_power(rng):
                             cur = rc.frobenius(cur, 1)
                             norm = rc.mul(norm, cur)
                         want = (prime**n).scalar_mul(rc.constant_of(norm))
-                        assert Poly(ctx, row) == want, (q, n, p, prime)
+                        assert local_factor(tp, prime).npoly == want, \
+                            (q, n, p, prime)
 
 
 def test_truncated_product_examples(f3):
@@ -189,64 +190,90 @@ def test_oracle_agreement_prime_powers(rng):
         assert exact > 0
 
 
+# truncated_product over a seeded grid, recorded with the per-prime batch
+# the series replaced.  The grid: random.Random(37); for q in (2, 3, 4, 5, 9),
+# n in (1, 2, 3) and m in range(13), the twist's coefficients are
+# [rng.randrange(q) for _ in range(m)] + [rng.randrange(1, q)], at the bounds
+# min(k_min, 3) and k_min + 1 that have q^bound <= 10^4.  384 products; the
+# digest is sha256 of json.dumps of the list of to_json_obj() results.
+_PINNED_PRODUCT_SHA256 = (
+    "c484700d4c3ce18003b1e9eea531fe09bb3fa3ec9388996f2ff9f7220df075cc")
+
+
+def test_truncated_product_pinned_digest():
+    rng = random.Random(37)
+    objs = []
+    for q in (2, 3, 4, 5, 9):
+        ctx = field_from_cardinality(q)
+        for n in (1, 2, 3):
+            for m in range(13):
+                coeffs = ([rng.randrange(q) for _ in range(m)]
+                          + [rng.randrange(1, q)])
+                tp = TwistedPower(Poly(ctx, coeffs), n)
+                for bound in sorted({min(tp.k_min, 3), tp.k_min + 1}):
+                    if q**bound <= 10**4:
+                        objs.append(truncated_product(tp, bound).to_json_obj())
+    assert len(objs) == 384
+    digest = hashlib.sha256(json.dumps(objs).encode()).hexdigest()
+    assert digest == _PINNED_PRODUCT_SHA256
+
+
+def test_series_refuses_fields_above_the_table_cap():
+    # the series reads ff's log tables, which stop at 256 elements
+    for q in (257, 512):
+        tp = TwistedPower(Poly(field_from_cardinality(q), [1, 1]), 1)
+        with pytest.raises(ValueError, match="256 elements"):
+            truncated_product(tp, 1)
+
+
 @pytest.fixture
-def fresh_tables():
-    # the tests below corrupt one block's tables: rebuild them around each
-    _degree_tables.cache_clear()
+def fresh_series():
+    # the tests below corrupt a field's tables: rebuild them around each
+    _SERIES.clear()
     yield
-    _degree_tables.cache_clear()
+    _SERIES.clear()
 
 
-@pytest.mark.parametrize("patch, message", [
-    ("zero", "wrong T-degree"), ("perturb", "not Frobenius-fixed"),
-    ("identity", "not in the base field")])
-def test_batch_frobenius_table_is_checked(f3, fresh_tables, monkeypatch,
-                                          patch, message):
-    # one degree-2 prime (θ² + θ + 2, which does not divide P) gets a wrong
-    # Frobenius matrix; the identity leaves every product Frobenius-fixed,
-    # so only the base-field check sees it
-    tp = tp3([1, 2, 0, 1])
-    assert not (tp.P % primes_of_degree(f3, 2)[1]).is_zero()
-    block = _degree_tables(f3, 2)[0]
-    frob = block.frob.copy()
-    if patch == "zero":
-        frob[1] = 0
-    elif patch == "identity":
-        frob[1] = np.eye(len(frob[1]), dtype=frob.dtype)
-    else:
-        frob[1, 0, 1] = (frob[1, 0, 1] + 1) % 3
-    monkeypatch.setattr(block, "frob", frob)
-    with pytest.raises(AssertionError, match=message):
+def test_corrupted_power_is_checked(f3, fresh_series, monkeypatch):
+    # x^0 mod (θ + 1) becomes 2: χ_P(θ + 1) changes by a_0, and P has no
+    # root in GF(3), so every product with θ + 1 sees it
+    tp = tp3([1, 2, 1, 1])
+    want = truncated_product(tp, 3)
+    s = _SERIES[f3]
+    logx = s.logx.copy()
+    row = _series_index(f3, Poly(f3, [1, 1]))
+    assert logx[row, 0, 0] == 0  # log 1
+    logx[row, 0, 0] = 1  # log 2
+    monkeypatch.setattr(s, "logx", logx)
+    with pytest.raises(AssertionError, match="χ_P"):
         truncated_product(tp, 3)
+    monkeypatch.undo()
+    assert truncated_product(tp, 3) == want
 
 
-@pytest.mark.parametrize("coeffs, message", [
-    ([1, 2, 0, 1], "not Frobenius-fixed"),
-    ([0, 2, 1, 1], "not Frobenius-fixed")])
-def test_batch_theta_is_checked(f3, fresh_tables, monkeypatch, coeffs,
-                                message):
-    # θ̄ of one degree-3 prime (θ³ + 2θ + 2, not dividing P) becomes θ̄ + 1;
-    # the batch keeps θ̄ as the θ^1 column of its reduction table, which
-    # reduces P(θ)(T - θ)^n and every product mod 𝔓
-    block = _degree_tables(f3, 3)[0]
-    red = block.red.copy()
-    red[1, 0, 1, 0] = (red[1, 0, 1, 0] + 1) % 3
-    monkeypatch.setattr(block, "red", red)
-    tp = tp3(coeffs)
-    assert not (tp.P % primes_of_degree(f3, 3)[1]).is_zero()
-    with pytest.raises(AssertionError, match=message):
-        truncated_product(tp, 3)
+def test_corrupted_prime_power_lead_is_checked(f3, fresh_series, monkeypatch):
+    tp = tp3([1, 2, 1, 1], n=2)
+    truncated_product(tp, 2)
+    s = _SERIES[f3]
+    fpow = s.fpow(2).copy()
+    row = _series_index(f3, Poly(f3, [2, 0, 1]))  # θ² + 2, its square's T^4
+    assert fpow[row, 4] == 0
+    fpow[row, 4] = 1
+    monkeypatch.setitem(s._fpow, 2, fpow)
+    with pytest.raises(AssertionError, match="not monic"):
+        truncated_product(tp, 2)
 
 
-def test_batch_overflow_guard_raises():
-    # over GF(10^9 + 7) a digit product times a digit passes 2^63, so the
-    # batch's residue product refuses instead of wrapping (an exception, not
-    # an assert, so it holds under python -O too); θ² + 1 is irreducible
-    # since 10^9 + 7 = 3 mod 4, and d = 2 takes one residue product
-    ctx = field_from_cardinality(1000000007)
-    block = _Block(ctx, [Poly(ctx, [1, 0, 1])])
-    with pytest.raises(OverflowError, match="int64"):
-        block.norms(TwistedPower(Poly(ctx, [5, 1]), 1))
+def test_companion_powers_are_checked_when_grown(f9, monkeypatch):
+    # one wrong entry of the subtraction table breaks x^t = x·x^(t-1) mod f
+    # for some f, and Cayley–Hamilton, read through add and mul, sees it
+    s = _Series(f9, 2)
+    s.grow(4)
+    sub = s.sub.copy()
+    sub[5 * 9 + 3] = (sub[5 * 9 + 3] + 1) % 9
+    monkeypatch.setattr(s, "sub", sub)
+    with pytest.raises(AssertionError, match="Cayley–Hamilton"):
+        s.grow(6)
 
 
 def test_same_class_same_factors(rng):

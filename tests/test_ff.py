@@ -14,7 +14,7 @@ from carlitz.euler import truncated_product
 from carlitz.fastrank import RankEngine
 from carlitz.ff import (check_int, from_digits, generator_digits, is_prime,
                         to_digits)
-from carlitz.lfun import LFun
+from carlitz.lfun import LFun, lfun_substitute
 from carlitz.motive import (TwistedPower, analytic_ranks, build_matrix,
                             d_coefficients, infinity_factor)
 from carlitz.poly import irreducibles_of_degree, poly_from_str
@@ -418,6 +418,16 @@ _BAD_INTS = {
     "dim_report r=True": lambda: dim_report(3, True),
     "dim_report r=0": lambda: dim_report(3, 0),
     "dim_report m=4.5": lambda: dim_report(3, 2, m=4.5),
+    "lfun_substitute power k=-1":
+        lambda: lfun_substitute(LFun.one(field_make(3)), ("power", -1)),
+    "lfun_substitute power k=1.5":
+        lambda: lfun_substitute(LFun.one(field_make(3)), ("power", 1.5)),
+    "lfun_substitute power k=True":
+        lambda: lfun_substitute(LFun.one(field_make(3)), ("power", True)),
+    "lfun_substitute invert n=1.5":
+        lambda: lfun_substitute(LFun.one(field_make(3)), ("invert", 1.5)),
+    "lfun_substitute invert n=True":
+        lambda: lfun_substitute(LFun.one(field_make(3)), ("invert", True)),
 }
 
 

@@ -566,6 +566,27 @@ def test_euler_product_vanishes_past_k_min(rng):
         assert euler == l_function(t)
 
 
+def test_series_forced_zero_on_the_coset(rng):
+    # ROADMAP item 22 from the series side: on the coset q-1 | m+n,
+    # a_m = (-1)^n, the series at bound k_min (which is L) sums to 0 at
+    # U = 1; over GF(2) and GF(8) its U^(k_min+1) coefficient is zero
+    count = 0
+    for q in (2, 4, 8, 9):
+        ctx = field_from_cardinality(q)
+        for n in (1, 2):
+            lead = ctx.neg(ctx.one) if n % 2 else ctx.one
+            for m in [m for m in range(1, 2 * q) if (m + n) % (q - 1) == 0][:2]:
+                coeffs = [ctx.rand(rng) for _ in range(m)] + [lead]
+                t = TwistedPower(Poly(ctx, coeffs), n)
+                series = truncated_product(t, t.k_min)
+                assert sum(series.cs, Poly.zero(ctx)).is_zero(), (q, n, m)
+                if q in (2, 8):
+                    past = truncated_product(t, t.k_min + 1)
+                    assert past.coeff(t.k_min + 1).is_zero()
+                count += 1
+    assert count == 16
+
+
 def test_d_coefficients_examples():
     f3 = field_make(3)
     ds = d_coefficients(LFun.one(f3), 1)
