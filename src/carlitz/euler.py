@@ -27,18 +27,19 @@ test suite.
 
 The series runs on per-field tables (``_Series``), built with numpy on first
 use, shared by every twist over the field and kept read-only: the monic f of
-degree <= the largest D seen; the logs of x^t mod f, whose windows are the
-columns of C_f^i, for t below the deepest m + D seen; the logs of f(T)^n per
-n; one factorisation g·h of each reducible f.  Logs are ``ff``'s
-(``FieldTables.log`` and ``exp``), with log 0 moved past every sum of three
-logs; fields above ff's 256-element table cap are refused.  A call gathers
-P(C_f) = Σ a_i C_f^i for every f of degree <= D in one step, padded by an
-identity tail to max(D, 3) columns so that one batched determinant serves
-all degrees, takes χ_P(f) = ``_det`` of that stack and sums χ_P(f)·f(T)^n
-per degree.
-``_det`` eliminates down to the last three columns and expands those by
-Leibniz in log form.  At verify's D <= 3 that is the whole determinant, and
-faster than elimination; Leibniz alone would grow as D!.
+degree <= D; the logs of x^t mod f, whose windows are the columns of C_f^i,
+for t below a depth; the logs of f(T)^n per n; one factorisation g·h of each
+reducible f.  One rule sizes them: built at the largest D seen, the depth
+grown to the m + D asked but at least twofold, so a caller raising m step
+by step regrows them O(log m) times.  Arithmetic, log form and the refusal
+above the 256-element table cap are ``ff.array_ops``'s.  A call gathers
+P(C_f) = Σ a_i C_f^i for every f of degree <= D in one step, batch axis
+last, padded by an identity tail to max(D, 3) columns so that one batched
+determinant serves all degrees, takes χ_P(f) = ``_det`` of that stack and
+sums χ_P(f)·f(T)^n per degree.  ``_det`` is ff's elimination down to the
+last three columns, then Leibniz in log form on those: at verify's D <= 3
+the whole determinant, and faster than elimination; Leibniz alone would
+grow as D!.
 
 Checks.  Building or growing the powers checks x^t mod f = θ^t for
 t < deg f and Cayley–Hamilton, f(C_f)·C_f^t = 0, on every stored window.
@@ -57,19 +58,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ff import ResidueCtx, check_int, from_digits, to_digits
+from .ff import ResidueCtx, array_ops, check_int, from_digits, to_digits
 from .lfun import LFun
 from .motive import TwistedPower
 from .poly import Poly, irreducibles_of_degree
 
 __all__ = [
-    "LocalFactor",
-    "residue_ctx",
-    "reduce_tau",
-    "twisted_power",
-    "local_factor",
-    "truncated_product",
-    "primes_of_degree",
+    "LocalFactor", "residue_ctx", "reduce_tau", "twisted_power",
+    "local_factor", "truncated_product", "primes_of_degree",
     "distinct_prime_factors",
 ]
 
@@ -88,16 +84,12 @@ def primes_of_degree(ctx, d: int):
     return tuple(irreducibles_of_degree(ctx, d))
 
 
-def _check_field(tp: TwistedPower, ctx):
-    # Poly arithmetic uses its left operand's field, so a prime over another
-    # field would give a wrong answer rather than an error
-    if ctx != tp.ctx:
-        raise ValueError(f"prime over {ctx!r}, twist over {tp.ctx!r}")
-
-
 def reduce_tau(tp: TwistedPower, prime: Poly) -> Poly:
     """P̄ (T - θ̄)^n in (GF(q)[θ]/𝔓)[T]; T-degree n unless 𝔓 | P."""
-    _check_field(tp, prime.ctx)
+    # Poly arithmetic uses its left operand's field, so a prime over another
+    # field would give a wrong answer rather than an error
+    if prime.ctx != tp.ctx:
+        raise ValueError(f"prime over {prime.ctx!r}, twist over {tp.ctx!r}")
     rc = residue_ctx(prime)
     rem = (tp.P % prime).coeffs
     pbar = rem + (rc.base.zero,) * (rc.d - len(rem))
@@ -108,9 +100,7 @@ def reduce_tau(tp: TwistedPower, prime: Poly) -> Poly:
 
 def twisted_power(a: Poly, d: int) -> Poly:
     """a^(d-1 twists) ... a^(1 twist) * a with coefficient-wise x -> x^(q^k)."""
-    rc = a.ctx
-    result = a
-    cur = a
+    rc, result, cur = a.ctx, a, a
     for _ in range(d - 1):
         cur = Poly(rc, [rc.frobenius(c, 1) for c in cur.coeffs])
         result = result * cur
@@ -151,11 +141,6 @@ def local_factor(tp: TwistedPower, prime: Poly) -> LocalFactor:
     return LocalFactor(prime=prime, d=d, npoly=n)
 
 
-def _readonly(a):
-    a.flags.writeable = False
-    return a
-
-
 class _Series:
     """One field's tables of the monic f of degree <= ``deg`` (module doc).
 
@@ -165,26 +150,14 @@ class _Series:
     coefficients.  ``logx[i, t, r]`` is the log of coefficient r of x^t mod
     f, so column k of C_f^t is ``logx[i, t + k]``.  Each column of ``pairs``
     is f, g, h with f = g·h and g of least degree, sorted by f.  Codes are
-    uint16, so that an index a·q + b of ``ff``'s flat tables fits.
+    uint16, the arithmetic ``ff.array_ops``.
     """
 
     def __init__(self, ctx, deg: int):
         import numpy as np
 
-        t = ctx.tables()
-        if t is None:
-            raise ValueError(f"the Euler series reads ff's field tables, "
-                             f"which stop at 256 elements: {ctx!r}")
-        q, self.p, self.e, self.q, self.deg, self.depth = (
-            t.q, t.p, t.e, t.q, deg, 0)
-        zero = 3 * (q - 1)  # log 0, past any sum of three logs
-        self.log = np.array([zero] + t.log[1:])
-        self.alog = to_digits([t.exp[i % (q - 1)] if i < zero else 0
-                               for i in range(3 * zero + 1)], t.p, t.e)
-        self.dtype = np.min_scalar_type(zero)
-        self.mul, self.add, self.sub, self.neg, self.inv = (
-            np.array(x, dtype=np.uint16)
-            for x in (t.mul, t.add, t.sub, t.neg, t.inv))
+        ops = self.ops = array_ops(ctx)
+        q, self.deg, self.depth = ops.q, deg, 0
         sizes = [q**j for j in range(deg + 1)]
         start = self.start = np.cumsum([0] + sizes)
         self.fdeg = np.repeat(np.arange(deg + 1), sizes)
@@ -201,19 +174,28 @@ class _Series:
                 found.append(np.stack(
                     [start[j] + from_digits(prod[:, :j], q, j), g, h]))
         pairs = np.concatenate(found, axis=1)
-        self.pairs = _readonly(pairs[:, np.unique(pairs[0],
-                                                  return_index=True)[1]])
+        self.pairs = pairs[:, np.unique(pairs[0], return_index=True)[1]]
+        self.pairs.flags.writeable = False
         self._fpow = {}
+
+    def _logs(self, codes):
+        # read-only logs of codes, narrow enough to hold log 0
+        import numpy as np
+
+        log = self.ops.log
+        out = log[codes].astype(np.min_scalar_type(log[0]))
+        out.flags.writeable = False
+        return out
 
     def _mul(self, g, h):
         """The code rows of g·h, for code rows g (K, a) and h (K, b)."""
         import numpy as np
 
+        ops = self.ops
         out = np.zeros((len(g), g.shape[1] + h.shape[1] - 1), dtype=np.uint16)
         for i in range(g.shape[1]):
             part = out[:, i : i + h.shape[1]]
-            part[:] = self.add[part * self.q
-                               + self.mul[g[:, i, None] * self.q + h]]
+            part[:] = ops.add(part, ops.mul(g[:, i, None], h))
         return out
 
     def grow(self, depth: int):
@@ -221,25 +203,23 @@ class _Series:
         on the codes: x^t = θ^t for t < deg f and Cayley–Hamilton."""
         import numpy as np
 
-        q, d, f, fdeg = self.q, self.deg, self.f, self.fdeg
+        ops, d, f, fdeg = self.ops, self.deg, self.f, self.fdeg
         v = np.zeros((len(f), depth + d, d), dtype=np.uint16)  # d zeros last
         v[fdeg > 0, 0, 0] = 1
         top = (np.arange(len(f)), np.maximum(fdeg - 1, 0))
         for t in range(1, depth):  # shift up, less the top times f
             v[:, t, 1:] = v[:, t - 1, :-1]
-            v[:, t] = self.sub[v[:, t] * q + self.mul[
-                v[:, t - 1][top][:, None] * q + f[:, :d]]]
+            v[:, t] = ops.sub(v[:, t],
+                              ops.mul(v[:, t - 1][top][:, None], f[:, :d]))
         ch = np.zeros((len(f), depth, d), dtype=np.uint16)
         for i in range(d + 1):  # Σ_i f_i x^(t+i), read where t + deg f fits
-            ch = self.add[ch * q + self.mul[f[:, i, None, None] * q
-                                            + v[:, i : i + depth]]]
+            ch = ops.add(ch, ops.mul(f[:, i, None, None], v[:, i : i + depth]))
         low = np.arange(depth) < fdeg[:, None]
         fits = np.arange(depth) + fdeg[:, None] < depth
-        if ((v[:, :depth] != np.eye(depth, d))[low].any()
-                or ch[fits].any()):
+        if (v[:, :depth] != np.eye(depth, d))[low].any() or ch[fits].any():
             raise AssertionError("companion powers fail Cayley–Hamilton")
         self.depth = depth
-        self.logx = _readonly(self.log[v[:, :depth]].astype(self.dtype))
+        self.logx = self._logs(v[:, :depth])
 
     def fpow(self, n: int):
         """Logs of f(T)^n, one row of n·deg + 1 entries per f."""
@@ -247,7 +227,7 @@ class _Series:
             out = self.f
             for _ in range(n - 1):
                 out = self._mul(self.f, out)
-            self._fpow[n] = _readonly(self.log[out].astype(self.dtype))
+            self._fpow[n] = self._logs(out)
         return self._fpow[n]
 
 
@@ -257,25 +237,17 @@ _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _SIGNS = (1, -1, -1, 1, 1, -1)
 
 
-def _det(a, s: _Series):
-    """Determinants of the (F, b, b) code matrices a (overwritten), b >= 3."""
+def _det(a, ops):
+    """Determinants of the (b, b, F) code matrices a (overwritten), b >= 3."""
     import numpy as np
 
-    b, q = a.shape[1], s.q
-    rows, det = np.arange(len(a)), np.ones(len(a), dtype=np.int64)
-    for k in range(b - 3):  # elimination down to the last three columns
-        piv = (a[:, k:, k] != 0).argmax(1) + k  # k when the column is zero
-        row = a[rows, piv]
-        a[rows, piv] = a[:, k]
-        det = s.mul[det * q + row[:, k]]
-        det = np.where(piv == k, det, s.neg[det])
-        fac = s.mul[a[:, k + 1 :, k] * q + s.inv[row[:, k, None]]]
-        below = a[:, k + 1 :, k + 1 :]
-        below[:] = s.sub[below * q + s.mul[fac[:, :, None] * q
-                                           + row[:, None, k + 1 :]]]
-    logs = s.log[a[:, -3:, -3:]][:, range(3), _PERMS].sum(-1)  # (F, 3!)
-    terms = s.alog[logs] * np.array(_SIGNS)[:, None]  # (F, 3!, e) digits
-    return s.mul[det * q + from_digits(terms.sum(1) % s.p, s.p, s.e)]
+    ops.eliminate(a, len(a) - 3)  # pivots times det of the last 3 columns
+    logs = ops.log[a[-3:, -3:]][range(3), _PERMS].sum(1)  # (3!, F)
+    terms = ops.alog[logs] * np.array(_SIGNS)[:, None, None]  # (3!, F, e)
+    det = from_digits(terms.sum(0) % ops.p, ops.p, ops.e)
+    for k in range(len(a) - 3):
+        det = ops.mul(det, a[k, k])
+    return det
 
 
 def _characters(tp: TwistedPower, bound: int):
@@ -287,24 +259,26 @@ def _characters(tp: TwistedPower, bound: int):
     s = _SERIES.get(tp.ctx)
     if s is None or s.deg < bound:
         s = _SERIES[tp.ctx] = _Series(tp.ctx, bound)
-    if s.depth < len(coeffs) + bound - 1:
-        s.grow(len(coeffs) + bound - 1)
-    la, count = s.log[list(coeffs)][:, None, None], s.start[bound + 1]
+    if s.depth < len(coeffs) + bound - 1:  # at least twofold (module doc)
+        s.grow(max(len(coeffs) + bound - 1, 2 * s.depth))
+    ops, count = s.ops, s.start[bound + 1]
+    la = ops.log[list(coeffs)][:, None, None]
     slots = np.arange(len(coeffs))[:, None] + np.arange(bound)  # x^(i+k)
-    step = max(1, _CHUNK // (len(coeffs) * bound * bound * s.e))
+    step = max(1, _CHUNK // (len(coeffs) * bound * bound * ops.e))
     chi = []
     for lo in range(0, count, step):
-        # P(C_f) transposed, column k = Σ a_i x^(i+k) mod f, and the
-        # identity tail from column deg f on
+        # P(C_f) transposed and the batch last, column k = Σ a_i x^(i+k)
+        # mod f, and the identity tail from column deg f on
         hi = min(lo + step, count)
-        mat = np.zeros((hi - lo, b, b, s.e), dtype=np.int64)
-        mat[:, :bound, :bound] = s.alog[la + s.logx[lo:hi, slots,
-                                                     :bound]].sum(1)
-        mat[:, range(b), range(b), 0] += np.arange(b) >= s.fdeg[lo:hi, None]
-        chi.append(_det(from_digits(mat % s.p, s.p, s.e), s))
+        mat = np.zeros((b, b, hi - lo, ops.e), dtype=np.int64)
+        logs = la + s.logx[lo:hi, slots, :bound]  # (f, i, k, r)
+        mat[:bound, :bound] = ops.alog[logs.transpose(1, 2, 3, 0)].sum(0)
+        mat[range(b), range(b), :, 0] += (np.arange(b)[:, None]
+                                          >= s.fdeg[lo:hi])
+        chi.append(_det(from_digits(mat % ops.p, ops.p, ops.e), ops))
     chi = np.concatenate(chi)
     f, g, h = s.pairs[:, : np.searchsorted(s.pairs[0], count)]
-    if (s.mul[chi[g] * s.q + chi[h]] != chi[f]).any():
+    if (ops.mul(chi[g], chi[h]) != chi[f]).any():
         raise AssertionError("χ_P(g·h) != χ_P(g)·χ_P(h)")
     return s, chi
 
@@ -322,14 +296,14 @@ def truncated_product(tp: TwistedPower, bound: int) -> LFun:
 
     check_int(bound, 1, "truncation bound")
     s, chi = _characters(tp, bound)
-    n, count = tp.n, len(chi)
+    ops, n, count = s.ops, tp.n, len(chi)
     fpow = s.fpow(n)[:count, : n * bound + 1]
     if fpow[np.arange(count), n * s.fdeg[:count]].any():  # log 1 = 0
         raise AssertionError("f(T)^n is not monic")
-    terms = s.alog[s.log[chi][:, None] + fpow]  # (f, T^i, digits)
-    series = np.add.reduceat(terms, s.start[: bound + 1], axis=0) % s.p
+    terms = ops.alog[ops.log[chi][:, None] + fpow]  # (f, T^i, digits)
+    series = np.add.reduceat(terms, s.start[: bound + 1], axis=0) % ops.p
     return LFun(tp.ctx, [Poly(tp.ctx, row) for row in
-                         from_digits(series, s.p, s.e).tolist()])
+                         from_digits(series, ops.p, ops.e).tolist()])
 
 
 def distinct_prime_factors(qpoly: Poly):

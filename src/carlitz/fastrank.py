@@ -42,10 +42,11 @@ P(θ)(T - θ)^n at T = t, v[x] = sum_l w_l(t) a[x - l] with
 w_l(t) = (-1)^l C(n, l) t^(n-l) (``motive.band_signs``), then one gather
 through ``motive.band_index``, M(t)[i][j] = v[(i+1)p - (j+1)].
 
-``vanishing_order`` takes one coefficient sequence and runs in pure Python;
-it serves single twists and is the oracle for the batched form.  It walks
-the points taking the charpoly multiplicity, and stops at multiplicity 0 or
-once its running minimum reaches a known lower bound.
+``vanishing_order`` takes one sequence of m + 1 codes, each checked by
+``ff.check_int``, and runs in pure Python; it serves single twists and is
+the oracle for the batched form.  It walks the points taking the charpoly
+multiplicity, and stops at multiplicity 0 or once its running minimum
+reaches a known lower bound.
 
 ``vanishing_orders`` takes an (N, w) array of the engine's digits, G's
 coefficients.  ``rows`` maps them to P's coefficient rows, digits @ basis
@@ -53,7 +54,7 @@ mod p, where the basis holds the rows of φ^i (``_powers``; the identity for
 φ = θ).  So φ alone fixes what a digit row means and which points the
 engine takes.  The engine builds the basis and its certify plan on its
 first batched call, and runs the live rows in lockstep with numpy, in two
-phases, over uint16 copies of the point field's tables (``_ops``).
+phases, on the point field's ``ff.array_ops`` (``RankEngine.ops``).
 
 Certify: at every point, a nonzero det(M(t) - I) settles order 0 and the
 row leaves.  Rows run in groups: runs of consecutive rows with equal digits
@@ -75,7 +76,7 @@ A_x blocks.  Hence
 
 A zero pivot means B's rows are dependent, and every row of the group has
 det 0 at t; otherwise each row tests its own r x r matrix.  One kernel,
-``_eliminate``, runs both eliminations with a pivot per matrix;
+``ff``'s ``eliminate``, runs both eliminations with a pivot per matrix;
 ``_det_nonzero`` is that kernel on whole k x k matrices and stays as the
 oracle.  The rule for s: a group's elimination (k - r columns over
 k + s*r) is shared by up to p^s rows, and a row pays for its combination
@@ -100,9 +101,10 @@ themselves).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .ff import check_int, field_make, from_digits, is_prime, to_digits
+from .ff import (array_ops, check_int, field_make, field_tables,
+                 from_digits, is_prime, to_digits)
 from .motive import _band_gather, band_index, band_signs, stable_size
 
 __all__ = ["RankEngine", "BatchScreen"]
@@ -123,37 +125,7 @@ def _powers(p, phi, count):
 
 def _Tables(p: int, s: int):
     """The point field GF(p^s)'s ``ff`` tables, a ``FieldTables``."""
-    t = field_make(p, s).tables()
-    if t is None:  # ff builds no flat q^s * q^s tables above its cap
-        raise ValueError(f"point field GF({p}^{s}) above table cap")
-    return t
-
-
-@lru_cache(maxsize=None)
-def _ops(p: int, s: int):
-    """Elementwise numpy mul, add and sub over GF(p^s), and its inv table,
-    built once per field and shared by every engine over it.
-
-    They act on uint16 arrays through flat uint16 copies of the tables:
-    q <= 256, so an element and the flat index a*q + b both fit uint16, and
-    a take on uint16 runs about 3x faster than on intp.
-    """
-    import numpy as np
-    t = field_make(p, s).tables()
-    q = t.q
-    t_mul, t_add, t_sub, t_inv = (np.asarray(x, dtype=np.uint16)
-                                  for x in (t.mul, t.add, t.sub, t.inv))
-
-    def mul(a, b):
-        return t_mul.take(a * q + b)
-
-    def add(a, b):
-        return t_add.take(a * q + b)
-
-    def sub(a, b):
-        return t_sub.take(a * q + b)
-
-    return mul, add, sub, t_inv
+    return field_tables(field_make(p, s))
 
 
 class _Plan:
@@ -303,6 +275,11 @@ class RankEngine:
         bound on the order (>= 1 on the distinguished coset, by the forced
         factor); once the running minimum reaches it, the answer is exact.
         """
+        if len(coeffs) != self.m + 1:
+            raise ValueError(f"need m + 1 = {self.m + 1} coefficients, "
+                             f"got {len(coeffs)}")
+        for c in coeffs:
+            check_int(c, 0, "coefficient", self.p)
         if self.k == 0:
             return 0
         best = None
@@ -358,12 +335,15 @@ class RankEngine:
     def _plan(self):
         return _Plan(self)
 
+    @cached_property
+    def ops(self):  # on first use: numpy stays out of construction
+        return array_ops(field_make(self.p, self.tables.e))
+
     def _certify(self, digits, i):
         # det(M(t) - I) != 0 at the i-th point for every row of digits, by
         # one elimination of the shared rows per group (module doc)
         import numpy as np
-        _, _, sub, _ = _ops(self.p, self.tables.e)
-        plan = self._plan
+        ops, plan = self.ops, self._plan
         k, s, r = self.k, plan.s, plan.r
         # groups: runs of rows with equal digits from position s up
         hi = digits[:, s:]
@@ -376,29 +356,27 @@ class RankEngine:
         a = np.empty((k, k + s * r, len(heads)), dtype=np.uint16)
         a[:, :k] = self._band(self.rows(heads),
                               self.point_weights[i])[plan.nidx]
-        a[plan.diag] = sub(a[plan.diag], 1)
+        a[plan.diag] = ops.sub(a[plan.diag], 1)
         a[:, k:] = plan.blocks[i][:, :, None]
-        ok = self._eliminate(a, k - r)
+        ok = ops.eliminate(a, k - r)
         # S0 + sum d_x S_x per row, on packed base-p digits (_Plan)
         tail = np.repeat(plan.pack.take(a[k - r:, k - r:]), sizes, axis=2)
         acc = tail[:, :r].copy()
         for x in range(s):
             acc += digits[:, x].astype(np.uint16) * tail[:, r * (x + 1):
                                                             r * (x + 2)]
-        return np.repeat(ok, sizes) & self._eliminate(plan.unpack.take(acc),
-                                                      r)
+        return np.repeat(ok, sizes) & ops.eliminate(plan.unpack.take(acc), r)
 
     def _band(self, rows, ws):
         # the band v[x] = sum_l w_l(t) a[x - l] at t of every row of an
         # (N, m+1) array, with the zero slot m+n+1, as (m+n+2, N) uint16
         import numpy as np
-        mul, add, _, _ = _ops(self.p, self.tables.e)
-        n, m = self.n, self.m
+        ops, n, m = self.ops, self.n, self.m
         cols = np.asarray(rows, dtype=np.uint16).T  # coefficient-major
         v = np.zeros((m + n + 2, cols.shape[1]), dtype=np.uint16)
         for l, w in enumerate(ws):
             if w:
-                v[l:l + m + 1] = add(v[l:l + m + 1], mul(w, cols))
+                v[l:l + m + 1] = ops.add(v[l:l + m + 1], ops.mul(w, cols))
         return v
 
     def _matrices(self, rows, ws):
@@ -406,45 +384,22 @@ class RankEngine:
         # array: row axis last, where the eliminations run fastest.  One
         # gather of the band through motive's band index
         import numpy as np
-        _, _, sub, _ = _ops(self.p, self.tables.e)
         idx = _band_gather(self.p, self.k, self.m + self.n + 1)
         h = self._band(rows, ws)[idx]
         diag = np.arange(self.k)
-        h[diag, diag] = sub(h[diag, diag], 1)  # M - I
+        h[diag, diag] = self.ops.sub(h[diag, diag], 1)  # M - I
         return h
 
     def _det_nonzero(self, a):
         # det != 0 for each matrix of a (k, k, N) array; overwrites a
-        return self._eliminate(a, self.k)
-
-    def _eliminate(self, a, ncols):
-        # Gaussian elimination of the first ncols columns of each matrix of
-        # an (R, W, N) array, R >= ncols, every row operation applied to all
-        # W columns, with a pivot per matrix (the first nonzero entry; a
-        # matrix with no pivot in column c keeps its rows); True where every
-        # pivot is nonzero.  Only the matrices whose pivot row moves take
-        # part in the swap.  Overwrites a
-        import numpy as np
-        mul, _, sub, inv = _ops(self.p, self.tables.e)
-        ok = np.ones(a.shape[2], dtype=bool)
-        for c in range(ncols):
-            piv = c + (a[c:, c] != 0).argmax(axis=0)
-            at = np.flatnonzero(piv != c)
-            if at.size:
-                top = a[c, c:, at]
-                a[c, c:, at] = a[piv[at], c:, at]
-                a[piv[at], c:, at] = top
-            ok &= a[c, c] != 0
-            f = mul(a[c + 1:, c], inv.take(a[c, c]))
-            a[c + 1:, c + 1:] = sub(a[c + 1:, c + 1:],
-                                    mul(f[:, None], a[c, c + 1:]))
-        return ok
+        return self.ops.eliminate(a, self.k)
 
     def _charpoly_mults(self, h):
         # multiplicity of eigenvalue 0 of each matrix of a (k, k, N) array;
         # overwrites h
         import numpy as np
-        mul, add, sub, inv = _ops(self.p, self.tables.e)
+        ops = self.ops
+        mul, add, sub, inv = ops.mul, ops.add, ops.sub, ops.inv
         k, count = self.k, h.shape[2]
         # Hessenberg reduction by similarity, pivot per row (a row with no
         # pivot swaps row and column c+1 with themselves)

@@ -23,13 +23,17 @@ Lookup tables.  Every field of order q = p^e <= ``_TABLE_LIMIT``, prime
 fields included, has one set of flat tables on that encoding
 (``FieldTables``), built once per field context by ``_build_tables`` from a
 log/antilog pair: mul, inv and x -> x^p are index sums mod q - 1, add is
-digit-wise mod p.  ExtField and the point engine (``fastrank``) read them.
-Larger contexts, up to a machine word (>= 2^16), run on plain Python ints,
-so their ceiling is time, not overflow.
+digit-wise mod p.  ExtField reads them, every other module through
+``field_tables``, the one refusal of a field above the cap.  Larger
+contexts, up to a machine word (>= 2^16), run on plain Python ints, so their
+ceiling is time, not overflow.
 
 The array form is this module's too: the batched routes compute on base-p
 digits from ``to_digits``, back through ``from_digits``, and fold digit
-products with ``generator_digits`` (numpy is imported inside them).
+products with ``generator_digits``.  GF(q)'s arithmetic on code arrays has
+one owner, ``array_ops``: per field, uint16 ops over the tables, a log form
+and one batched elimination, which the point engine and the Euler series
+share (numpy is imported inside them).
 
 So is the one check of every int a caller passes, field codes and all
 other bounds, in every module and the CLI: ``check_int``.
@@ -46,17 +50,10 @@ from collections import namedtuple
 from functools import lru_cache, partial
 
 __all__ = [
-    "PrimeField",
-    "ExtField",
-    "ResidueCtx",
-    "field_make",
-    "field_from_cardinality",
-    "binom_mod_p",
-    "is_prime",
-    "check_int",
-    "to_digits",
-    "from_digits",
-    "generator_digits",
+    "PrimeField", "ExtField", "ResidueCtx", "field_make",
+    "field_from_cardinality", "binom_mod_p", "is_prime", "check_int",
+    "to_digits", "from_digits", "generator_digits", "field_tables",
+    "ArrayOps", "array_ops",
 ]
 
 _TABLE_LIMIT = 256  # build q*q lookup tables only for q <= this
@@ -391,6 +388,75 @@ def generator_digits(ctx, count: int):
                      for r in range(count)], p, e).transpose(2, 0, 1).copy()
     out.flags.writeable = False
     return out
+
+
+def field_tables(ctx) -> FieldTables:
+    """A field's ``FieldTables``; the one refusal above the table cap."""
+    t = ctx.tables()
+    if t is None:
+        raise ValueError(f"{ctx!r} is above table cap: ff's tables stop at "
+                         f"{_TABLE_LIMIT} elements")
+    return t
+
+
+class ArrayOps(namedtuple("ArrayOps", "p e q mul_table add_table sub_table "
+                          "neg inv log alog")):
+    """GF(q)'s arithmetic on code arrays, one per field (``array_ops``).
+
+    ``mul``, ``add`` and ``sub`` act elementwise through read-only flat
+    uint16 copies of the tables (q <= 256, so the flat index a*q + b fits,
+    and a take on uint16 runs about 3x faster than on intp); ``neg`` and
+    ``inv`` are uint16 tables.  The log form: ``log`` with log 0 = 3(q-1),
+    past every sum of three logs, and ``alog``, the base-p digits of g^i,
+    zero from 3(q-1) on."""
+
+    __slots__ = ()
+
+    def mul(self, a, b):
+        return self.mul_table.take(a * self.q + b)
+
+    def add(self, a, b):
+        return self.add_table.take(a * self.q + b)
+
+    def sub(self, a, b):
+        return self.sub_table.take(a * self.q + b)
+
+    def eliminate(self, a, ncols):
+        """Gaussian elimination of the first ncols columns of each (R, W)
+        matrix of an (R, W, N) array, R >= ncols, batch last.  To a zero
+        diagonal entry it adds the first row below that is nonzero there,
+        so no step changes a determinant: the pivots left on the diagonal
+        times det of the trailing block is det of the leading R columns.
+        True where every pivot is nonzero.  Overwrites a."""
+        import numpy as np
+        ok = np.ones(a.shape[2], dtype=bool)
+        for c in range(ncols):
+            piv = c + (a[c:, c] != 0).argmax(axis=0)
+            at = np.flatnonzero(piv != c)
+            if at.size:
+                a[c, c:, at] = self.add(a[c, c:, at], a[piv[at], c:, at])
+            ok &= a[c, c] != 0
+            f = self.mul(a[c + 1:, c], self.inv.take(a[c, c]))
+            a[c + 1:, c + 1:] = self.sub(a[c + 1:, c + 1:],
+                                         self.mul(f[:, None], a[c, c + 1:]))
+        return ok
+
+
+@lru_cache(maxsize=None)
+def array_ops(ctx) -> ArrayOps:
+    """The ``ArrayOps`` of a field context, built once from its tables and
+    shared by every route over it; ValueError above the table cap."""
+    import numpy as np
+    t = field_tables(ctx)
+    zero = 3 * (t.q - 1)
+    alog = to_digits([t.exp[i % (t.q - 1)] if i < zero else 0
+                      for i in range(3 * zero + 1)], t.p, t.e)
+    arrays = [np.array(x, dtype=np.uint16)
+              for x in (t.mul, t.add, t.sub, t.neg, t.inv)]
+    arrays += [np.array([zero] + t.log[1:]), alog]
+    for x in arrays:
+        x.flags.writeable = False
+    return ArrayOps(t.p, t.e, t.q, *arrays)
 
 
 class ResidueCtx:

@@ -224,7 +224,12 @@ def analytic_ranks(rows, n: int, ctx):
     """
     import numpy as np
 
-    rows = np.asarray(rows, dtype=np.int64)
+    arr = np.asarray(rows)  # bools and floats refused, as by check_int
+    if arr.dtype.kind not in "iu" or (arr is not rows and any(
+            type(c) is not int for row in rows for c in row)):
+        raise ValueError("coefficient rows must be an int array, without "
+                         "bools or floats")
+    rows = arr.astype(np.int64, copy=False)
     count, width = rows.shape
     m = width - 1
     q, p = ctx.order, ctx.char

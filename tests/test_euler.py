@@ -10,6 +10,8 @@ from carlitz.euler import (reduce_tau, twisted_power, local_factor,
                            truncated_product, primes_of_degree,
                            distinct_prime_factors, residue_ctx, _characters,
                            _Series, _SERIES)
+from carlitz.fastrank import RankEngine
+from carlitz.ff import array_ops
 
 
 def tp3(coeffs, n=1):
@@ -219,11 +221,15 @@ def test_truncated_product_pinned_digest():
 
 
 def test_series_refuses_fields_above_the_table_cap():
-    # the series reads ff's log tables, which stop at 256 elements
+    # the series reads ff's array ops, which stop at 256 elements, and ff
+    # refuses in one place for the series and the point engine alike
     for q in (257, 512):
-        tp = TwistedPower(Poly(field_from_cardinality(q), [1, 1]), 1)
-        with pytest.raises(ValueError, match="256 elements"):
-            truncated_product(tp, 1)
+        ctx = field_from_cardinality(q)
+        tp = TwistedPower(Poly(ctx, [1, 1]), 1)
+        for build in (lambda: truncated_product(tp, 1),
+                      lambda: array_ops(ctx)):
+            with pytest.raises(ValueError, match="256 elements"):
+                build()
 
 
 @pytest.fixture
@@ -269,11 +275,20 @@ def test_companion_powers_are_checked_when_grown(f9, monkeypatch):
     # for some f, and Cayley–Hamilton, read through add and mul, sees it
     s = _Series(f9, 2)
     s.grow(4)
-    sub = s.sub.copy()
+    sub = s.ops.sub_table.copy()
     sub[5 * 9 + 3] = (sub[5 * 9 + 3] + 1) % 9
-    monkeypatch.setattr(s, "sub", sub)
+    monkeypatch.setattr(s, "ops", s.ops._replace(sub_table=sub))
     with pytest.raises(AssertionError, match="Cayley–Hamilton"):
         s.grow(6)
+
+
+def test_series_and_engine_share_the_field_ops(f9):
+    # one ArrayOps per field: the series over GF(9) and an engine whose
+    # point field is GF(9) read the same object
+    eng = RankEngine(3, 1, 5)
+    assert eng.tables.q == 9
+    truncated_product(TwistedPower(Poly(f9, [1, 2, 1]), 1), 2)
+    assert _SERIES[f9].ops is eng.ops is array_ops(f9)
 
 
 def test_same_class_same_factors(rng):

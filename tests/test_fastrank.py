@@ -6,7 +6,8 @@ import pytest
 
 from carlitz import field_make, Poly, TwistedPower
 from carlitz.motive import analytic_rank, analytic_ranks
-from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _ops, _powers
+from carlitz.ff import ArrayOps, array_ops
+from carlitz.fastrank import RankEngine, BatchScreen, _Tables, _powers
 from carlitz.motive import on_coset, reduced_block_size
 from carlitz.scan import _mode_phi
 
@@ -123,25 +124,40 @@ def test_engine_rejects_phi_of_degree_zero():
 
 
 def test_point_field_table_cap():
-    # flat q*q tables stop at ff._TABLE_LIMIT = 256: GF(2^9) has none
-    with pytest.raises(ValueError, match="above table cap"):
-        _Tables(2, 9)
+    # flat q*q tables stop at ff._TABLE_LIMIT = 256: GF(2^9) has none, and
+    # ff refuses it in one place, for the tables and their array ops alike
+    for build in (lambda: _Tables(2, 9), lambda: array_ops(field_make(2, 9)),
+                  lambda: RankEngine(2, 1, 300)):
+        with pytest.raises(ValueError, match="above table cap"):
+            build()
     assert _Tables(2, 8).q == 256
+
+
+def test_vanishing_order_takes_m_plus_one_coefficients():
+    # coefficients past m were ignored and a short row raised IndexError;
+    # (1, 2, 0, 1) at n = 2 has rank 1
+    eng = RankEngine(3, 2, 3)
+    for coeffs in [(1, 2, 0), (1, 2, 0, 1, 0)]:
+        with pytest.raises(ValueError, match="need m \\+ 1 = 4"):
+            eng.vanishing_order(coeffs)
+    assert eng.vanishing_order((1, 2, 0, 1)) == 1 == analytic_rank(
+        TwistedPower(Poly(field_make(3), [1, 2, 0, 1]), 2))
 
 
 def test_engines_share_the_point_field_tables(rng):
     # the engine reads ff's tables as they are, and the uint16 ops over them
-    # are built once per field: two engines over GF(9) share one ops tuple
+    # are built once per field: two engines over GF(9) share one ArrayOps
     a, b = RankEngine(3, 1, 5), RankEngine(3, 2, 4)
     assert a.tables is b.tables is field_make(3, 2).tables()
-    ops = _ops(3, 2)
-    misses = _ops.cache_info().misses
+    ops = array_ops(field_make(3, 2))
+    misses = array_ops.cache_info().misses
     for eng, m in ((a, 5), (b, 4)):
         rows = np.array([[rng.randrange(3) for _ in range(m)] + [1]
                          for _ in range(20)])
         assert eng.vanishing_orders(rows).tolist() == [
             eng.vanishing_order(tuple(r)) for r in rows.tolist()]
-    assert _ops.cache_info().misses == misses and _ops(3, 2) is ops
+    assert array_ops.cache_info().misses == misses
+    assert a.ops is b.ops is ops
 
 
 def test_reduced_block_composition(rng):
@@ -582,15 +598,15 @@ def test_schur_certify_rank_deficient_prefix(monkeypatch):
     plan = eng._plan
     assert 0 < plan.r < eng.k
     groups = []
-    eliminate = RankEngine._eliminate
+    eliminate = ArrayOps.eliminate
 
     def spy(self, a, ncols):
         ok = eliminate(self, a, ncols)
-        if ncols == self.k - plan.r and a.shape[0] == self.k:
+        if ncols == eng.k - plan.r and a.shape[0] == eng.k:
             groups.append(ok)
         return ok
 
-    monkeypatch.setattr(RankEngine, "_eliminate", spy)
+    monkeypatch.setattr(ArrayOps, "eliminate", spy)
     for i, ws in enumerate(eng.point_weights):
         groups.clear()
         got = eng._certify(digits, i)

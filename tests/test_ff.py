@@ -12,8 +12,9 @@ from carlitz import (field_make, field_from_cardinality, binom_mod_p, ExtField,
                      ResidueCtx, Poly)
 from carlitz.euler import truncated_product
 from carlitz.fastrank import RankEngine
-from carlitz.ff import (check_int, from_digits, generator_digits, is_prime,
-                        to_digits)
+from carlitz.ff import (array_ops, check_int, from_digits, generator_digits,
+                        is_prime, to_digits)
+from carlitz.linalg import det_cofactor
 from carlitz.lfun import LFun, lfun_substitute
 from carlitz.motive import (TwistedPower, analytic_ranks, build_matrix,
                             d_coefficients, infinity_factor)
@@ -349,6 +350,61 @@ def test_check_code(f9):
             check_int(x, 0, "n")
 
 
+def _matrices(rng, q, k, count):
+    """count random k x k code matrices; every third has a zero diagonal,
+    every third from the second on a repeated row (rank-deficient)."""
+    out = []
+    for i in range(count):
+        m = [[rng.randrange(q) for _ in range(k)] for _ in range(k)]
+        if i % 3 == 0:
+            for j in range(k):
+                m[j][j] = 0
+        elif i % 3 == 1 and k > 1:
+            m[-1] = list(m[0])
+        out.append(m)
+    return out
+
+
+def test_eliminate_pivots_times_trailing_det_is_the_det(rng):
+    # ff's one elimination adds a row below to a zero diagonal entry instead
+    # of swapping, so no step changes a determinant: after ncols columns the
+    # pivots times det of the trailing block is det, against the cofactor
+    # expansion on constant Poly entries
+    for q in (2, 3, 4, 5, 9):
+        ctx = field_from_cardinality(q)
+        ops, zero, one = array_ops(ctx), Poly.zero(ctx), Poly.one(ctx)
+        for k in range(1, 6):
+            mats = _matrices(rng, q, k, 12)
+            want = [det_cofactor([[Poly(ctx, [x]) for x in row] for row in m],
+                                 zero, one) for m in mats]
+            assert any(w.is_zero() for w in want)
+            for ncols in range(k + 1):
+                a = np.array(mats, dtype=np.uint16).transpose(1, 2, 0).copy()
+                ok = ops.eliminate(a, ncols)
+                for f, m in enumerate(mats):
+                    pivots = [int(a[c, c, f]) for c in range(ncols)]
+                    rest = range(ncols, k)
+                    got = det_cofactor([[Poly(ctx, [int(a[i, j, f])])
+                                         for j in rest] for i in rest],
+                                       zero, one)
+                    for x in pivots:
+                        got = got.scalar_mul(x)
+                    assert got == want[f], (q, k, ncols, m)
+                    assert ok[f] == all(pivots)
+
+
+def test_array_ops_log_form(rng):
+    # log 0 lies past every sum of three logs, where alog reads 0
+    for q in (2, 4, 9, 256):
+        ops = array_ops(field_from_cardinality(q))
+        a, b, c = (np.array([rng.randrange(q) for _ in range(200)])
+                   for _ in range(3))
+        got = from_digits(ops.alog[ops.log[a] + ops.log[b] + ops.log[c]],
+                          ops.p, ops.e)
+        assert got.tolist() == ops.mul(ops.mul(a, b), c).tolist()
+        assert not any(x.flags.writeable for x in ops[3:])
+
+
 def _twist(coeffs, n=1):
     return TwistedPower(Poly(field_make(3), coeffs), n)
 
@@ -409,6 +465,24 @@ _BAD_INTS = {
     "RankEngine m=-1": lambda: RankEngine(3, 1, -1),
     "RankEngine k=-1": lambda: RankEngine(3, 1, 5, k=-1),
     "RankEngine k=2.0": lambda: RankEngine(3, 1, 5, k=2.0),
+    # a code -1 read the last table entry, 3 raised IndexError
+    "vanishing_order coefficient -1":
+        lambda: RankEngine(3, 2, 3).vanishing_order((1, -1, 0, 1)),
+    "vanishing_order coefficient 3":
+        lambda: RankEngine(3, 2, 3).vanishing_order((1, 3, 0, 1)),
+    "vanishing_order coefficient 1.0":
+        lambda: RankEngine(3, 2, 3).vanishing_order((1, 1.0, 0, 1)),
+    "vanishing_order coefficient True":
+        lambda: RankEngine(3, 2, 3).vanishing_order((1, True, 0, 1)),
+    # rows were cast to int64, so these ranked as [[1, 1]]
+    "analytic_ranks row 1.5":
+        lambda: analytic_ranks([[1.5, 1]], 1, field_make(3)),
+    "analytic_ranks row True":
+        lambda: analytic_ranks([[True, 1]], 1, field_make(3)),
+    "analytic_ranks float array":
+        lambda: analytic_ranks(np.array([[1.0, 1.0]]), 1, field_make(3)),
+    "analytic_ranks bool array":
+        lambda: analytic_ranks(np.array([[True, True]]), 1, field_make(3)),
     "ScanSpec q=3.0": lambda: ScanSpec(q=3.0, n=1, m=3, lead=1),
     "coset_audit q=3.0": lambda: coset_audit(3.0, 1, 3),
     "coset_audit n=1.0": lambda: coset_audit(3, 1.0, 3),

@@ -19,6 +19,10 @@ module raises p to an ``arange`` of digit positions.
 
 ``ff.check_int`` alone decides which ints a caller may pass: no other module
 raises a message of a hand-written int bound.
+
+``ff`` alone reads a field's flat tables (``.tables()``): the other modules
+go through ``ff.field_tables`` or ``ff.array_ops``, so none builds its own
+array copies of them or its own refusal above the table cap.
 """
 
 import ast
@@ -129,3 +133,20 @@ def test_only_ff_writes_int_bounds():
              if path.stem != "ff" for line in _hand_written_bounds(path)}
     assert found == set(), "use ff.check_int"
     assert _hand_written_bounds(SRC / "ff.py"), "the check sees ff's own"
+
+
+def _table_readers(path):
+    """Module-level defs and classes that call ``.tables()``."""
+    return {getattr(node, "name", "<module>")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "tables"}
+
+
+def test_only_ff_reads_the_flat_tables():
+    found = {(path.stem, name) for path in sorted(SRC.glob("*.py"))
+             if path.stem != "ff" for name in _table_readers(path)}
+    assert found == set(), "use ff.field_tables or ff.array_ops"
+    assert _table_readers(SRC / "ff.py"), "the check sees ff's own"
